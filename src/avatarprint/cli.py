@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import catalog as cat
 from . import evaluation as ev
 from . import protocol as proto
@@ -43,7 +41,6 @@ from .feature_store import (
     FeatureStore,
     FeatureStoreWriter,
     import_frames_csv,
-    open_store,
 )
 from .synthbench import synth_corpus
 from .training import TrainHyper, TrainingDiverged, train
@@ -303,7 +300,7 @@ def _train_one(
     train_generator: str,
     out_path: Path,
 ) -> None:
-    store = open_store(spec.store)
+    store = FeatureStore(spec.store)
     emb_config, graph = _embedder_config(spec, store, config.seed)
     generators = (
         None
@@ -357,7 +354,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         spec = next((m for m in config.models if m.name == name), None)
         if spec is None:
             raise ConfigError(f"no model named {name!r} in config")
-        models[name] = (load_checkpoint(ckpt), open_store(spec.store))
+        models[name] = (load_checkpoint(ckpt), FeatureStore(spec.store))
     table = sc.score_trials(
         models, trials, include_fusion=config.fusion_enabled,
         zscore_fusion=config.fusion_zscore,
@@ -383,15 +380,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.out_dir:
         out_dir = Path(args.out_dir)
         ev.write_report_csv(reports, out_dir / "report.csv")
-        for report in reports:
-            rows = [r for r in table.rows if r.model == report.model and r.score is not None]
-            genuine = np.array([r.score for r in rows if r.label == 1])
-            impostor = np.array([r.score for r in rows if r.label == 0])
-            ev.write_roc_csv(
-                genuine, impostor,
-                out_dir / f"roc_{_sanitize(condition)}_{_sanitize(report.model)}.csv",
-            )
+        _write_rocs(table, reports, out_dir, condition)
     return EXIT_OK
+
+
+def _write_rocs(
+    table: sc.ScoreTable, reports: Sequence[ev.EvalReport], out_dir: Path, stem: str
+) -> None:
+    """``roc_<stem>_<model>.csv`` in ``out_dir`` for every reported model."""
+    ev.write_roc_csvs(table.rows, {
+        r.model: out_dir / f"roc_{_sanitize(stem)}_{_sanitize(r.model)}.csv" for r in reports
+    })
 
 
 def cmd_fairness(args: argparse.Namespace) -> int:
@@ -541,7 +540,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 if key in failed_train:
                     return f"score {job.job_id}: training failed for {name}"
                 spec = specs_by_name[name]
-                models[name] = (load_checkpoint(train_tasks[key]), open_store(spec.store))
+                models[name] = (load_checkpoint(train_tasks[key]), FeatureStore(spec.store))
             job_trials = [
                 t
                 for t in trials
@@ -582,16 +581,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             fair, job.condition,
             run_dir / "reports" / f"fairness_{_sanitize(job.job_id)}.csv",
         )
-        for report in reports:
-            rows = [r for r in table.rows if r.model == report.model and r.score is not None]
-            genuine = np.array([r.score for r in rows if r.label == 1])
-            impostor = np.array([r.score for r in rows if r.label == 0])
-            ev.write_roc_csv(
-                genuine, impostor,
-                run_dir / "reports" / (
-                    f"roc_{_sanitize(job.job_id)}_{_sanitize(report.model)}.csv"
-                ),
-            )
+        _write_rocs(table, reports, run_dir / "reports", job.job_id)
 
     if all_reports:
         ev.write_report_csv(all_reports, run_dir / "reports" / "report.csv")

@@ -578,13 +578,27 @@ def save_checkpoint(params: EmbedderParams, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> EmbedderParams:
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CKPT_MAGIC:
-            raise EmbedderError(f"{path}: not a model checkpoint (magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        raw = fh.read()
+    blob = path.read_bytes()
+    magic = blob[:4]
+    if magic != _CKPT_MAGIC:
+        raise EmbedderError(f"{path}: not a model checkpoint (magic {magic!r})")
+    if len(blob) < 8:
+        raise EmbedderError(f"{path}: truncated checkpoint ({len(blob)} bytes)")
+    (hlen,) = struct.unpack_from("<I", blob, 4)
+    if len(blob) < 8 + hlen:
+        raise EmbedderError(
+            f"{path}: truncated checkpoint header ({len(blob) - 8} of {hlen} bytes)"
+        )
+    try:
+        header = json.loads(blob[8 : 8 + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise EmbedderError(f"{path}: unreadable checkpoint header: {exc}") from None
+    raw = blob[8 + hlen :]
+    if len(raw) != 8 * header["param_count"]:
+        raise EmbedderError(
+            f"{path}: parameter payload has {len(raw)} bytes, "
+            f"header promises {header['param_count']} float64 values"
+        )
     config = EmbedderConfig.from_dict(header["config"])
     norm = (
         NormalizationParams.from_dict(header["normalization"])
@@ -593,9 +607,4 @@ def load_checkpoint(path: str | Path) -> EmbedderParams:
     )
     graph = AdjacencyGraph.from_dict(header["graph"]) if header.get("graph") else None
     flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if flat.size != header["param_count"]:
-        raise EmbedderError(
-            f"{path}: parameter vector has {flat.size} values, "
-            f"header promises {header['param_count']}"
-        )
     return EmbedderParams(config, flat, norm, graph)

@@ -45,18 +45,24 @@ def auc(genuine: np.ndarray, impostor: np.ndarray) -> float:
 
 
 def roc_points(genuine: np.ndarray, impostor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(fpr, tpr) arrays over all score thresholds, descending, for plotting."""
-    genuine = np.asarray(genuine, dtype=np.float64)
-    impostor = np.asarray(impostor, dtype=np.float64)
+    """(fpr, tpr) arrays over all score thresholds, descending, for plotting.
+
+    The point for threshold t is the fraction of each class scoring >= t,
+    counted by binary search in the sorted scores: O(n log n) in all.
+    """
+    genuine = np.sort(np.asarray(genuine, dtype=np.float64))
+    impostor = np.sort(np.asarray(impostor, dtype=np.float64))
     if genuine.size == 0 or impostor.size == 0:
         raise EvaluationError("ROC needs at least one score of each class")
+    if not (np.all(np.isfinite(genuine)) and np.all(np.isfinite(impostor))):
+        raise EvaluationError("scores must be finite")
     thresholds = np.unique(np.concatenate([genuine, impostor]))[::-1]
-    tpr = [0.0]
-    fpr = [0.0]
-    for t in thresholds:
-        tpr.append(float(np.mean(genuine >= t)))
-        fpr.append(float(np.mean(impostor >= t)))
-    return np.array(fpr), np.array(tpr)
+
+    def rate(scores: np.ndarray) -> np.ndarray:
+        at_or_above = scores.size - np.searchsorted(scores, thresholds, side="left")
+        return np.concatenate([[0.0], at_or_above / scores.size])
+
+    return rate(impostor), rate(genuine)
 
 
 @dataclass(frozen=True)
@@ -72,24 +78,29 @@ class EvalReport:
             raise EvaluationError(f"AUC {self.auc} outside [0, 100]")
 
 
-def evaluate_rows(rows: Iterable[ScoreRow], condition: str) -> list[EvalReport]:
-    """One report per model over scored rows; unscored rows are skipped."""
+def _class_scores(rows: Iterable[ScoreRow]) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(genuine, impostor) scores per model, sorted by model, over the scored
+    rows in row order."""
     by_model: dict[str, tuple[list[float], list[float]]] = defaultdict(lambda: ([], []))
     for row in rows:
         if row.score is None:
             continue
         genuine, impostor = by_model[row.model]
         (genuine if row.label == 1 else impostor).append(row.score)
-    reports = []
-    for model in sorted(by_model):
-        genuine, impostor = by_model[model]
-        if not genuine or not impostor:
-            continue
-        reports.append(
-            EvalReport(condition, model, auc(np.array(genuine), np.array(impostor)),
-                       len(genuine), len(impostor))
-        )
-    return reports
+    return {
+        model: (np.array(genuine, dtype=np.float64), np.array(impostor, dtype=np.float64))
+        for model, (genuine, impostor) in sorted(by_model.items())
+    }
+
+
+def evaluate_rows(rows: Iterable[ScoreRow], condition: str) -> list[EvalReport]:
+    """One report per model over scored rows; unscored rows are skipped, and
+    so are models lacking one of the two classes."""
+    return [
+        EvalReport(condition, model, auc(genuine, impostor), genuine.size, impostor.size)
+        for model, (genuine, impostor) in _class_scores(rows).items()
+        if genuine.size and impostor.size
+    ]
 
 
 # -- condition deltas ---------------------------------------------------------
@@ -330,3 +341,11 @@ def write_roc_csv(
         writer.writerow(["fpr", "tpr"])
         for f_val, t_val in zip(fpr, tpr):
             writer.writerow([repr(float(f_val)), repr(float(t_val))])
+
+
+def write_roc_csvs(rows: Iterable[ScoreRow], paths: Mapping[str, str | Path]) -> None:
+    """One ROC CSV per model in ``paths`` (model -> file) over that model's
+    scored rows."""
+    by_model = _class_scores(rows)
+    for model, path in paths.items():
+        write_roc_csv(*by_model[model], path)

@@ -163,10 +163,6 @@ class FeatureStoreWriter:
         return FeatureStore(self.path)
 
 
-def create_store(path: str | Path, kind: FeatureKind, dimension: int) -> FeatureStoreWriter:
-    return FeatureStoreWriter(path, kind, dimension)
-
-
 class FeatureStore:
     """Sealed, read-only store; safe for concurrent lock-free readers."""
 
@@ -194,6 +190,9 @@ class FeatureStore:
                 data = json.load(fh)
             if data.get("dimension") != self.dimension or data.get("kind") != self.kind.value:
                 raise FeatureStoreError(f"{sidecar}: index does not match store header")
+            if len(data["entries"]) != count:
+                raise FeatureStoreError(f"{sidecar}: index lists {len(data['entries'])} "
+                                        f"records, header promises {count}")
             return {
                 vid: (int(off), int(t), float(fps))
                 for vid, (off, t, fps) in data["entries"].items()
@@ -256,10 +255,6 @@ class FeatureStore:
             self.close()
         except OSError:
             pass
-
-
-def open_store(path: str | Path) -> FeatureStore:
-    return FeatureStore(path)
 
 
 VARIANCE_FLOOR = 1e-8

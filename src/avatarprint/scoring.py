@@ -3,17 +3,24 @@
 Each video is cut into fixed-length windows (stride = half a window,
 trailing frames dropped), every window is embedded, and a pair of videos is
 scored by the mean of the full pairwise cosine matrix between their window
-embeddings. Multiple models fuse by averaging their per-trial scores.
-Window embeddings are cached per (video, model, window length) so arbitrarily
-many trials touch each video only once.
+embeddings. For unit rows that mean is exactly the dot product of the two
+videos' mean unit window embeddings,
+
+    mean_ij <u_i, v_j> = <mean_i u_i, mean_j v_j>,
+
+so each video is reduced once to one d-vector per (model, window length)
+and a whole trial list is scored per model by one row-wise dot product of
+two gathered (trials, d) matrices. Multiple models fuse by averaging their
+per-trial scores, optionally z-scored per model first.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -36,49 +43,6 @@ def window_starts(num_frames: int, window_len: int, stride: int) -> list[int]:
     return [i * stride for i in range(count)]
 
 
-@dataclass(frozen=True)
-class WindowSet:
-    video_id: str
-    starts: tuple[int, ...]
-    window_len: int
-    stride: int
-    skipped: bool  # video shorter than one window
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-
-def make_windows(
-    num_frames: int, window_len: int, stride: int | None = None, video_id: str = ""
-) -> WindowSet:
-    """Window grid over a video of ``num_frames`` frames. The stride defaults
-    to half the window length (which must then be even)."""
-    if stride is None:
-        if window_len % 2 != 0:
-            raise ScoringError("window_len must be even for the default half-window stride")
-        stride = window_len // 2
-    starts = window_starts(num_frames, window_len, stride)
-    return WindowSet(
-        video_id=video_id,
-        starts=tuple(starts),
-        window_len=window_len,
-        stride=stride,
-        skipped=not starts,
-    )
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ScoringError(f"cosine needs two vectors of equal length, got {u.shape}/{v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ScoringError("cosine undefined for zero vectors")
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def video_window_embeddings(
     params: EmbedderParams, store: FeatureStore, video_id: str
 ) -> np.ndarray | None:
@@ -89,16 +53,19 @@ def video_window_embeddings(
     frames = seq.frames
     if params.normalization is not None:
         frames = params.normalization.apply(frames)
-    ws = make_windows(frames.shape[0], params.config.window_len)
-    if ws.skipped:
+    window_len = params.config.window_len
+    starts = window_starts(frames.shape[0], window_len, window_len // 2)
+    if not starts:
         return None
-    windows = np.stack([frames[s : s + ws.window_len] for s in ws.starts])
+    windows = np.stack([frames[s : s + window_len] for s in starts])
     z, _ = forward_batch(params, windows)
     return z
 
 
 class EmbeddingCache:
-    """Window embeddings keyed by (video_id, model_id, window_len).
+    """Mean unit window embedding keyed by (video_id, model_id, window_len):
+    the rows of ``video_window_embeddings`` scaled to unit length, averaged.
+    None stands for a video shorter than one window.
 
     model_id must distinguish both the architecture and the training
     condition of the parameters it stands for.
@@ -113,9 +80,18 @@ class EmbeddingCache:
     ) -> np.ndarray | None:
         key = (video_id, model_id, params.config.window_len)
         if key not in self._data:
-            self._data[key] = video_window_embeddings(params, store, video_id)
+            z = video_window_embeddings(params, store, video_id)
+            if z is not None:
+                z = (z / np.linalg.norm(z, axis=1, keepdims=True)).mean(axis=0)
+            self._data[key] = z
             self.computes += 1
         return self._data[key]
+
+
+def _row_dots(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (n, d) matrices: every score is one of
+    these, so a pair scored alone and within a table agree bit for bit."""
+    return np.einsum("nd,nd->n", first, second)
 
 
 @dataclass(frozen=True)
@@ -123,19 +99,10 @@ class PairScore:
     enroll_video: str
     test_video: str
     score: float | None  # None when either side has no complete window
-    per_model: tuple[tuple[str, float], ...] = ()
 
     @property
     def unscorable(self) -> bool:
         return self.score is None
-
-
-def _mean_pairwise_cosine(first: np.ndarray, second: np.ndarray) -> float:
-    rows = first / np.linalg.norm(first, axis=1, keepdims=True)
-    cols = second / np.linalg.norm(second, axis=1, keepdims=True)
-    sims = rows @ cols.T
-    # np.sum uses pairwise accumulation, keeping the mean stable for large X*Y
-    return float(sims.sum() / sims.size)
 
 
 def score_pair(
@@ -147,34 +114,15 @@ def score_pair(
     model_id: str = "model",
 ) -> PairScore:
     """Mean over the full pairwise cosine matrix of the two videos' window
-    embeddings. The two operands are put in a canonical order first so the
-    score is exactly symmetric in its arguments."""
-    if cache is not None:
-        z_e = cache.get(params, store, enroll_video, model_id)
-        z_t = cache.get(params, store, test_video, model_id)
-    else:
-        z_e = video_window_embeddings(params, store, enroll_video)
-        z_t = video_window_embeddings(params, store, test_video)
-    if z_e is None or z_t is None:
+    embeddings. The two operands are put in a canonical order (smaller video
+    id first) so the score is exactly symmetric in its arguments."""
+    cache = cache if cache is not None else EmbeddingCache()
+    m_e = cache.get(params, store, enroll_video, model_id)
+    m_t = cache.get(params, store, test_video, model_id)
+    if m_e is None or m_t is None:
         return PairScore(enroll_video, test_video, None)
-    if enroll_video <= test_video:
-        score = _mean_pairwise_cosine(z_e, z_t)
-    else:
-        score = _mean_pairwise_cosine(z_t, z_e)
-    return PairScore(enroll_video, test_video, score)
-
-
-def fuse(scores: Sequence[PairScore]) -> PairScore:
-    """Mean of per-model scores for one trial. Unscorable for any model
-    makes the fused trial unscorable."""
-    if not scores:
-        raise ScoringError("nothing to fuse")
-    pair = (scores[0].enroll_video, scores[0].test_video)
-    if any((s.enroll_video, s.test_video) != pair for s in scores):
-        raise ScoringError("fuse got scores from different trials")
-    if any(s.unscorable for s in scores):
-        return PairScore(pair[0], pair[1], None)
-    return PairScore(pair[0], pair[1], float(np.mean([s.score for s in scores])))
+    first, second = (m_e, m_t) if enroll_video <= test_video else (m_t, m_e)
+    return PairScore(enroll_video, test_video, float(_row_dots(first[None], second[None])[0]))
 
 
 @dataclass(frozen=True)
@@ -197,6 +145,18 @@ class ScoreTable:
 FUSION_MODEL = "fusion"
 
 
+def _zscore(scores: np.ndarray) -> np.ndarray:
+    """Each model's scores standardized by the mean and standard deviation
+    of its scorable (non-NaN) entries."""
+    out = np.empty_like(scores)
+    for row, s in enumerate(scores):
+        vals = s[~np.isnan(s)]
+        mu = float(vals.mean()) if vals.size else 0.0
+        sd = float(vals.std()) if vals.size else 1.0
+        out[row] = (s - mu) / (sd if sd > 0 else 1.0)
+    return out
+
+
 def score_trials(
     models: Mapping[str, tuple[EmbedderParams, FeatureStore]],
     trials: Iterable,
@@ -215,58 +175,51 @@ def score_trials(
     if not models:
         raise ScoringError("need at least one model")
     cache = cache if cache is not None else EmbeddingCache()
-    table = ScoreTable()
-    missing: set[str] = set()
     model_ids = sorted(models)
 
-    per_model_scores: dict[str, list[float | None]] = {m: [] for m in model_ids}
-    kept_trials = []
-    for trial in trials:
-        absent = [
-            vid
-            for vid in (trial.enroll_video, trial.test_video)
-            for m in model_ids
-            if vid not in models[m][1]
-        ]
-        if absent:
-            missing.update(absent)
-            continue
-        kept_trials.append(trial)
-        for m in model_ids:
-            params, store = models[m]
-            ps = score_pair(params, store, trial.enroll_video, trial.test_video, cache, m)
-            per_model_scores[m].append(ps.score)
+    trials = list(trials)
+    missing = {
+        vid
+        for trial in trials
+        for vid in (trial.enroll_video, trial.test_video)
+        if any(vid not in models[m][1] for m in model_ids)
+    }
+    kept = [t for t in trials if t.enroll_video not in missing and t.test_video not in missing]
+    videos = sorted({vid for t in kept for vid in (t.enroll_video, t.test_video)})
+    index = {vid: i for i, vid in enumerate(videos)}
+    enroll = np.fromiter((index[t.enroll_video] for t in kept), np.intp, len(kept))
+    test = np.fromiter((index[t.test_video] for t in kept), np.intp, len(kept))
+    # videos are indexed in id order, so this is score_pair's operand order
+    first, second = np.minimum(enroll, test), np.maximum(enroll, test)
 
-    fusion_inputs: dict[str, list[float | None]] = per_model_scores
-    if include_fusion and len(model_ids) > 1 and zscore_fusion:
-        fusion_inputs = {}
-        for m in model_ids:
-            vals = np.array([s for s in per_model_scores[m] if s is not None])
-            mu = float(vals.mean()) if vals.size else 0.0
-            sd = float(vals.std()) if vals.size else 1.0
-            sd = sd if sd > 0 else 1.0
-            fusion_inputs[m] = [
-                None if s is None else (s - mu) / sd for s in per_model_scores[m]
-            ]
+    # (models, trials); NaN marks a trial with a video shorter than one window
+    scores = np.empty((len(model_ids), len(kept)))
+    for row, m in enumerate(model_ids):
+        params, store = models[m]
+        means = np.full((len(videos), params.config.projection_dim), np.nan)
+        for i, vid in enumerate(videos):
+            mean = cache.get(params, store, vid, m)
+            if mean is not None:
+                means[i] = mean
+        scores[row] = _row_dots(means[first], means[second])
 
-    for i, trial in enumerate(kept_trials):
-        for m in model_ids:
-            score = per_model_scores[m][i]
+    columns = list(model_ids)
+    stacked = scores
+    if include_fusion and len(model_ids) > 1:
+        fused = (_zscore(scores) if zscore_fusion else scores).mean(axis=0)
+        columns.append(FUSION_MODEL)
+        stacked = np.vstack([scores, fused])
+    values = [[None if math.isnan(s) else s for s in col] for col in stacked.tolist()]
+
+    table = ScoreTable(missing_videos=sorted(missing))
+    for i, trial in enumerate(kept):
+        for model, col in zip(columns, values):
             table.rows.append(
                 ScoreRow(trial.trial_id, trial.enroll_video, trial.test_video,
-                         trial.label, m, score)
+                         trial.label, model, col[i])
             )
-        if include_fusion and len(model_ids) > 1:
-            subs = [fusion_inputs[m][i] for m in model_ids]
-            fused = None if any(s is None for s in subs) else float(np.mean(subs))
-            table.rows.append(
-                ScoreRow(trial.trial_id, trial.enroll_video, trial.test_video,
-                         trial.label, FUSION_MODEL, fused)
-            )
-        if any(per_model_scores[m][i] is None for m in model_ids):
-            table.unscorable_trials.append(trial.trial_id)
-
-    table.missing_videos = sorted(missing)
+    unscorable = np.isnan(scores).any(axis=0).tolist()
+    table.unscorable_trials = [t.trial_id for t, bad in zip(kept, unscorable) if bad]
     return table
 
 

@@ -19,6 +19,7 @@ from .embedder import (
     AdjacencyGraph,
     EmbedderConfig,
     EmbedderParams,
+    NonFiniteError,
     backward_batch,
     forward_batch,
     init_params,
@@ -343,11 +344,9 @@ def train(
                 loss, grad, frac = _batch_loss_grad(
                     params, windows[idx], labels[idx], hyper.margin, hyper.mining, rng
                 )
-            except Exception as exc:
-                if "non-finite" in str(exc):
-                    log.diverged = True
-                    raise TrainingDiverged(last_good, log, epoch) from exc
-                raise
+            except NonFiniteError as exc:
+                log.diverged = True
+                raise TrainingDiverged(last_good, log, epoch) from exc
             if not np.isfinite(loss):
                 log.diverged = True
                 raise TrainingDiverged(last_good, log, epoch)

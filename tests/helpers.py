@@ -25,7 +25,7 @@ from avatarprint.feature_store import (
     FeatureKind,
     FeatureSequence,
     FeatureStore,
-    create_store,
+    FeatureStoreWriter,
 )
 from avatarprint.protocol import Split
 
@@ -190,7 +190,7 @@ def random_store(
     kind: FeatureKind = FeatureKind.EMBEDDING,
 ) -> FeatureStore:
     """Store of Gaussian feature sequences, one per id, varied lengths."""
-    writer = create_store(path, kind, dim)
+    writer = FeatureStoreWriter(path, kind, dim)
     lo, hi = frames if isinstance(frames, tuple) else (frames, frames)
     for vid in video_ids:
         t = int(rng.integers(lo, hi + 1))
@@ -208,6 +208,20 @@ def pairwise_auc(genuine, impostor) -> float:
     i = np.asarray(impostor, dtype=np.float64)
     wins = np.sum(g[:, None] > i[None, :]) + 0.5 * np.sum(g[:, None] == i[None, :])
     return 100.0 * float(wins) / (g.size * i.size)
+
+
+def quadratic_roc_points(genuine, impostor) -> tuple[np.ndarray, np.ndarray]:
+    """ROC straight from its definition: for every distinct score, highest
+    first, the fraction of each class scoring at or above it."""
+    genuine = np.asarray(genuine, dtype=np.float64)
+    impostor = np.asarray(impostor, dtype=np.float64)
+    thresholds = np.unique(np.concatenate([genuine, impostor]))[::-1]
+    tpr = [0.0]
+    fpr = [0.0]
+    for t in thresholds:
+        tpr.append(float(np.mean(genuine >= t)))
+        fpr.append(float(np.mean(impostor >= t)))
+    return np.array(fpr), np.array(tpr)
 
 
 def double_loop_pair_score(first: np.ndarray, second: np.ndarray) -> float:

@@ -16,7 +16,7 @@ import pytest
 from avatarprint.catalog import Dataset, Generator
 from avatarprint.cli import EXIT_OK, main
 from avatarprint.embedder import EmbedderConfig, forward, init_params, triplet_batch
-from avatarprint.feature_store import FeatureKind, FeatureSequence, create_store
+from avatarprint.feature_store import FeatureKind, FeatureSequence, FeatureStoreWriter
 from avatarprint.evaluation import (
     EvalReport,
     auc,
@@ -200,7 +200,7 @@ def test_4_pair_scoring(tmp_path):
             x: 8 + 4 * (x - 1) + int(rng.integers(0, 4)) for x in range(1, 6)
         }
         ids = {x: f"grid{x}" for x in lengths}
-        writer = create_store(tmp_path / "grid.avfs", FeatureKind.EMBEDDING, 6)
+        writer = FeatureStoreWriter(tmp_path / "grid.avfs", FeatureKind.EMBEDDING, 6)
         for x, vid in ids.items():
             frames = rng.normal(size=(lengths[x], 6))
             writer.put(FeatureSequence(vid, FeatureKind.EMBEDDING, frames, 30.0))

@@ -7,7 +7,7 @@ import pytest
 
 from avatarprint.catalog import save_manifest
 from avatarprint.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from avatarprint.feature_store import open_store
+from avatarprint.feature_store import FeatureStore
 from avatarprint.protocol import load_trials
 from avatarprint.scoring import read_score_table
 
@@ -195,6 +195,20 @@ class TestTrainScoreEvaluateChain:
         ])
         assert code == EXIT_USAGE
 
+    def test_truncated_checkpoint_fails_cleanly(self, corpus_small, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", corpus_small)
+        (tmp_path / "t.csv").write_text(
+            "trial_id,dataset,generator,enroll_video,test_video,label\n"
+        )
+        (tmp_path / "cut.avck").write_bytes(b"AVCK\x10\x00")
+        code = main([
+            "score", "--config", str(cfg), "--trials", str(tmp_path / "t.csv"),
+            "--checkpoint", f"m={tmp_path / 'cut.avck'}",
+            "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == EXIT_FAIL
+        assert "truncated" in capsys.readouterr().err
+
     def test_checkpoint_wants_name_equals_path(self, corpus_small, tmp_path):
         cfg = write_config(tmp_path / "config.json", corpus_small)
         (tmp_path / "t.csv").write_text(
@@ -221,7 +235,7 @@ class TestImportFeatures:
             "import-features", "--store", str(store_path), "--dim", "3",
             str(tmp_path / "clip_a.csv"), str(tmp_path / "clip_b.csv"),
         ]) == EXIT_OK
-        store = open_store(store_path)
+        store = FeatureStore(store_path)
         assert sorted(store.ids()) == ["clip_a", "clip_b"]
         got = store.get("clip_a").frames
         assert got.shape == (10, 3)

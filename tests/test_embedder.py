@@ -302,3 +302,20 @@ class TestCheckpoint:
         p.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(EmbedderError):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("keep", [6, 40], ids=["length-field", "mid-header"])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = tmp_path / "m.avck"
+        save_checkpoint(init_params(small_config(seed=3)), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(EmbedderError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_payload_length_checked(self, tmp_path):
+        path = tmp_path / "m.avck"
+        save_checkpoint(init_params(small_config(seed=3)), path)
+        raw = path.read_bytes()
+        for cut in (raw[:-3], raw[:-8], raw + bytes(8)):
+            path.write_bytes(cut)
+            with pytest.raises(EmbedderError, match="payload"):
+                load_checkpoint(path)

@@ -28,7 +28,7 @@ from avatarprint.evaluation import (
 )
 from avatarprint.scoring import ScoreRow
 
-from helpers import pairwise_auc, tiny_catalog
+from helpers import pairwise_auc, quadratic_roc_points, tiny_catalog
 
 
 class TestAuc:
@@ -88,6 +88,25 @@ class TestRoc:
         fpr, tpr = roc_points(genuine, impostor)
         area = 100.0 * float(np.trapezoid(tpr, fpr))
         assert area == pytest.approx(auc(genuine, impostor), abs=1e-9)
+
+    def test_matches_quadratic_definition_bitwise(self):
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            levels = int(rng.integers(1, 12))  # few distinct values: many ties
+            genuine = rng.integers(0, levels, int(rng.integers(1, 60))) / 4.0
+            impostor = rng.integers(0, levels, int(rng.integers(1, 60))) / 4.0 - 0.5
+            if rng.random() < 0.5:
+                genuine = genuine + rng.normal(0, 1e-3, genuine.size).round(3)
+            want_fpr, want_tpr = quadratic_roc_points(genuine, impostor)
+            fpr, tpr = roc_points(genuine, impostor)
+            assert fpr.tobytes() == want_fpr.tobytes()
+            assert tpr.tobytes() == want_tpr.tobytes()
+
+    def test_input_validation(self):
+        with pytest.raises(EvaluationError, match="at least one"):
+            roc_points([], [1.0])
+        with pytest.raises(EvaluationError, match="finite"):
+            roc_points([np.nan, 1.0], [1.0])
 
     def test_roc_csv(self, tmp_path):
         write_roc_csv(np.array([1.0, 2.0]), np.array([0.0]), tmp_path / "roc.csv")

@@ -10,14 +10,13 @@ from avatarprint.feature_store import (
     FeatureSequence,
     FeatureStore,
     FeatureStoreError,
+    FeatureStoreWriter,
     LANDMARK_POINTS,
     MissingSequenceError,
     NormalizationParams,
     VARIANCE_FLOOR,
-    create_store,
     import_frames_csv,
     normalize,
-    open_store,
 )
 
 from helpers import random_store
@@ -52,7 +51,7 @@ class TestStoreRoundTrip:
     def test_write_read(self, tmp_path):
         rng = np.random.default_rng(0)
         frames = {f"v{i}": rng.normal(size=(10 + i, 6)) for i in range(5)}
-        writer = create_store(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 6)
+        writer = FeatureStoreWriter(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 6)
         for vid, arr in frames.items():
             writer.put(FeatureSequence(vid, FeatureKind.EMBEDDING, arr, fps=25.0))
         store = writer.seal()
@@ -67,7 +66,7 @@ class TestStoreRoundTrip:
             assert store.num_frames(vid) == arr.shape[0]
 
     def test_writer_guards(self, tmp_path):
-        writer = create_store(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 3)
+        writer = FeatureStoreWriter(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 3)
         writer.put(FeatureSequence("a", FeatureKind.EMBEDDING, np.zeros((2, 3))))
         with pytest.raises(FeatureStoreError, match="duplicate"):
             writer.put(FeatureSequence("a", FeatureKind.EMBEDDING, np.ones((2, 3))))
@@ -79,7 +78,7 @@ class TestStoreRoundTrip:
         with pytest.raises(FeatureStoreError, match="sealed"):
             writer.put(FeatureSequence("d", FeatureKind.EMBEDDING, np.zeros((2, 3))))
         with pytest.raises(FileExistsError):
-            create_store(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 3)
+            FeatureStoreWriter(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 3)
 
     def test_missing_sequence_error_is_keyerror(self, tmp_path):
         store = random_store(tmp_path / "f.avfs", ["a"], 4, np.random.default_rng(1))
@@ -96,7 +95,7 @@ class TestStoreRoundTrip:
         expected = {vid: store.get(vid).frames for vid in store.ids()}
         store.close()
         (tmp_path / "f.avfs.json").unlink()
-        rebuilt = open_store(path)
+        rebuilt = FeatureStore(path)
         assert rebuilt.ids() == sorted(expected)
         for vid, arr in expected.items():
             np.testing.assert_array_equal(rebuilt.get(vid).frames, arr)
@@ -109,7 +108,17 @@ class TestStoreRoundTrip:
         data["dimension"] = 99
         sidecar.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(FeatureStoreError, match="does not match"):
-            open_store(path)
+            FeatureStore(path)
+
+    def test_sidecar_entry_count_checked(self, tmp_path):
+        path = tmp_path / "f.avfs"
+        random_store(path, ["a", "b", "c"], 4, np.random.default_rng(4)).close()
+        sidecar = tmp_path / "f.avfs.json"
+        data = json.loads(sidecar.read_text(encoding="utf-8"))
+        del data["entries"]["b"]
+        sidecar.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(FeatureStoreError, match="header promises 3"):
+            FeatureStore(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.avfs"
@@ -122,7 +131,7 @@ class TestNormalization:
     def test_statistics_match_pooled_frames(self, tmp_path):
         rng = np.random.default_rng(4)
         arrays = [rng.normal(loc=2.0, scale=3.0, size=(t, 4)) for t in (12, 20, 7)]
-        writer = create_store(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 4)
+        writer = FeatureStoreWriter(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 4)
         for i, arr in enumerate(arrays):
             writer.put(FeatureSequence(f"v{i}", FeatureKind.EMBEDDING, arr))
         store = writer.seal()
@@ -139,7 +148,7 @@ class TestNormalization:
     def test_constant_dimension_is_floored(self, tmp_path):
         frames = np.ones((30, 3))
         frames[:, 2] = np.linspace(0.0, 1.0, 30)
-        writer = create_store(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 3)
+        writer = FeatureStoreWriter(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 3)
         writer.put(FeatureSequence("v", FeatureKind.EMBEDDING, frames))
         store = writer.seal()
         params = normalize(store, ["v"])

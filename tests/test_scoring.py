@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from avatarprint.embedder import EmbedderConfig, init_params
+from avatarprint.embedder import EmbedderConfig, EmbedderError, forward, init_params
 from avatarprint.feature_store import NormalizationParams
 from avatarprint.scoring import (
+    FUSION_MODEL,
     EmbeddingCache,
-    PairScore,
     ScoreRow,
     ScoringError,
-    cosine,
-    fuse,
-    make_windows,
     read_score_table,
     score_pair,
     score_trials,
@@ -47,33 +44,29 @@ class TestWindows:
                 expected = 0 if frames < window else (frames - window) // stride + 1
                 assert len(starts) == expected, (frames, window)
 
-    def test_default_stride_is_half_window(self):
-        ws = make_windows(20, 8)
-        assert ws.stride == 4 and ws.starts == (0, 4, 8, 12)
-        assert not ws.skipped
-        assert make_windows(5, 8).skipped
+    def test_default_stride_is_half_window(self, tmp_path):
+        rng = np.random.default_rng(12)
+        store = random_store(tmp_path / "f.avfs", ["v20", "v5"], 6, rng, frames=(20, 20))
+        short = random_store(tmp_path / "g.avfs", ["v5"], 6, rng, frames=(5, 5))
+        params = make_params(window_len=8)
+        frames = store.get("v20").frames
+        z = video_window_embeddings(params, store, "v20")
+        assert z.shape == (4, 4)  # windows start at 0, 4, 8, 12
+        for row, start in zip(z, (0, 4, 8, 12)):
+            np.testing.assert_allclose(row, forward(params, frames[start : start + 8]),
+                                       rtol=0, atol=1e-15)
+        assert video_window_embeddings(params, short, "v5") is None
 
     def test_odd_window_needs_explicit_stride(self):
-        with pytest.raises(ScoringError, match="even"):
-            make_windows(20, 7)
-        assert make_windows(20, 7, stride=3).starts == (0, 3, 6, 9, 12)
+        with pytest.raises(EmbedderError, match="even"):
+            make_params(window_len=7)
+        assert window_starts(20, 7, 3) == [0, 3, 6, 9, 12]
 
     def test_bad_arguments(self):
         with pytest.raises(ScoringError):
             window_starts(10, 1, 1)
         with pytest.raises(ScoringError):
             window_starts(10, 4, 0)
-
-
-class TestCosine:
-    def test_known_values(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-        assert cosine([1.0, 1.0], [2.0, 2.0]) == pytest.approx(1.0)
-        assert cosine([1.0, 0.0], [-3.0, 0.0]) == pytest.approx(-1.0)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ScoringError, match="zero"):
-            cosine([0.0, 0.0], [1.0, 0.0])
 
 
 class TestPairScore:
@@ -144,23 +137,11 @@ class TestPairScore:
         assert s1 != s2
 
 
-class TestFusion:
-    def test_mean_of_models(self):
-        scores = [
-            PairScore("e", "t", 0.2),
-            PairScore("e", "t", 0.6),
-        ]
-        assert fuse(scores).score == pytest.approx(0.4)
-
-    def test_any_unscorable_poisons_the_trial(self):
-        scores = [PairScore("e", "t", 0.2), PairScore("e", "t", None)]
-        assert fuse(scores).unscorable
-
-    def test_mixed_trials_rejected(self):
-        with pytest.raises(ScoringError, match="different trials"):
-            fuse([PairScore("e", "t", 0.2), PairScore("e", "u", 0.3)])
-        with pytest.raises(ScoringError):
-            fuse([])
+def _setup(tmp_path, n=5):
+    rng = np.random.default_rng(6)
+    ids = [f"v{i}" for i in range(n)]
+    store = random_store(tmp_path / "f.avfs", ids, 6, rng)
+    return ids, store
 
 
 class FakeTrial:
@@ -171,15 +152,36 @@ class FakeTrial:
         self.label = label
 
 
-class TestScoreTrials:
-    def _setup(self, tmp_path, n=5):
-        rng = np.random.default_rng(6)
-        ids = [f"v{i}" for i in range(n)]
-        store = random_store(tmp_path / "f.avfs", ids, 6, rng)
-        return ids, store
+class TestFusion:
+    def test_mean_of_models(self, tmp_path):
+        ids, store = _setup(tmp_path)
+        trials = [FakeTrial(f"t{i}", ids[i], ids[i + 1], i % 2) for i in range(4)]
+        models = {f"m{k}": (make_params(seed=k), store) for k in (1, 2, 3)}
+        table = score_trials(models, trials)
+        for i in range(0, len(table.rows), 4):
+            per_model = [r.score for r in table.rows[i : i + 3]]
+            assert table.rows[i + 3].model == FUSION_MODEL
+            assert table.rows[i + 3].score == pytest.approx(np.mean(per_model), abs=1e-15)
 
+    def test_any_unscorable_poisons_the_trial(self, tmp_path):
+        rng = np.random.default_rng(9)
+        store = random_store(tmp_path / "f.avfs", ["a", "b", "c"], 6, rng, frames=(12, 12))
+        # 12 frames hold one 8-frame window but no 16-frame one
+        models = {"short": (make_params(window_len=8), store),
+                  "long": (make_params(window_len=16), store)}
+        trials = [FakeTrial("t1", "a", "b", 1), FakeTrial("t2", "a", "c", 0)]
+        for zscore in (False, True):
+            table = score_trials(models, trials, zscore_fusion=zscore)
+            by_model = {(r.trial_id, r.model): r.score for r in table.rows}
+            assert by_model[("t1", "short")] is not None
+            assert by_model[("t1", "long")] is None
+            assert by_model[("t1", FUSION_MODEL)] is None
+            assert table.unscorable_trials == ["t1", "t2"]
+
+
+class TestScoreTrials:
     def test_per_model_and_fusion_rows(self, tmp_path):
-        ids, store = self._setup(tmp_path)
+        ids, store = _setup(tmp_path)
         trials = [FakeTrial("t1", ids[0], ids[1], 1), FakeTrial("t2", ids[0], ids[2], 0)]
         models = {"m1": (make_params(seed=1), store), "m2": (make_params(seed=2), store)}
         table = score_trials(models, trials)
@@ -189,15 +191,31 @@ class TestScoreTrials:
             assert fused == pytest.approx((table.rows[i].score + table.rows[i + 1].score) / 2)
         assert table.missing_videos == [] and table.unscorable_trials == []
 
+    def test_rows_equal_score_pair_exactly(self, tmp_path):
+        ids, store = _setup(tmp_path, n=7)
+        rng = np.random.default_rng(8)
+        trials = [
+            FakeTrial(f"t{i}", str(a), str(b), i % 2)
+            for i, (a, b) in enumerate(rng.choice(ids, size=(40, 2)))
+        ]
+        models = {"m1": (make_params(seed=1), store), "m2": (make_params(seed=2), store)}
+        table = score_trials(models, trials)
+        for row in table.rows:
+            if row.model == FUSION_MODEL:
+                continue
+            params, _ = models[row.model]
+            for a, b in ((row.enroll_video, row.test_video), (row.test_video, row.enroll_video)):
+                assert score_pair(params, store, a, b).score == row.score
+
     def test_single_model_has_no_fusion_row(self, tmp_path):
-        ids, store = self._setup(tmp_path)
+        ids, store = _setup(tmp_path)
         table = score_trials(
             {"m": (make_params(), store)}, [FakeTrial("t1", ids[0], ids[1], 1)]
         )
         assert [r.model for r in table.rows] == ["m"]
 
     def test_missing_video_skips_trial(self, tmp_path):
-        ids, store = self._setup(tmp_path)
+        ids, store = _setup(tmp_path)
         trials = [
             FakeTrial("t1", ids[0], "ghost", 1),
             FakeTrial("t2", ids[0], ids[1], 1),
@@ -207,7 +225,7 @@ class TestScoreTrials:
         assert [r.trial_id for r in table.rows] == ["t2"]
 
     def test_zscore_fusion_changes_only_fused_rows(self, tmp_path):
-        ids, store = self._setup(tmp_path)
+        ids, store = _setup(tmp_path)
         trials = [
             FakeTrial("t1", ids[0], ids[1], 1),
             FakeTrial("t2", ids[0], ids[2], 0),
@@ -223,7 +241,7 @@ class TestScoreTrials:
                 assert a.score == b.score
 
     def test_round_trip_csv(self, tmp_path):
-        ids, store = self._setup(tmp_path)
+        ids, store = _setup(tmp_path)
         trials = [FakeTrial("t1", ids[0], ids[1], 1)]
         table = score_trials({"m": (make_params(), store)}, trials)
         write_score_table(table, tmp_path / "scores.csv")

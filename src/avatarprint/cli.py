@@ -18,6 +18,7 @@ import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -300,17 +301,17 @@ def _train_one(
     train_generator: str,
     out_path: Path,
 ) -> None:
-    store = FeatureStore(spec.store)
-    emb_config, graph = _embedder_config(spec, store, config.seed)
     generators = (
         None
         if train_generator == proto.ALL_GENERATORS
         else [cat.Generator(train_generator)]
     )
     view = catalog.filter(datasets=[cat.Dataset(train_dataset)], generators=generators)
-    params, log = train(
-        store, view, split.development, emb_config, spec.hyper, graph=graph
-    )
+    with FeatureStore(spec.store) as store:
+        emb_config, graph = _embedder_config(spec, store, config.seed)
+        params, log = train(
+            store, view, split.development, emb_config, spec.hyper, graph=graph
+        )
     save_checkpoint(params, out_path)
     log_path = out_path.with_suffix(".log.json")
     with open(log_path, "w", encoding="utf-8") as fh:
@@ -347,18 +348,21 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.eval_generator:
         trials = [t for t in trials if t.generator == args.eval_generator]
     models: dict[str, tuple[EmbedderParams, FeatureStore]] = {}
-    for pair in args.checkpoint:
-        name, _, ckpt = pair.partition("=")
-        if not ckpt:
-            raise ConfigError(f"--checkpoint wants NAME=PATH, got {pair!r}")
-        spec = next((m for m in config.models if m.name == name), None)
-        if spec is None:
-            raise ConfigError(f"no model named {name!r} in config")
-        models[name] = (load_checkpoint(ckpt), FeatureStore(spec.store))
-    table = sc.score_trials(
-        models, trials, include_fusion=config.fusion_enabled,
-        zscore_fusion=config.fusion_zscore,
-    )
+    with ExitStack() as stores:
+        for pair in args.checkpoint:
+            name, _, ckpt = pair.partition("=")
+            if not ckpt:
+                raise ConfigError(f"--checkpoint wants NAME=PATH, got {pair!r}")
+            spec = next((m for m in config.models if m.name == name), None)
+            if spec is None:
+                raise ConfigError(f"no model named {name!r} in config")
+            models[name] = (
+                load_checkpoint(ckpt), stores.enter_context(FeatureStore(spec.store))
+            )
+        table = sc.score_trials(
+            models, trials, include_fusion=config.fusion_enabled,
+            zscore_fusion=config.fusion_zscore,
+        )
     sc.write_score_table(table, args.out)
     if table.missing_videos:
         print(f"missing features for {len(table.missing_videos)} videos", file=sys.stderr)
@@ -534,13 +538,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not args.fresh and _is_done(score_path):
             return None
         try:
-            models: dict[str, tuple[EmbedderParams, FeatureStore]] = {}
-            for name in _job_models(job, config):
-                key = (name, job.train_dataset, job.train_generator)
-                if key in failed_train:
+            names = _job_models(job, config)
+            for name in names:
+                if (name, job.train_dataset, job.train_generator) in failed_train:
                     return f"score {job.job_id}: training failed for {name}"
-                spec = specs_by_name[name]
-                models[name] = (load_checkpoint(train_tasks[key]), FeatureStore(spec.store))
             job_trials = [
                 t
                 for t in trials
@@ -548,10 +549,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             ]
             if not job_trials:
                 return f"score {job.job_id}: no trials for {job.eval_dataset}/{job.eval_generator}"
-            table = sc.score_trials(
-                models, job_trials, include_fusion=config.fusion_enabled,
-                zscore_fusion=config.fusion_zscore,
-            )
+            with ExitStack() as stores:
+                models: dict[str, tuple[EmbedderParams, FeatureStore]] = {
+                    name: (
+                        load_checkpoint(train_tasks[(name, job.train_dataset, job.train_generator)]),
+                        stores.enter_context(FeatureStore(specs_by_name[name].store)),
+                    )
+                    for name in names
+                }
+                table = sc.score_trials(
+                    models, job_trials, include_fusion=config.fusion_enabled,
+                    zscore_fusion=config.fusion_zscore,
+                )
             sc.write_score_table(table, score_path)
             _mark_done(score_path)
             return None

@@ -7,6 +7,13 @@ of the frames), a linear map back to the frame-feature dimension, and a final
 projection head. Gradients are derived analytically; no autodiff framework is
 involved, which keeps the arithmetic inspectable and lets tests compare every
 coordinate against finite differences.
+
+The per-head keys X·W_k[h] and values X·W_v[h] are never formed. With frames
+X (F, dim), head h's logits are X·(W_k[h] q[h])/√a and its pooled output is
+(w·X)·W_v[h], w being the softmax weights. Backward collapses the same way:
+with S[h] = Σ_bf ∂logit·x, ∂W_k[h] = S[h] ⊗ q[h] and ∂q[h] = W_k[h]ᵀ S[h],
+and ∂W_v[h] = Σ_b (w·X)[b,h] ⊗ ∂pooled[b,h]. The parameters keep the
+key/value layout, so checkpoints are unchanged.
 """
 
 from __future__ import annotations
@@ -306,7 +313,7 @@ def init_params(
 
 @dataclass
 class _GraphState:
-    aggregated: list[np.ndarray] = field(default_factory=list)  # per layer: (N, L, in)
+    aggregated: np.ndarray | None = None  # (N, L, 2) neighbor-averaged landmarks
     activated: list[np.ndarray] = field(default_factory=list)  # per layer: (N, L, out)
 
 
@@ -332,32 +339,48 @@ def graph_encode(
     norm = graph.norm_matrix()
     hidden = frames_landmarks
     for layer in range(cfg.layers):
-        aggregated = np.einsum("kl,nlc->nkc", norm, hidden)
-        pre = aggregated @ params[f"graph.l{layer}.weight"] + params[f"graph.l{layer}.bias"]
-        hidden = np.tanh(pre)
+        aggregated = np.matmul(norm, hidden)
+        if state is not None and layer == 0:
+            state.aggregated = aggregated
+        hidden = np.matmul(aggregated, params[f"graph.l{layer}.weight"])
+        del aggregated
+        hidden += params[f"graph.l{layer}.bias"]
+        np.tanh(hidden, out=hidden)
         if state is not None:
-            state.aggregated.append(aggregated)
             state.activated.append(hidden)
-    return hidden.mean(axis=1)
+    return np.matmul(np.full(graph.num_nodes, 1.0 / graph.num_nodes), hidden)  # node mean
 
 
 def _graph_backward(
     params: EmbedderParams, state: _GraphState, d_desc: np.ndarray, grads: dict[str, np.ndarray]
 ) -> None:
-    """Accumulate graph-encoder gradients given d(loss)/d(descriptor), (N, hidden)."""
+    """Accumulate graph-encoder gradients given d(loss)/d(descriptor), (N, hidden).
+
+    Above the first layer, G = normᵀ ∂pre gives both the weight gradient
+    Σ inputᵀ G and the gradient G Wᵀ reaching the layer's input, so only the
+    first layer's (N, L, 2) aggregated landmarks are kept from the forward
+    pass. The landmarks themselves need no gradient.
+    """
     cfg = params.config.graph
     graph = params.graph
-    assert cfg is not None and graph is not None
-    norm = graph.norm_matrix()
-    d_hidden = np.repeat(d_desc[:, None, :], graph.num_nodes, axis=1) / graph.num_nodes
+    assert cfg is not None and graph is not None and state.aggregated is not None
+    norm_t = graph.norm_matrix().T
+    d_hidden = (d_desc / graph.num_nodes)[:, None, :]  # broadcast over the nodes
     for layer in range(cfg.layers - 1, -1, -1):
-        d_pre = d_hidden * (1.0 - state.activated[layer] ** 2)
-        grads[f"graph.l{layer}.weight"] += np.einsum(
-            "nki,nkj->ij", state.aggregated[layer], d_pre
+        activated = state.activated[layer]
+        hid = activated.shape[2]
+        d_pre = np.multiply(activated, activated)  # tanh' = 1 - a², in one buffer
+        np.subtract(1.0, d_pre, out=d_pre)
+        d_pre *= d_hidden
+        grads[f"graph.l{layer}.bias"] += d_pre.reshape(-1, hid).sum(axis=0)
+        if layer == 0:
+            below, d_out = state.aggregated, d_pre
+        else:
+            below, d_out = state.activated[layer - 1], np.matmul(norm_t, d_pre)
+            d_hidden = np.matmul(d_out, params[f"graph.l{layer}.weight"].T)
+        grads[f"graph.l{layer}.weight"] += (
+            below.reshape(-1, below.shape[2]).T @ d_out.reshape(-1, hid)
         )
-        grads[f"graph.l{layer}.bias"] += d_pre.sum(axis=(0, 1))
-        d_agg = d_pre @ params[f"graph.l{layer}.weight"].T
-        d_hidden = np.einsum("kl,nkc->nlc", norm, d_agg)
 
 
 # -- forward / backward ------------------------------------------------------
@@ -366,9 +389,8 @@ def _graph_backward(
 @dataclass
 class _ForwardState:
     attn_input: np.ndarray  # (B, F, dim)
-    keys: np.ndarray  # (B, H, F, a)
-    values: np.ndarray  # (B, H, F, a)
     weights: np.ndarray  # (B, H, F)
+    weighted: np.ndarray  # (B, H, dim) attention-weighted frames, w·X
     pooled: np.ndarray  # (B, A) concatenated head outputs
     zhat: np.ndarray  # (B, dim)
     z_raw: np.ndarray  # (B, d) before normalization
@@ -380,6 +402,11 @@ class _ForwardState:
 def _check_finite(arr: np.ndarray, layer: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(layer)
+
+
+def _key_queries(params: EmbedderParams) -> np.ndarray:
+    """W_k[h] q[h] per head: (H, dim)."""
+    return np.matmul(params["attn.key"], params["attn.query"][:, :, None])[:, :, 0]
 
 
 def forward_batch(params: EmbedderParams, windows: np.ndarray) -> tuple[np.ndarray, _ForwardState]:
@@ -407,17 +434,23 @@ def forward_batch(params: EmbedderParams, windows: np.ndarray) -> tuple[np.ndarr
         _check_finite(attn_input, "graph_encoder")
     else:
         attn_input = windows
+    dim = attn_input.shape[2]
 
-    scale = 1.0 / np.sqrt(cfg.head_dim)
-    keys = np.einsum("bfd,hda->bhfa", attn_input, params["attn.key"])
-    values = np.einsum("bfd,hda->bhfa", attn_input, params["attn.value"])
-    logits = np.einsum("bhfa,ha->bhf", keys, params["attn.query"]) * scale
+    # logit[b,h,f] = x[b,f] · W_k[h] q[h] / √a; overflow is reported just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        kq = _key_queries(params) * (1.0 / np.sqrt(cfg.head_dim))
+        logits = (attn_input.reshape(batch * frames, dim) @ kq.T).reshape(
+            batch, frames, cfg.heads
+        ).transpose(0, 2, 1)
     _check_finite(logits, "attention_logits")
     logits = logits - logits.max(axis=2, keepdims=True)
     expw = np.exp(logits)
     weights = expw / expw.sum(axis=2, keepdims=True)
 
-    pooled = np.einsum("bhf,bhfa->bha", weights, values).reshape(batch, cfg.attention_dim)
+    # pooled[b,h] = (Σ_f w[b,h,f] x[b,f]) · W_v[h]
+    weighted = np.matmul(weights, attn_input)
+    pooled = np.matmul(weighted.transpose(1, 0, 2), params["attn.value"])
+    pooled = pooled.transpose(1, 0, 2).reshape(batch, cfg.attention_dim)
     zhat = pooled @ params["attn.out"]
     z_raw = zhat @ params["proj.weight"] + params["proj.bias"]
     _check_finite(z_raw, "projection")
@@ -427,7 +460,7 @@ def forward_batch(params: EmbedderParams, windows: np.ndarray) -> tuple[np.ndarr
     z = z_raw / norms[:, None]
 
     state = _ForwardState(
-        attn_input=attn_input, keys=keys, values=values, weights=weights,
+        attn_input=attn_input, weights=weights, weighted=weighted,
         pooled=pooled, zhat=zhat, z_raw=z_raw, norms=norms, z=z, graph=graph_state,
     )
     return z, state
@@ -442,12 +475,6 @@ def forward(params: EmbedderParams, window: np.ndarray) -> np.ndarray:
     return z[0]
 
 
-def attention_weights(params: EmbedderParams, window: np.ndarray) -> np.ndarray:
-    """Per-head attention weights over the frames of one window, (H, F)."""
-    _, state = forward_batch(params, np.asarray(window, dtype=np.float64)[None])
-    return state.weights[0]
-
-
 def backward_batch(
     params: EmbedderParams, state: _ForwardState, d_z: np.ndarray
 ) -> np.ndarray:
@@ -458,6 +485,8 @@ def backward_batch(
     """
     cfg = params.config
     batch = d_z.shape[0]
+    x = state.attn_input
+    frames, dim = x.shape[1], x.shape[2]
     grads = {name: np.zeros(shape) for name, shape in params.shapes}
 
     # L2 normalization: z = u/|u|, dL/du = (dz - z (z . dz)) / |u|
@@ -471,24 +500,28 @@ def backward_batch(
     grads["attn.out"] += state.pooled.T @ d_zhat
     d_pooled = (d_zhat @ params["attn.out"].T).reshape(batch, cfg.heads, cfg.head_dim)
 
-    d_weights = np.einsum("bha,bhfa->bhf", d_pooled, state.values)
-    d_values = np.einsum("bhf,bha->bhfa", state.weights, d_pooled)
+    # values: ∂W_v[h] = Σ_b (w·X)[b,h] ⊗ ∂pooled[b,h]; ∂(w·X)[b,h] = W_v[h] ∂pooled[b,h]
+    d_pooled_h = d_pooled.transpose(1, 0, 2)  # (H, B, a)
+    grads["attn.value"] += np.matmul(state.weighted.transpose(1, 2, 0), d_pooled_h)
+    d_weighted = np.matmul(d_pooled_h, params["attn.value"].transpose(0, 2, 1)).transpose(1, 0, 2)
+    d_weights = np.matmul(d_weighted, x.transpose(0, 2, 1))  # (B, H, F)
 
     # softmax: dlogits = w * (dw - sum_f w*dw)
     mix = np.einsum("bhf,bhf->bh", state.weights, d_weights)
     d_logits = state.weights * (d_weights - mix[:, :, None])
     d_logits *= 1.0 / np.sqrt(cfg.head_dim)
 
-    grads["attn.query"] += np.einsum("bhf,bhfa->ha", d_logits, state.keys)
-    d_keys = np.einsum("bhf,ha->bhfa", d_logits, params["attn.query"])
-
-    grads["attn.key"] += np.einsum("bfd,bhfa->hda", state.attn_input, d_keys)
-    grads["attn.value"] += np.einsum("bfd,bhfa->hda", state.attn_input, d_values)
+    # keys: S[h] = Σ_bf ∂logit·x, ∂W_k[h] = S[h] ⊗ q[h], ∂q[h] = W_k[h]ᵀ S[h]
+    s = d_logits.transpose(1, 0, 2).reshape(cfg.heads, batch * frames) @ x.reshape(
+        batch * frames, dim
+    )
+    grads["attn.key"] += s[:, :, None] * params["attn.query"][:, None, :]
+    grads["attn.query"] += np.matmul(s[:, None, :], params["attn.key"])[:, 0, :]
 
     if cfg.graph is not None:
-        d_input = np.einsum("bhfa,hda->bfd", d_keys, params["attn.key"])
-        d_input += np.einsum("bhfa,hda->bfd", d_values, params["attn.value"])
-        d_desc = d_input.reshape(batch * cfg.window_len, cfg.graph.hidden_dim)
+        d_input = np.matmul(state.weights.transpose(0, 2, 1), d_weighted)
+        d_input += np.matmul(d_logits.transpose(0, 2, 1), _key_queries(params))
+        d_desc = d_input.reshape(batch * frames, dim)
         assert state.graph is not None
         _graph_backward(params, state.graph, d_desc, grads)
 
@@ -496,59 +529,6 @@ def backward_batch(
     if not np.all(np.isfinite(flat)):
         raise NonFiniteError("gradient")
     return flat
-
-
-# -- triplet loss --------------------------------------------------------------
-
-
-def triplet_loss(
-    anchor: np.ndarray, positive: np.ndarray, negative: np.ndarray, margin: float = 0.2
-) -> float:
-    """max(0, |a-p|^2 - |a-n|^2 + margin) for one triplet of embeddings."""
-    anchor = np.asarray(anchor, dtype=np.float64)
-    positive = np.asarray(positive, dtype=np.float64)
-    negative = np.asarray(negative, dtype=np.float64)
-    if not (anchor.shape == positive.shape == negative.shape) or anchor.ndim != 1:
-        raise EmbedderError(
-            f"triplet embeddings must share one dimension, got "
-            f"{anchor.shape}/{positive.shape}/{negative.shape}"
-        )
-    d_pos = float(np.sum((anchor - positive) ** 2))
-    d_neg = float(np.sum((anchor - negative) ** 2))
-    return max(0.0, d_pos - d_neg + margin)
-
-
-def triplet_batch(
-    params: EmbedderParams,
-    anchors: np.ndarray,
-    positives: np.ndarray,
-    negatives: np.ndarray,
-    margin: float = 0.2,
-) -> tuple[float, np.ndarray, float]:
-    """Mean triplet loss over a batch of windows plus its parameter gradient.
-
-    anchors/positives/negatives are (B, F, input_dim). Returns (loss, flat
-    gradient, fraction of active triplets).
-    """
-    batch = anchors.shape[0]
-    if not (anchors.shape == positives.shape == negatives.shape):
-        raise EmbedderError("triplet window batches must have identical shapes")
-    stacked = np.concatenate([anchors, positives, negatives], axis=0)
-    z, state = forward_batch(params, stacked)
-    za, zp, zn = z[:batch], z[batch : 2 * batch], z[2 * batch :]
-
-    d_pos = np.sum((za - zp) ** 2, axis=1)
-    d_neg = np.sum((za - zn) ** 2, axis=1)
-    terms = d_pos - d_neg + margin
-    active = terms > 0.0
-    loss = float(np.maximum(terms, 0.0).mean())
-
-    coeff = active.astype(np.float64)[:, None] * (2.0 / batch)
-    d_z = np.concatenate(
-        [coeff * (zn - zp), coeff * (zp - za), coeff * (za - zn)], axis=0
-    )
-    grad = backward_batch(params, state, d_z)
-    return loss, grad, float(active.mean())
 
 
 # -- checkpoint I/O -------------------------------------------------------------

@@ -202,33 +202,41 @@ def fairness_report(
     Enrollment videos are self-reenactments, so their target and driver
     coincide; that identity's annotation decides the subgroup. Trials whose
     identity lacks the annotation are excluded and counted per attribute.
+    Each distinct enrollment video is looked up once; a cell's scores keep
+    row order.
     """
     rows = [r for r in rows if r.score is not None]
+    enroll_index: dict[str, int] = {}
+    row_enroll = np.fromiter(
+        (enroll_index.setdefault(r.enroll_video, len(enroll_index)) for r in rows),
+        dtype=np.int32, count=len(rows),
+    )
+    enroll_identities = [catalog.identities[catalog.video(v).driver] for v in enroll_index]
+    models = sorted({r.model for r in rows})
+    model_index = {m: i for i, m in enumerate(models)}
+    row_model = np.fromiter((model_index[r.model] for r in rows), dtype=np.int32, count=len(rows))
+    genuine_row = np.fromiter((r.label == 1 for r in rows), dtype=bool, count=len(rows))
+    scores = np.fromiter((r.score for r in rows), dtype=np.float64, count=len(rows))
+
     report = FairnessReport()
     for attribute in attributes:
-        groups: dict[tuple[str, str], tuple[list[float], list[float]]] = defaultdict(
-            lambda: ([], [])
-        )
-        excluded = 0
-        for row in rows:
-            identity = catalog.video(row.enroll_video).driver
-            value = getattr(catalog.identities[identity], attribute).value
-            if value == UNKNOWN_VALUE:
-                excluded += 1
-                continue
-            genuine, impostor = groups[(value, row.model)]
-            (genuine if row.label == 1 else impostor).append(row.score)
-        report.excluded_unknown[attribute] = excluded
-        for (subgroup, model) in sorted(groups):
-            genuine, impostor = groups[(subgroup, model)]
-            value = (
-                auc(np.array(genuine), np.array(impostor))
-                if genuine and impostor
-                else None
-            )
-            report.cells.append(
-                FairnessCell(attribute, subgroup, model, value, len(genuine), len(impostor))
-            )
+        values = [getattr(ident, attribute).value for ident in enroll_identities]
+        subgroups = sorted(set(values) - {UNKNOWN_VALUE})
+        code = {value: k for k, value in enumerate(subgroups)}
+        row_code = np.array([code.get(v, -1) for v in values], dtype=np.int32)[row_enroll]
+        report.excluded_unknown[attribute] = int(np.count_nonzero(row_code < 0))
+        for k, subgroup in enumerate(subgroups):
+            in_subgroup = row_code == k
+            for m, model in enumerate(models):
+                cell = in_subgroup & (row_model == m)
+                if not cell.any():
+                    continue
+                genuine = scores[cell & genuine_row]
+                impostor = scores[cell & ~genuine_row]
+                value = auc(genuine, impostor) if genuine.size and impostor.size else None
+                report.cells.append(
+                    FairnessCell(attribute, subgroup, model, value, genuine.size, impostor.size)
+                )
     return report
 
 

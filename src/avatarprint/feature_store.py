@@ -235,6 +235,8 @@ class FeatureStore:
             offset, t, fps = self._entries[video_id]
         except KeyError:
             raise MissingSequenceError(f"no sequence stored for {video_id!r}") from None
+        if self._fd < 0:
+            raise FeatureStoreError(f"{self.path}: store is closed")
         nbytes = t * self.dimension * 4
         raw = os.pread(self._fd, nbytes, offset)
         if len(raw) != nbytes:
@@ -249,6 +251,12 @@ class FeatureStore:
         if self._fd >= 0:
             os.close(self._fd)
             self._fd = -1
+
+    def __enter__(self) -> "FeatureStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def __del__(self) -> None:
         try:

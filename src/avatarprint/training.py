@@ -187,30 +187,33 @@ def _squared_distances(z: np.ndarray) -> np.ndarray:
 def _mine(
     d2: np.ndarray, labels: np.ndarray, mining: str, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pick one (positive, negative) per anchor from within-batch distances."""
+    """Pick one (positive, negative) per anchor from within-batch distances.
+
+    The positive is the farthest other window of the anchor's identity (the
+    anchor itself when it has none). semi-hard takes the closest negative
+    farther than that positive, else the closest overall; hardest takes the
+    closest overall. Ties go to the lowest index. random draws both
+    uniformly, with one call on ``rng``.
+    """
     n = d2.shape[0]
-    pos = np.empty(n, dtype=np.int64)
-    neg = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        same = np.flatnonzero(labels == labels[i])
-        same = same[same != i]
-        diff = np.flatnonzero(labels != labels[i])
-        if same.size == 0:
-            pos[i] = i
-        elif mining == "random":
-            pos[i] = rng.choice(same)
-        else:
-            pos[i] = same[np.argmax(d2[i, same])]
-        d_pos = d2[i, pos[i]]
-        if mining == "random":
-            neg[i] = rng.choice(diff)
-        elif mining == "hardest":
-            neg[i] = diff[np.argmin(d2[i, diff])]
-        else:
-            ahead = diff[d2[i, diff] > d_pos]
-            neg[i] = ahead[np.argmin(d2[i, ahead])] if ahead.size else diff[
-                np.argmin(d2[i, diff])
-            ]
+    rows = np.arange(n)
+    same = labels[:, None] == labels[None, :]
+    diff = ~same
+    same[rows, rows] = False
+    if mining == "random":
+        # the largest of iid uniform keys falls on a uniformly random candidate
+        keys = rng.random((2, n, n))
+        pos = np.argmax(np.where(same, keys[0], -1.0), axis=1)
+        neg = np.argmax(np.where(diff, keys[1], -1.0), axis=1)
+    else:
+        pos = np.argmax(np.where(same, d2, -np.inf), axis=1)
+        neg = np.argmin(np.where(diff, d2, np.inf), axis=1)
+    pos = np.where(same.any(axis=1), pos, rows)
+    if mining == "semi-hard":
+        ahead = diff & (d2 > d2[rows, pos][:, None])
+        neg = np.where(
+            ahead.any(axis=1), np.argmin(np.where(ahead, d2, np.inf), axis=1), neg
+        )
     return pos, neg
 
 
@@ -232,11 +235,11 @@ def _batch_loss_grad(
 
     d_z = np.zeros_like(z)
     coeff = 2.0 / n
-    for i in np.flatnonzero(active):
-        p, q = pos[i], neg[i]
-        d_z[i] += coeff * (z[q] - z[p])
-        d_z[p] += coeff * (z[p] - z[i])
-        d_z[q] += coeff * (z[i] - z[q])
+    a = np.flatnonzero(active)
+    p, q = pos[a], neg[a]
+    np.add.at(d_z, a, coeff * (z[q] - z[p]))
+    np.add.at(d_z, p, coeff * (z[p] - z[a]))
+    np.add.at(d_z, q, coeff * (z[a] - z[q]))
     grad = backward_batch(params, state, d_z)
     return loss, grad, float(active.mean())
 

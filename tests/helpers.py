@@ -233,15 +233,128 @@ def double_loop_pair_score(first: np.ndarray, second: np.ndarray) -> float:
     return total / (len(first) * len(second))
 
 
-def mean_triplet_loss(params, anchors, positives, negatives, margin: float) -> float:
-    """Batch triplet objective computed from embeddings alone (no gradient
-    code involved), for finite-difference checks."""
+def reference_forward_batch(params, windows):
+    """Embedding forward pass that materializes every head's (B, H, F, a)
+    keys and values, with einsum throughout. Returns (z, state) for
+    ``reference_backward_batch``."""
+    from types import SimpleNamespace
+
+    cfg = params.config
+    windows = np.asarray(windows, dtype=np.float64)
+    batch, frames = windows.shape[0], windows.shape[1]
+    state = SimpleNamespace(aggregated=[], activated=[])
+    if cfg.graph is not None:
+        norm = params.graph.norm_matrix()
+        hidden = windows.reshape(batch * frames, cfg.input_dim // 2, 2)
+        for layer in range(cfg.graph.layers):
+            aggregated = np.einsum("kl,nlc->nkc", norm, hidden)
+            pre = aggregated @ params[f"graph.l{layer}.weight"] + params[f"graph.l{layer}.bias"]
+            hidden = np.tanh(pre)
+            state.aggregated.append(aggregated)
+            state.activated.append(hidden)
+        attn_input = hidden.mean(axis=1).reshape(batch, frames, cfg.graph.hidden_dim)
+    else:
+        attn_input = windows
+
+    scale = 1.0 / np.sqrt(cfg.head_dim)
+    keys = np.einsum("bfd,hda->bhfa", attn_input, params["attn.key"])
+    values = np.einsum("bfd,hda->bhfa", attn_input, params["attn.value"])
+    logits = np.einsum("bhfa,ha->bhf", keys, params["attn.query"]) * scale
+    logits = logits - logits.max(axis=2, keepdims=True)
+    expw = np.exp(logits)
+    weights = expw / expw.sum(axis=2, keepdims=True)
+    pooled = np.einsum("bhf,bhfa->bha", weights, values).reshape(batch, cfg.attention_dim)
+    zhat = pooled @ params["attn.out"]
+    z_raw = zhat @ params["proj.weight"] + params["proj.bias"]
+    norms = np.linalg.norm(z_raw, axis=1)
+    z = z_raw / norms[:, None]
+    state.__dict__.update(
+        attn_input=attn_input, keys=keys, values=values, weights=weights,
+        pooled=pooled, zhat=zhat, norms=norms, z=z,
+    )
+    return z, state
+
+
+def reference_backward_batch(params, state, d_z) -> np.ndarray:
+    """Parameter gradient through the materialized keys and values of
+    ``reference_forward_batch``, as a flat vector aligned with params.flat."""
+    cfg = params.config
+    batch = d_z.shape[0]
+    grads = {name: np.zeros(shape) for name, shape in params.shapes}
+
+    inner = np.einsum("bd,bd->b", state.z, d_z)
+    d_raw = (d_z - state.z * inner[:, None]) / state.norms[:, None]
+    grads["proj.bias"] += d_raw.sum(axis=0)
+    grads["proj.weight"] += state.zhat.T @ d_raw
+    d_zhat = d_raw @ params["proj.weight"].T
+    grads["attn.out"] += state.pooled.T @ d_zhat
+    d_pooled = (d_zhat @ params["attn.out"].T).reshape(batch, cfg.heads, cfg.head_dim)
+
+    d_weights = np.einsum("bha,bhfa->bhf", d_pooled, state.values)
+    d_values = np.einsum("bhf,bha->bhfa", state.weights, d_pooled)
+    mix = np.einsum("bhf,bhf->bh", state.weights, d_weights)
+    d_logits = state.weights * (d_weights - mix[:, :, None])
+    d_logits *= 1.0 / np.sqrt(cfg.head_dim)
+    grads["attn.query"] += np.einsum("bhf,bhfa->ha", d_logits, state.keys)
+    d_keys = np.einsum("bhf,ha->bhfa", d_logits, params["attn.query"])
+    grads["attn.key"] += np.einsum("bfd,bhfa->hda", state.attn_input, d_keys)
+    grads["attn.value"] += np.einsum("bfd,bhfa->hda", state.attn_input, d_values)
+
+    if cfg.graph is not None:
+        d_input = np.einsum("bhfa,hda->bfd", d_keys, params["attn.key"])
+        d_input += np.einsum("bhfa,hda->bfd", d_values, params["attn.value"])
+        nodes = params.graph.num_nodes
+        norm = params.graph.norm_matrix()
+        d_desc = d_input.reshape(batch * cfg.window_len, cfg.graph.hidden_dim)
+        d_hidden = np.repeat(d_desc[:, None, :], nodes, axis=1) / nodes
+        for layer in range(cfg.graph.layers - 1, -1, -1):
+            d_pre = d_hidden * (1.0 - state.activated[layer] ** 2)
+            grads[f"graph.l{layer}.weight"] += np.einsum(
+                "nki,nkj->ij", state.aggregated[layer], d_pre
+            )
+            grads[f"graph.l{layer}.bias"] += d_pre.sum(axis=(0, 1))
+            d_agg = d_pre @ params[f"graph.l{layer}.weight"].T
+            d_hidden = np.einsum("kl,nkc->nlc", norm, d_agg)
+
+    return np.concatenate([grads[name].ravel() for name, _ in params.shapes])
+
+
+def reference_mine(d2, labels, mining: str, rng):
+    """Triplet mining one anchor at a time, filtering candidates by label."""
+    n = d2.shape[0]
+    pos = np.empty(n, dtype=np.int64)
+    neg = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        same = np.flatnonzero(labels == labels[i])
+        same = same[same != i]
+        diff = np.flatnonzero(labels != labels[i])
+        if same.size == 0:
+            pos[i] = i
+        elif mining == "random":
+            pos[i] = rng.choice(same)
+        else:
+            pos[i] = same[np.argmax(d2[i, same])]
+        d_pos = d2[i, pos[i]]
+        if mining == "random":
+            neg[i] = rng.choice(diff)
+        elif mining == "hardest":
+            neg[i] = diff[np.argmin(d2[i, diff])]
+        else:
+            ahead = diff[d2[i, diff] > d_pos]
+            neg[i] = ahead[np.argmin(d2[i, ahead])] if ahead.size else diff[
+                np.argmin(d2[i, diff])
+            ]
+    return pos, neg
+
+
+def mined_triplet_loss(params, windows, labels, pos, neg, margin: float) -> float:
+    """Batch triplet objective for fixed (anchor, positive, negative) indices,
+    computed from embeddings alone (no gradient code involved), for
+    finite-difference checks."""
     from avatarprint.embedder import forward_batch
 
-    n = anchors.shape[0]
-    z, _ = forward_batch(params, np.concatenate([anchors, positives, negatives]))
-    za, zp, zn = z[:n], z[n : 2 * n], z[2 * n :]
-    terms = ((za - zp) ** 2).sum(axis=1) - ((za - zn) ** 2).sum(axis=1) + margin
+    z, _ = forward_batch(params, windows)
+    terms = ((z - z[pos]) ** 2).sum(axis=1) - ((z - z[neg]) ** 2).sum(axis=1) + margin
     return float(np.maximum(terms, 0.0).mean())
 
 
@@ -266,9 +379,9 @@ def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> flo
     return float(np.max(np.abs(a - b) / denom))
 
 
-def random_embedder_setup(rng: np.random.Generator, with_graph: bool):
-    """Small random model plus window triplets whose hinge terms sit safely
-    away from the kink, so central differences stay clean."""
+def random_model(rng: np.random.Generator, with_graph: bool, graph_layers: int | None = None):
+    """Small random model: a path-graph encoder over 3-5 landmarks when
+    ``with_graph``, else attention over 4-8 raw input dimensions."""
     from avatarprint.embedder import (
         AdjacencyGraph,
         EmbedderConfig,
@@ -282,9 +395,8 @@ def random_embedder_setup(rng: np.random.Generator, with_graph: bool):
         order = [int(i) for i in rng.permutation(nodes)]
         edges = {tuple(sorted(p)) for p in zip(order[:-1], order[1:])}
         graph = AdjacencyGraph(nodes, tuple(sorted(edges)))
-        graph_cfg = GraphEncoderConfig(
-            layers=int(rng.integers(1, 3)), hidden_dim=int(rng.integers(4, 7))
-        )
+        layers = graph_layers if graph_layers is not None else int(rng.integers(1, 3))
+        graph_cfg = GraphEncoderConfig(layers=layers, hidden_dim=int(rng.integers(4, 7)))
     else:
         input_dim = int(rng.integers(4, 9))
         graph, graph_cfg = None, None
@@ -301,29 +413,42 @@ def random_embedder_setup(rng: np.random.Generator, with_graph: bool):
         graph=graph_cfg,
         seed=int(rng.integers(0, 2**31)),
     )
-    params = init_params(config, graph=graph)
-
-    margin = 1.0
-    batch = 2
-    for _ in range(50):
-        anchors = rng.normal(size=(batch, config.window_len, input_dim))
-        positives = anchors + 0.1 * rng.normal(size=anchors.shape)
-        negatives = rng.normal(size=anchors.shape)
-        loss = mean_triplet_loss(params, anchors, positives, negatives, margin)
-        terms_ok = _hinge_terms_clear(params, anchors, positives, negatives, margin)
-        if loss > 0.0 and terms_ok:
-            return params, anchors, positives, negatives, margin
-    raise AssertionError("could not find a triplet batch clear of the hinge kink")
+    return init_params(config, graph=graph)
 
 
-def _hinge_terms_clear(params, anchors, positives, negatives, margin, gap=0.05) -> bool:
+# Identities with three, three, two and one windows: anchors can share a
+# mined positive, and the single-window anchor is its own positive.
+SETUP_LABELS = np.array([0, 0, 0, 1, 1, 1, 2, 2, 3])
+
+
+def random_embedder_setup(rng: np.random.Generator, with_graph: bool):
+    """Small random model plus a labeled window batch whose mined triplets
+    (semi-hard, the training default) sit safely away from the hinge kink,
+    so central differences stay clean.
+
+    Returns (params, windows, labels, margin); windows of one identity are
+    noisy copies of one pattern.
+    """
     from avatarprint.embedder import forward_batch
+    from avatarprint.training import _squared_distances
 
-    n = anchors.shape[0]
-    z, _ = forward_batch(params, np.concatenate([anchors, positives, negatives]))
-    za, zp, zn = z[:n], z[n : 2 * n], z[2 * n :]
-    terms = ((za - zp) ** 2).sum(axis=1) - ((za - zn) ** 2).sum(axis=1) + margin
-    return bool(np.all(np.abs(terms) > gap))
+    params = random_model(rng, with_graph)
+    config = params.config
+    margin = 1.0
+    labels = SETUP_LABELS
+    for _ in range(50):
+        patterns = rng.normal(size=(labels.max() + 1, config.window_len, config.input_dim))
+        windows = patterns[labels] + 0.3 * rng.normal(
+            size=(labels.size, config.window_len, config.input_dim)
+        )
+        z, _ = forward_batch(params, windows)
+        d2 = _squared_distances(z)
+        pos, neg = reference_mine(d2, labels, "semi-hard", None)
+        n = labels.size
+        terms = d2[np.arange(n), pos] - d2[np.arange(n), neg] + margin
+        if np.any(terms > 0.0) and np.all(np.abs(terms) > 0.05):
+            return params, windows, labels, margin
+    raise AssertionError("could not find a window batch clear of the hinge kink")
 
 
 def enumerate_trials_bruteforce(

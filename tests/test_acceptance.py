@@ -15,7 +15,7 @@ import pytest
 
 from avatarprint.catalog import Dataset, Generator
 from avatarprint.cli import EXIT_OK, main
-from avatarprint.embedder import EmbedderConfig, forward, init_params, triplet_batch
+from avatarprint.embedder import EmbedderConfig, forward, forward_batch, init_params
 from avatarprint.feature_store import FeatureKind, FeatureSequence, FeatureStoreWriter
 from avatarprint.evaluation import (
     EvalReport,
@@ -39,16 +39,17 @@ from avatarprint.synthbench import (
     default_generator_shift,
     synth_corpus,
 )
-from avatarprint.training import TrainHyper, train
+from avatarprint.training import TrainHyper, _batch_loss_grad, _squared_distances, train
 
 from helpers import (
     double_loop_pair_score,
     finite_difference_grad,
     max_relative_error,
-    mean_triplet_loss,
+    mined_triplet_loss,
     pairwise_auc,
     random_embedder_setup,
     random_store,
+    reference_mine,
 )
 
 
@@ -128,7 +129,8 @@ def test_2_exact_auc():
 
 
 # ---------------------------------------------------------------------------
-# 3. Analytic gradients of the full model match central finite differences.
+# 3. Analytic gradients of the training loss step match central finite
+#    differences.
 # ---------------------------------------------------------------------------
 
 FD_STEP = 1e-5
@@ -145,14 +147,15 @@ def test_3_analytic_gradients():
                 if accepted == CONFIGS_PER_PATH:
                     break
                 rng = np.random.default_rng(base_seed + offset)
-                params, anchors, positives, negatives, margin = random_embedder_setup(
-                    rng, with_graph
+                params, windows, labels, margin = random_embedder_setup(rng, with_graph)
+                # the triplets mined at these parameters, held fixed
+                z, _ = forward_batch(params, windows)
+                pos, neg = reference_mine(
+                    _squared_distances(z), labels, "semi-hard", None
                 )
 
                 def direct_loss():
-                    return mean_triplet_loss(
-                        params, anchors, positives, negatives, margin
-                    )
+                    return mined_triplet_loss(params, windows, labels, pos, neg, margin)
 
                 # the reference must certify itself first: reject draws where
                 # shrinking the step still moves the estimate at the level of
@@ -164,8 +167,9 @@ def test_3_analytic_gradients():
                     continue
                 accepted += 1
 
-                loss, grad, _ = triplet_batch(
-                    params, anchors, positives, negatives, margin
+                loss, grad, _ = _batch_loss_grad(
+                    params, windows, labels, margin, "semi-hard",
+                    np.random.default_rng(0),
                 )
                 assert loss == pytest.approx(direct_loss(), abs=1e-12)
                 worst = max(worst, max_relative_error(grad, numeric))

@@ -10,7 +10,7 @@ from avatarprint.embedder import (
     EmbedderParams,
     GraphEncoderConfig,
     NonFiniteError,
-    attention_weights,
+    backward_batch,
     forward,
     forward_batch,
     graph_encode,
@@ -18,9 +18,15 @@ from avatarprint.embedder import (
     load_adjacency,
     load_checkpoint,
     save_checkpoint,
-    triplet_loss,
 )
 from avatarprint.feature_store import NormalizationParams
+
+from helpers import (
+    max_relative_error,
+    random_model,
+    reference_backward_batch,
+    reference_forward_batch,
+)
 
 
 def small_config(**overrides):
@@ -160,7 +166,7 @@ class TestForward:
     def test_constant_window_gets_uniform_attention(self):
         params = init_params(small_config())
         window = np.tile(np.random.default_rng(2).normal(size=(1, 6)), (8, 1))
-        weights = attention_weights(params, window)
+        weights = forward_batch(params, window[None])[1].weights[0]
         np.testing.assert_allclose(weights, 1.0 / 8.0, rtol=0, atol=1e-12)
 
     def test_frame_order_does_not_matter(self):
@@ -255,19 +261,28 @@ class TestGraphEncoder:
             graph_encode(params, np.zeros((2, 4, 2)))
 
 
-class TestTripletLoss:
-    def test_hand_values(self):
-        a = np.array([1.0, 0.0])
-        p = np.array([1.0, 0.0])
-        n = np.array([0.0, 1.0])
-        # d_pos = 0, d_neg = 2: loss = max(0, 0 - 2 + margin)
-        assert triplet_loss(a, p, n, margin=0.2) == 0.0
-        assert triplet_loss(a, p, n, margin=2.5) == pytest.approx(0.5)
-        assert triplet_loss(a, n, p, margin=0.2) == pytest.approx(2.2)
+class TestCollapsedAttention:
+    """The collapsed algebra against the materialized (B, H, F, a) keys and
+    values it replaces."""
 
-    def test_shape_guard(self):
-        with pytest.raises(EmbedderError):
-            triplet_loss(np.zeros(2), np.zeros(3), np.zeros(2))
+    @pytest.mark.parametrize(
+        "with_graph,layers", [(False, None), (True, 1), (True, 2)],
+        ids=["kinematic", "graph-1-layer", "graph-2-layers"],
+    )
+    def test_matches_materialized_keys_and_values(self, with_graph, layers):
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            params = random_model(rng, with_graph, layers)
+            cfg = params.config
+            windows = rng.normal(size=(5, cfg.window_len, cfg.input_dim))
+            z, state = forward_batch(params, windows)
+            z_ref, state_ref = reference_forward_batch(params, windows)
+            np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.weights, state_ref.weights, rtol=0, atol=1e-12)
+
+            d_z = rng.normal(size=z.shape)
+            grad = backward_batch(params, state, d_z)
+            assert max_relative_error(grad, reference_backward_batch(params, state_ref, d_z)) < 1e-10
 
 
 class TestCheckpoint:

@@ -88,6 +88,13 @@ class TestStoreRoundTrip:
             store.num_frames("nope")
         assert "a" in store and "nope" not in store
 
+    def test_with_block_closes_the_handle(self, tmp_path):
+        random_store(tmp_path / "f.avfs", ["a"], 4, np.random.default_rng(1)).close()
+        with FeatureStore(tmp_path / "f.avfs") as store:
+            assert store.get("a").frames.shape[1] == 4
+        with pytest.raises(FeatureStoreError, match="closed"):
+            store.get("a")
+
     def test_index_rebuild_after_sidecar_loss(self, tmp_path):
         rng = np.random.default_rng(2)
         path = tmp_path / "f.avfs"

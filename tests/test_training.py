@@ -12,10 +12,11 @@ from avatarprint.training import (
     TrainingDiverged,
     TrainingError,
     TrainingLog,
+    _mine,
     train,
 )
 
-from helpers import tiny_catalog, random_store
+from helpers import random_store, reference_mine, tiny_catalog
 
 
 def small_config(seed=5):
@@ -70,6 +71,48 @@ class TestAdam:
         flat = np.ones(3)
         opt.step(flat, np.zeros(3))
         np.testing.assert_array_equal(flat, np.ones(3))
+
+
+class TestMine:
+    @staticmethod
+    def _cases(count):
+        """Tie-heavy integer distance matrices; identities 0-3 may have a
+        single window or none."""
+        rng = np.random.default_rng(11)
+        for _ in range(count):
+            n = int(rng.integers(3, 13))
+            labels = rng.integers(0, 4, size=n)
+            if np.unique(labels).size < 2:
+                labels[0] = (labels[1] + 1) % 4
+            d2 = rng.integers(0, 4, size=(n, n)).astype(np.float64)
+            yield d2, labels
+
+    @pytest.mark.parametrize("mining", ["semi-hard", "hardest"])
+    def test_matches_per_anchor_loop(self, mining):
+        singles = 0
+        for d2, labels in self._cases(2000):
+            pos, neg = _mine(d2, labels, mining, np.random.default_rng(0))
+            ref_pos, ref_neg = reference_mine(d2, labels, mining, None)
+            np.testing.assert_array_equal(pos, ref_pos)
+            np.testing.assert_array_equal(neg, ref_neg)
+            singles += int(np.any(np.bincount(labels) == 1))
+        assert singles > 100  # single-window identities were covered
+
+    def test_random_draws_valid_candidates(self):
+        for d2, labels in self._cases(300):
+            n = labels.size
+            pos, neg = _mine(d2, labels, "random", np.random.default_rng(n))
+            for i in range(n):
+                own = np.flatnonzero(labels == labels[i])
+                assert pos[i] == i if own.size == 1 else (pos[i] != i and labels[pos[i]] == labels[i])
+                assert labels[neg[i]] != labels[i]
+
+    def test_random_reaches_every_candidate(self):
+        labels = np.array([0, 0, 0, 1, 1, 2])
+        d2 = np.zeros((6, 6))
+        rng = np.random.default_rng(3)
+        pairs = {tuple(x) for _ in range(200) for x in zip(*_mine(d2, labels, "random", rng))}
+        assert {(p, q) for p, q in pairs if p in (1, 2)} == {(p, q) for p in (1, 2) for q in (3, 4, 5)}
 
 
 class TestTrain:

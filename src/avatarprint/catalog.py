@@ -1,9 +1,8 @@
 """Catalog of synthetic talking-head avatar videos.
 
-Models identities with soft-biometric attributes, self/cross reenactment
-records, and per-driver cross-target assignments; loads and saves flat CSV
-manifests and validates aggregate counts against the published benchmark
-statistics.
+Models identities with soft-biometric attributes and self/cross reenactment
+records; loads and saves flat CSV manifests and validates aggregate counts
+against the published benchmark statistics.
 """
 
 from __future__ import annotations
@@ -117,38 +116,14 @@ class AvatarVideo:
         return "self" if self.is_self else "cross"
 
 
-@dataclass(frozen=True)
-class CrossTargetAssignment:
-    """Fixed set of appearance targets and sampled clips for one driver."""
-
-    driver: str
-    targets: tuple[str, ...]
-    sampled_clips: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.targets:
-            raise CatalogError(f"assignment for {self.driver}: needs at least one target")
-        if len(set(self.targets)) != len(self.targets):
-            raise CatalogError(f"assignment for {self.driver}: duplicate targets")
-        if self.driver in self.targets:
-            raise CatalogError(f"assignment for {self.driver}: driver cannot be its own target")
-        if len(set(self.sampled_clips)) != len(self.sampled_clips):
-            raise CatalogError(f"assignment for {self.driver}: clips sampled with replacement")
-
-
 class Catalog:
-    """Immutable collection of identities, videos and cross assignments.
+    """Immutable collection of identities and videos.
 
     All invariants are checked at construction; instances are safe for
     concurrent reads.
     """
 
-    def __init__(
-        self,
-        identities: Iterable[IdentityRecord],
-        videos: Iterable[AvatarVideo],
-        assignments: Iterable[CrossTargetAssignment] | None = None,
-    ):
+    def __init__(self, identities: Iterable[IdentityRecord], videos: Iterable[AvatarVideo]):
         self._identities: dict[str, IdentityRecord] = {}
         for rec in identities:
             if rec.id in self._identities:
@@ -177,53 +152,11 @@ class Catalog:
                     )
             self._videos[vid.video_id] = vid
 
-        if assignments is None:
-            self._assignments = self._derive_assignments()
-        else:
-            self._assignments = {}
-            for a in assignments:
-                if a.driver in self._assignments:
-                    raise CatalogError(f"duplicate assignment for driver {a.driver!r}")
-                if a.driver not in self._identities:
-                    raise CatalogError(f"assignment references unknown driver {a.driver!r}")
-                for t in a.targets:
-                    if t not in self._identities:
-                        raise CatalogError(f"assignment for {a.driver}: unknown target {t!r}")
-                self._assignments[a.driver] = a
-            for vid in self._videos.values():
-                if vid.is_self:
-                    continue
-                a = self._assignments.get(vid.driver)
-                if a is None or vid.target not in a.targets:
-                    raise CatalogError(
-                        f"cross video {vid.video_id}: (driver={vid.driver}, "
-                        f"target={vid.target}) not covered by any assignment"
-                    )
-
-    def _derive_assignments(self) -> dict[str, CrossTargetAssignment]:
-        targets: dict[str, list[str]] = defaultdict(list)
-        clips: dict[str, list[int]] = defaultdict(list)
-        for vid in self._videos.values():
-            if vid.is_self:
-                continue
-            if vid.target not in targets[vid.driver]:
-                targets[vid.driver].append(vid.target)
-            if vid.source_clip not in clips[vid.driver]:
-                clips[vid.driver].append(vid.source_clip)
-        return {
-            d: CrossTargetAssignment(d, tuple(sorted(targets[d])), tuple(sorted(clips[d])))
-            for d in sorted(targets)
-        }
-
     # -- queries ---------------------------------------------------------
 
     @property
     def identities(self) -> Mapping[str, IdentityRecord]:
         return self._identities
-
-    @property
-    def assignments(self) -> Mapping[str, CrossTargetAssignment]:
-        return self._assignments
 
     def __len__(self) -> int:
         return len(self._videos)
@@ -427,7 +360,6 @@ def build_cross_assignments(
 
     rng = np.random.default_rng(seed)
     new_videos = list(catalog.videos())
-    assignments: list[CrossTargetAssignment] = []
 
     for dataset in catalog.datasets():
         ids = catalog.identity_ids(dataset)
@@ -455,7 +387,6 @@ def build_cross_assignments(
             sampled = tuple(
                 int(c) for c in sorted(rng.choice(clips, size=clips_per_driver, replace=False))
             )
-            assignments.append(CrossTargetAssignment(driver, targets, sampled))
             for gen in sorted(gens_of.get(driver, ()), key=lambda g: g.value):
                 for target in targets:
                     for clip in sampled:
@@ -470,8 +401,7 @@ def build_cross_assignments(
                             )
                         )
 
-    # drivers without cross videos still satisfy catalog invariants
-    return Catalog(catalog.identities.values(), new_videos, assignments)
+    return Catalog(catalog.identities.values(), new_videos)
 
 
 # -- manifest I/O ----------------------------------------------------------

@@ -14,23 +14,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import catalog as cat
 from . import evaluation as ev
 from . import protocol as proto
 from . import scoring as sc
 from .embedder import (
-    AdjacencyGraph,
     EmbedderConfig,
-    EmbedderParams,
     GraphEncoderConfig,
     load_adjacency,
     load_checkpoint,
@@ -50,8 +47,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-WORKERS_ENV = "AVATARPRINT_WORKERS"
-
 
 class ConfigError(ValueError):
     pass
@@ -62,6 +57,31 @@ def _sanitize(name: str) -> str:
 
 
 # -- declarative config ------------------------------------------------------
+
+
+def _field_names(cls, *skip: str) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls)) - set(skip)
+
+
+MODEL_KEYS = frozenset({"name", "store", "embedder", "hyper", "adjacency"})
+EMBEDDER_KEYS = _field_names(EmbedderConfig, "input_dim", "seed")  # the store and run set these
+GRAPH_KEYS = _field_names(GraphEncoderConfig, "adjacency")  # the model's adjacency path
+HYPER_KEYS = _field_names(TrainHyper)
+EXPERIMENT_KEYS = _field_names(proto.ExperimentSpec)
+
+
+def _check_keys(block: object, where: str, allowed: Iterable[str],
+                required: Iterable[str] = ()) -> Mapping:
+    """``block`` itself, once it is an object with no unknown or missing keys."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+    missing = sorted(set(required) - set(block))
+    if missing:
+        raise ConfigError(f"{where}: missing key {', '.join(map(repr, missing))}")
+    return block
 
 
 @dataclass
@@ -102,21 +122,35 @@ class RunConfig:
             if key not in raw:
                 raise ConfigError(f"config is missing required key {key!r}")
         models = []
-        for m in raw["models"]:
-            if "name" not in m or "store" not in m:
-                raise ConfigError("each model needs a name and a store path")
+        for i, m in enumerate(raw["models"]):
+            where = f"models[{i}]"
+            _check_keys(m, where, MODEL_KEYS, required=("name", "store"))
+            embedder = _check_keys(m.get("embedder", {}), f"{where}.embedder", EMBEDDER_KEYS)
+            hyper = _check_keys(m.get("hyper", {}), f"{where}.hyper", HYPER_KEYS)
+            if embedder.get("graph"):
+                _check_keys(embedder["graph"], f"{where}.embedder.graph", GRAPH_KEYS)
+                if m.get("adjacency") is None:
+                    raise ConfigError(f"{where}: graph encoder needs an adjacency file")
             models.append(
                 ModelSpec(
                     name=m["name"],
                     store=resolve(m["store"]),
-                    embedder=dict(m.get("embedder", {})),
-                    hyper=TrainHyper(**m.get("hyper", {})),
+                    embedder=dict(embedder),
+                    hyper=TrainHyper(**hyper),
                     adjacency=resolve(m.get("adjacency")),
                 )
             )
         names = [m.name for m in models]
         if len(set(names)) != len(names):
             raise ConfigError("model names must be unique")
+        experiments = []
+        for i, e in enumerate(raw.get("experiments", [])):
+            where = f"experiments[{i}]"
+            _check_keys(e, where, EXPERIMENT_KEYS, required=EXPERIMENT_KEYS - {"models"})
+            unknown = [name for name in e.get("models", ()) if name not in names]
+            if unknown:
+                raise ConfigError(f"{where} references unknown model {unknown[0]!r}")
+            experiments.append(proto.ExperimentSpec.from_dict(e))
         fusion = raw.get("fusion", {})
         return cls(
             seed=int(raw["seed"]),
@@ -130,9 +164,7 @@ class RunConfig:
             models=models,
             fusion_enabled=bool(fusion.get("enabled", True)),
             fusion_zscore=bool(fusion.get("zscore", False)),
-            experiments=[
-                proto.ExperimentSpec.from_dict(e) for e in raw.get("experiments", [])
-            ],
+            experiments=experiments,
         )
 
     def effective(self) -> dict:
@@ -152,47 +184,12 @@ class RunConfig:
                     "store": str(m.store),
                     "embedder": m.embedder,
                     "adjacency": None if m.adjacency is None else str(m.adjacency),
-                    "hyper": {
-                        "lr": m.hyper.lr,
-                        "batch": m.hyper.batch,
-                        "epochs": m.hyper.epochs,
-                        "margin": m.hyper.margin,
-                        "mining": m.hyper.mining,
-                        "windows_per_identity": m.hyper.windows_per_identity,
-                    },
+                    "hyper": asdict(m.hyper),
                 }
                 for m in self.models
             ],
             "experiments": [e.to_dict() for e in self.experiments],
         }
-
-
-def _embedder_config(
-    spec: ModelSpec, store: FeatureStore, seed: int
-) -> tuple[EmbedderConfig, AdjacencyGraph | None]:
-    opts = dict(spec.embedder)
-    graph_opts = opts.pop("graph", None)
-    graph = None
-    graph_cfg = None
-    if graph_opts:
-        if spec.adjacency is None:
-            raise ConfigError(f"model {spec.name}: graph encoder needs an adjacency file")
-        graph = load_adjacency(spec.adjacency, num_nodes=store.dimension // 2)
-        graph_cfg = GraphEncoderConfig(
-            layers=int(graph_opts.get("layers", 1)),
-            hidden_dim=int(graph_opts.get("hidden_dim", 32)),
-            adjacency=str(spec.adjacency),
-        )
-    config = EmbedderConfig(
-        input_dim=store.dimension,
-        heads=int(opts.get("heads", 4)),
-        attention_dim=int(opts.get("attention_dim", 64)),
-        projection_dim=int(opts.get("projection_dim", 16)),
-        window_len=int(opts.get("window_len", 32)),
-        graph=graph_cfg,
-        seed=seed,
-    )
-    return config, graph
 
 
 # -- helpers -------------------------------------------------------------------
@@ -210,11 +207,38 @@ def _mark_done(path: Path) -> None:
     _done_path(path).write_text("done\n", encoding="utf-8")
 
 
-def _workers(args: argparse.Namespace) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``fn`` over ``items`` in order, on a thread pool when ``workers`` > 1.
+
+    One worker runs in the calling thread, so Ctrl-C stops it at once.
+    """
+    if workers == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _checkpoint_path(out_dir: Path, model: str, dataset: str, generator: str) -> Path:
+    return out_dir / f"{_sanitize(model)}_{_sanitize(dataset)}_{_sanitize(generator)}.avck"
+
+
+def _open_stores(stack: ExitStack, specs: Iterable[ModelSpec]) -> dict[str, FeatureStore]:
+    """An open store per model name, closed with ``stack``; models that name
+    the same path share one handle (reads are positional, so threads may too)."""
+    by_path: dict[Path, FeatureStore] = {}
+    stores: dict[str, FeatureStore] = {}
+    for spec in specs:
+        if spec.store not in by_path:
+            by_path[spec.store] = stack.enter_context(FeatureStore(spec.store))
+        stores[spec.name] = by_path[spec.store]
+    return stores
 
 
 def _parse_generators(text: str) -> list[cat.Generator]:
@@ -295,6 +319,7 @@ def cmd_trials(args: argparse.Namespace) -> int:
 def _train_one(
     config: RunConfig,
     spec: ModelSpec,
+    store: FeatureStore,
     catalog: cat.Catalog,
     split: proto.Split,
     train_dataset: str,
@@ -307,16 +332,37 @@ def _train_one(
         else [cat.Generator(train_generator)]
     )
     view = catalog.filter(datasets=[cat.Dataset(train_dataset)], generators=generators)
-    with FeatureStore(spec.store) as store:
-        emb_config, graph = _embedder_config(spec, store, config.seed)
-        params, log = train(
-            store, view, split.development, emb_config, spec.hyper, graph=graph
-        )
+    opts = dict(spec.embedder)
+    graph_opts = opts.pop("graph", None)
+    graph = graph_cfg = None
+    if graph_opts:
+        graph = load_adjacency(spec.adjacency, num_nodes=store.dimension // 2)
+        graph_cfg = GraphEncoderConfig(**graph_opts, adjacency=str(spec.adjacency))
+    emb_config = EmbedderConfig(
+        input_dim=store.dimension, **opts, graph=graph_cfg, seed=config.seed
+    )
+    params, log = train(store, view, split.development, emb_config, spec.hyper, graph=graph)
     save_checkpoint(params, out_path)
     log_path = out_path.with_suffix(".log.json")
     with open(log_path, "w", encoding="utf-8") as fh:
         json.dump(log.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _score_job(
+    config: RunConfig,
+    checkpoints: Mapping[str, str | Path],
+    stores: Mapping[str, FeatureStore],
+    trials: Sequence[proto.Trial],
+    out_path: str | Path,
+) -> sc.ScoreTable:
+    """Score ``trials`` with each named model's checkpoint and write the table."""
+    models = {name: (load_checkpoint(ckpt), stores[name]) for name, ckpt in checkpoints.items()}
+    table = sc.score_trials(
+        models, trials, include_fusion=config.fusion_enabled, zscore_fusion=config.fusion_zscore
+    )
+    sc.write_score_table(table, out_path)
+    return table
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -328,15 +374,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     chosen = [m for m in config.models if args.model in (None, m.name)]
     if not chosen:
         raise ConfigError(f"no model named {args.model!r} in config")
-    for spec in chosen:
-        target = out_dir / (
-            f"{_sanitize(spec.name)}_{_sanitize(args.train_dataset)}_"
-            f"{_sanitize(args.train_generator)}.avck"
-        )
-        _train_one(config, spec, catalog, split, args.train_dataset,
-                   args.train_generator, target)
-        print(f"trained {spec.name} on {args.train_dataset}/{args.train_generator} "
-              f"-> {target}")
+    with ExitStack() as stack:
+        stores = _open_stores(stack, chosen)
+        for spec in chosen:
+            target = _checkpoint_path(out_dir, spec.name, args.train_dataset, args.train_generator)
+            _train_one(config, spec, stores[spec.name], catalog, split, args.train_dataset,
+                       args.train_generator, target)
+            print(f"trained {spec.name} on {args.train_dataset}/{args.train_generator} "
+                  f"-> {target}")
     return EXIT_OK
 
 
@@ -347,23 +392,18 @@ def cmd_score(args: argparse.Namespace) -> int:
         trials = [t for t in trials if t.dataset == args.eval_dataset]
     if args.eval_generator:
         trials = [t for t in trials if t.generator == args.eval_generator]
-    models: dict[str, tuple[EmbedderParams, FeatureStore]] = {}
-    with ExitStack() as stores:
-        for pair in args.checkpoint:
-            name, _, ckpt = pair.partition("=")
-            if not ckpt:
-                raise ConfigError(f"--checkpoint wants NAME=PATH, got {pair!r}")
-            spec = next((m for m in config.models if m.name == name), None)
-            if spec is None:
-                raise ConfigError(f"no model named {name!r} in config")
-            models[name] = (
-                load_checkpoint(ckpt), stores.enter_context(FeatureStore(spec.store))
-            )
-        table = sc.score_trials(
-            models, trials, include_fusion=config.fusion_enabled,
-            zscore_fusion=config.fusion_zscore,
-        )
-    sc.write_score_table(table, args.out)
+    specs = {m.name: m for m in config.models}
+    checkpoints: dict[str, str] = {}
+    for pair in args.checkpoint:
+        name, _, ckpt = pair.partition("=")
+        if not ckpt:
+            raise ConfigError(f"--checkpoint wants NAME=PATH, got {pair!r}")
+        if name not in specs:
+            raise ConfigError(f"no model named {name!r} in config")
+        checkpoints[name] = ckpt
+    with ExitStack() as stack:
+        stores = _open_stores(stack, [specs[name] for name in checkpoints])
+        table = _score_job(config, checkpoints, stores, trials, args.out)
     if table.missing_videos:
         print(f"missing features for {len(table.missing_videos)} videos", file=sys.stderr)
     if table.unscorable_trials:
@@ -485,93 +525,68 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"{len(trials):,d} trials")
 
     jobs = proto.experiment_matrix(config.experiments, catalog)
-    specs_by_name = {m.name: m for m in config.models}
+    specs = {m.name: m for m in config.models}
     failures: list[str] = []
-    workers = _workers(args)
 
     # phase 1: one checkpoint per (model, training condition)
-    train_tasks: dict[tuple[str, str, str], Path] = {}
-    for job in jobs:
-        for name in _job_models(job, config):
-            if name not in specs_by_name:
-                raise ConfigError(f"job {job.job_id} references unknown model {name!r}")
-            key = (name, job.train_dataset, job.train_generator)
-            train_tasks.setdefault(
-                key,
-                run_dir / "models" / (
-                    f"{_sanitize(name)}_{_sanitize(job.train_dataset)}_"
-                    f"{_sanitize(job.train_generator)}.avck"
-                ),
-            )
-
-    def run_training(key: tuple[str, str, str]) -> str | None:
-        name, ds, gen = key
-        out_path = train_tasks[key]
-        if not args.fresh and _is_done(out_path):
-            return None
-        try:
-            _train_one(config, specs_by_name[name], catalog, split, ds, gen, out_path)
-            _mark_done(out_path)
-            return None
-        except TrainingDiverged as exc:
-            save_checkpoint(exc.params, out_path.with_suffix(".diverged.avck"))
-            return f"train {name} on {ds}/{gen}: {exc}"
-        except Exception as exc:  # job isolation: one failure must not sink the run
-            return f"train {name} on {ds}/{gen}: {exc}"
-
-    ordered_keys = sorted(train_tasks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_training, ordered_keys))
-    else:
-        results = [run_training(k) for k in ordered_keys]
-    failures.extend(r for r in results if r)
-    print(f"{len(train_tasks)} training conditions done")
-
-    failed_train = {
-        k for k, r in zip(ordered_keys, results) if r
+    train_tasks = {
+        (name, job.train_dataset, job.train_generator): _checkpoint_path(
+            run_dir / "models", name, job.train_dataset, job.train_generator
+        )
+        for job in jobs
+        for name in _job_models(job, config)
     }
+    ordered_keys = sorted(train_tasks)
+    with ExitStack() as stack:
+        stores = _open_stores(stack, [specs[name] for name in sorted({k[0] for k in train_tasks})])
 
-    # phase 2: score each job with its training condition's checkpoints
-    def run_scoring(job: proto.Job) -> str | None:
-        score_path = run_dir / "scores" / f"{_sanitize(job.job_id)}.csv"
-        if not args.fresh and _is_done(score_path):
-            return None
-        try:
-            names = _job_models(job, config)
-            for name in names:
-                if (name, job.train_dataset, job.train_generator) in failed_train:
-                    return f"score {job.job_id}: training failed for {name}"
-            job_trials = [
-                t
-                for t in trials
-                if t.dataset == job.eval_dataset and t.generator == job.eval_generator
-            ]
-            if not job_trials:
-                return f"score {job.job_id}: no trials for {job.eval_dataset}/{job.eval_generator}"
-            with ExitStack() as stores:
-                models: dict[str, tuple[EmbedderParams, FeatureStore]] = {
-                    name: (
-                        load_checkpoint(train_tasks[(name, job.train_dataset, job.train_generator)]),
-                        stores.enter_context(FeatureStore(specs_by_name[name].store)),
-                    )
-                    for name in names
-                }
-                table = sc.score_trials(
-                    models, job_trials, include_fusion=config.fusion_enabled,
-                    zscore_fusion=config.fusion_zscore,
-                )
-            sc.write_score_table(table, score_path)
-            _mark_done(score_path)
-            return None
-        except Exception as exc:
-            return f"score {job.job_id}: {exc}"
+        def run_training(key: tuple[str, str, str]) -> str | None:
+            name, ds, gen = key
+            out_path = train_tasks[key]
+            if not args.fresh and _is_done(out_path):
+                return None
+            try:
+                _train_one(config, specs[name], stores[name], catalog, split, ds, gen, out_path)
+                _mark_done(out_path)
+                return None
+            except TrainingDiverged as exc:
+                save_checkpoint(exc.params, out_path.with_suffix(".diverged.avck"))
+                return f"train {name} on {ds}/{gen}: {exc}"
+            except Exception as exc:  # job isolation: one failure must not sink the run
+                return f"train {name} on {ds}/{gen}: {exc}"
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_scoring, jobs))
-    else:
-        results = [run_scoring(j) for j in jobs]
+        results = _map(run_training, ordered_keys, args.workers)
+        failures.extend(r for r in results if r)
+        print(f"{len(train_tasks)} training conditions done")
+        failed_train = {k for k, r in zip(ordered_keys, results) if r}
+
+        # phase 2: score each job with its training condition's checkpoints
+        def run_scoring(job: proto.Job) -> str | None:
+            score_path = run_dir / "scores" / f"{_sanitize(job.job_id)}.csv"
+            if not args.fresh and _is_done(score_path):
+                return None
+            try:
+                checkpoints = {}
+                for name in _job_models(job, config):
+                    key = (name, job.train_dataset, job.train_generator)
+                    if key in failed_train:
+                        return f"score {job.job_id}: training failed for {name}"
+                    checkpoints[name] = train_tasks[key]
+                job_trials = [
+                    t
+                    for t in trials
+                    if t.dataset == job.eval_dataset and t.generator == job.eval_generator
+                ]
+                if not job_trials:
+                    return (f"score {job.job_id}: no trials for "
+                            f"{job.eval_dataset}/{job.eval_generator}")
+                _score_job(config, checkpoints, stores, job_trials, score_path)
+                _mark_done(score_path)
+                return None
+            except Exception as exc:
+                return f"score {job.job_id}: {exc}"
+
+        results = _map(run_scoring, jobs, args.workers)
     failures.extend(r for r in results if r)
     failed_jobs = {j.job_id for j, r in zip(jobs, results) if r}
     print(f"{len(jobs) - len(failed_jobs)}/{len(jobs)} jobs scored")
@@ -709,8 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--run-id")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int,
-                   help=f"parallel jobs (default ${WORKERS_ENV} or 1)")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="parallel training and scoring jobs (default 1)")
     p.add_argument("--fresh", action="store_true",
                    help="ignore completion markers and recompute everything")
     p.set_defaults(func=cmd_run)

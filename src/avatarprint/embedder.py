@@ -23,7 +23,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -65,23 +65,6 @@ class AdjacencyGraph:
             if key in seen:
                 raise EmbedderError(f"duplicate edge ({i},{j})")
             seen.add(key)
-
-    @property
-    def is_connected(self) -> bool:
-        if self.num_nodes == 1:
-            return True
-        adj: dict[int, list[int]] = {i: [] for i in range(self.num_nodes)}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == self.num_nodes
 
     def norm_matrix(self) -> np.ndarray:
         """Row-normalized aggregation over each node plus its neighbors."""

@@ -188,9 +188,6 @@ class FairnessReport:
     cells: list[FairnessCell] = field(default_factory=list)
     excluded_unknown: dict[str, int] = field(default_factory=dict)  # attribute -> trials
 
-    def for_attribute(self, attribute: str, model: str) -> list[FairnessCell]:
-        return [c for c in self.cells if c.attribute == attribute and c.model == model]
-
 
 def fairness_report(
     rows: Iterable[ScoreRow],

@@ -168,6 +168,7 @@ class FeatureStore:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._fd = -1  # closed until os.open succeeds, so __del__ has nothing to do
         self._fd = os.open(self.path, os.O_RDONLY)
         raw = os.pread(self._fd, _HEADER.size, 0)
         if len(raw) < _HEADER.size:
@@ -223,12 +224,6 @@ class FeatureStore:
 
     def ids(self) -> list[str]:
         return sorted(self._entries)
-
-    def num_frames(self, video_id: str) -> int:
-        try:
-            return self._entries[video_id][1]
-        except KeyError:
-            raise MissingSequenceError(f"no sequence stored for {video_id!r}") from None
 
     def get(self, video_id: str) -> FeatureSequence:
         try:
@@ -297,10 +292,6 @@ class NormalizationParams:
             floored_dims=tuple(int(i) for i in d["floored_dims"]),
             n_frames=int(d["n_frames"]),
         )
-
-    @classmethod
-    def identity(cls, dimension: int) -> "NormalizationParams":
-        return cls(np.zeros(dimension), np.ones(dimension), (), 0)
 
 
 def normalize(store: FeatureStore, stats_source: Iterable[str]) -> NormalizationParams:

@@ -325,23 +325,6 @@ def load_trials(path: str | Path) -> list[Trial]:
     return trials
 
 
-def check_labels(trials: Iterable[Trial], catalog: Catalog) -> None:
-    """Recompute every label from catalog fields and compare."""
-    for t in trials:
-        enroll = catalog.video(t.enroll_video)
-        test = catalog.video(t.test_video)
-        if not enroll.is_self:
-            raise ProtocolError(f"{t.trial_id}: enrollment {t.enroll_video} is not "
-                                f"a self-reenactment")
-        if enroll.target != test.target:
-            raise ProtocolError(f"{t.trial_id}: enrollment and test have different targets")
-        expected = 1 if test.driver == enroll.driver else 0
-        if expected != t.label:
-            raise ProtocolError(
-                f"{t.trial_id}: stored label {t.label}, catalog implies {expected}"
-            )
-
-
 # -- experiment matrix -----------------------------------------------------------
 
 ALL_GENERATORS = "All"
@@ -414,10 +397,6 @@ class Job(NamedTuple):
     eval_dataset: str
     eval_generator: str
     models: tuple[str, ...]
-
-    @property
-    def train_key(self) -> tuple[str, str]:
-        return (self.train_dataset, self.train_generator)
 
     @property
     def condition(self) -> str:

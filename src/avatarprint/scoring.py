@@ -160,21 +160,19 @@ def _zscore(scores: np.ndarray) -> np.ndarray:
 def score_trials(
     models: Mapping[str, tuple[EmbedderParams, FeatureStore]],
     trials: Iterable,
-    cache: EmbeddingCache | None = None,
     include_fusion: bool = True,
     zscore_fusion: bool = False,
 ) -> ScoreTable:
     """Score every trial with every model, in trial order.
 
-    ``models`` maps a model id to its parameters and feature store; ids must
-    encode the training condition so cached embeddings never alias. Trials
+    ``models`` maps a model id to its parameters and feature store. Trials
     whose videos lack features are flagged in missing_videos and get no rows.
     With more than one model a fused row (mean of per-model scores, optionally
     z-scored per model first) is appended per trial under model "fusion".
     """
     if not models:
         raise ScoringError("need at least one model")
-    cache = cache if cache is not None else EmbeddingCache()
+    cache = EmbeddingCache()
     model_ids = sorted(models)
 
     trials = list(trials)

@@ -128,16 +128,6 @@ class ShiftTransform:
             if not (2 <= lo <= hi):
                 raise SynthError(f"bad frame_range {self.frame_range}")
 
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.smoothing_width == 1
-            and self.style_bias == 0.0
-            and self.amplitude_rescale == 1.0
-            and self.noise_sigma == 0.0
-            and self.frame_range is None
-        )
-
     def style_vector(self, dim: int) -> np.ndarray:
         if self.style_bias == 0.0:
             return np.zeros(dim)
@@ -246,12 +236,6 @@ class SynthCorpus:
     root: Path
     store_path: Path
     signatures: dict[str, IdentitySignature]
-
-
-def trajectory_signature(frames: np.ndarray) -> np.ndarray:
-    """Per-dimension spread of a sequence; videos of one identity share it,
-    different identities diverge. Used to measure raw separability."""
-    return np.asarray(frames, dtype=np.float64).std(axis=0)
 
 
 def synth_corpus(

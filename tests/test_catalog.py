@@ -9,7 +9,6 @@ from avatarprint.catalog import (
     CANONICAL_TOTAL_VIDEOS,
     Catalog,
     CatalogError,
-    CrossTargetAssignment,
     Dataset,
     Ethnicity,
     Gender,
@@ -51,10 +50,6 @@ class TestRecords:
             IdentityRecord("", Dataset.CREMA_D)
         with pytest.raises(CatalogError):
             AvatarVideo("v", Dataset.CREMA_D, Generator.GAGA, "a", "a", -1)
-        with pytest.raises(CatalogError):
-            CrossTargetAssignment("d", ("d",), (0,))  # driver as its own target
-        with pytest.raises(CatalogError):
-            CrossTargetAssignment("d", ("a", "a"), (0,))
 
 
 class TestCatalogInvariants:
@@ -80,25 +75,6 @@ class TestCatalogInvariants:
         ids = [_ident("a", Dataset.RAVDESS)]
         with pytest.raises(CatalogError, match="belongs to"):
             Catalog(ids, [_video(Generator.GAGA, "a", "a", 0, Dataset.CREMA_D)])
-
-    def test_cross_video_not_covered_by_assignments(self):
-        ids = [_ident("a"), _ident("b")]
-        videos = [
-            _video(Generator.GAGA, "a", "a", 0),
-            _video(Generator.GAGA, "b", "a", 0),
-        ]
-        wrong = CrossTargetAssignment("a", ("c",), (0,))
-        with pytest.raises(CatalogError, match="unknown target"):
-            Catalog(ids, videos, [wrong])
-        uncovering = CrossTargetAssignment("b", ("a",), (0,))
-        with pytest.raises(CatalogError, match="not covered"):
-            Catalog(ids, videos, [uncovering])
-
-    def test_derived_assignments(self):
-        cat = tiny_catalog(n_ids=3, clips=2, cross_per_driver=1)
-        assign = cat.assignments["id00"]
-        assert assign.targets == ("id01",)
-        assert assign.sampled_clips == (0,)
 
 
 class TestQueries:

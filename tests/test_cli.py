@@ -57,6 +57,11 @@ CROSS_TO_LIVE = {
     "eval_dataset": "CREMA-D",
     "eval_generators": ["LIVE"],
 }
+INTRA_LIVE = {**INTRA_GAGA, "train_generator": "LIVE", "eval_generators": ["LIVE"]}
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestValidate:
@@ -313,3 +318,57 @@ class TestRun:
         payload["models"].append(dict(payload["models"][0]))
         (tmp_path / "c.json").write_text(json.dumps(payload))
         assert main(["run", "--config", str(tmp_path / "c.json")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("block, key, value, named", [
+        ("hyper", "epoch", 1, "epoch"),
+        ("embedder", "head", 2, "head"),
+        ("embedder", "graph", {"layer": 2}, "layer"),
+        ("model", "hyperparams", {}, "hyperparams"),
+        ("experiment", "eval_generators", None, "eval_generators"),
+        ("experiment", "eval_generator", "GAGA", "eval_generator"),
+        ("experiment", "models", ["ghost"], "ghost"),
+    ], ids=["unknown-hyper", "unknown-embedder", "unknown-graph", "unknown-model",
+            "missing-experiment", "unknown-experiment", "unknown-model-name"])
+    def test_bad_config_keys_are_usage_errors(self, corpus_small, tmp_path, capsys,
+                                              block, key, value, named):
+        payload = json.loads(
+            write_config(tmp_path / "c.json", corpus_small, experiments=[INTRA_GAGA]).read_text()
+        )
+        model, experiment = payload["models"][0], payload["experiments"][0]
+        target = {"hyper": model["hyper"], "embedder": model["embedder"],
+                  "model": model, "experiment": experiment}[block]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        (tmp_path / "c.json").write_text(json.dumps(payload))
+        assert main(["run", "--config", str(tmp_path / "c.json")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(named) in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_worker_pool_writes_the_same_bytes(self, corpus_small, tmp_path):
+        second = {
+            "name": "m2",
+            "store": str(corpus_small.store_path),
+            "embedder": {"heads": 1, "attention_dim": 8, "projection_dim": 6,
+                         "window_len": 16},
+            "hyper": {"epochs": 2, "batch": 16, "windows_per_identity": 4},
+        }
+        cfg = write_config(tmp_path / "config.json", corpus_small,
+                           experiments=[INTRA_GAGA, INTRA_LIVE, CROSS_TO_LIVE],
+                           extra_models=[second])
+        for workers in ("1", "2"):
+            assert main(["run", "--config", str(cfg), "--run-id", f"w{workers}",
+                         "--workers", workers]) == EXIT_OK
+        one, two = tmp_path / "runs" / "w1", tmp_path / "runs" / "w2"
+        assert len(list((one / "models").glob("*.avck"))) == 4
+        for sub in ("trials", "scores", "reports", "models"):
+            assert tree_bytes(one / sub) == tree_bytes(two / sub), sub
+
+    def test_zero_workers_is_a_usage_error(self, corpus_small, tmp_path):
+        cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA])
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--workers", "0"])
+        assert exc.value.code == EXIT_USAGE
+        assert not (tmp_path / "runs").exists()

@@ -53,11 +53,6 @@ class TestAdjacency:
         with pytest.raises(EmbedderError, match="out of range"):
             AdjacencyGraph(3, ((0, 3),))
 
-    def test_connectivity(self):
-        assert AdjacencyGraph(3, ((0, 1), (1, 2))).is_connected
-        assert not AdjacencyGraph(3, ((0, 1),)).is_connected
-        assert AdjacencyGraph(1, ()).is_connected
-
     def test_norm_matrix_path_graph(self):
         # two nodes joined by an edge: each averages itself and the other
         mat = AdjacencyGraph(2, ((0, 1),)).norm_matrix()

@@ -1,6 +1,8 @@
 """Binary feature store: round trips, recovery, normalization statistics."""
 
+import gc
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -63,7 +65,7 @@ class TestStoreRoundTrip:
             assert seq.frames.dtype == np.float64
             # storage is 32-bit, so values come back float32-rounded
             np.testing.assert_allclose(seq.frames, arr, rtol=1e-6, atol=1e-6)
-            assert store.num_frames(vid) == arr.shape[0]
+            assert seq.num_frames == arr.shape[0]
 
     def test_writer_guards(self, tmp_path):
         writer = FeatureStoreWriter(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 3)
@@ -85,8 +87,16 @@ class TestStoreRoundTrip:
         with pytest.raises(MissingSequenceError):
             store.get("nope")
         with pytest.raises(KeyError):
-            store.num_frames("nope")
+            store.get("nope")
         assert "a" in store and "nope" not in store
+
+    def test_missing_file_leaves_nothing_to_close(self, tmp_path, monkeypatch):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with pytest.raises(FileNotFoundError):
+            FeatureStore(tmp_path / "absent.avfs")
+        gc.collect()
+        assert not unraisable  # __del__ of the half-built store must not raise
 
     def test_with_block_closes_the_handle(self, tmp_path):
         random_store(tmp_path / "f.avfs", ["a"], 4, np.random.default_rng(1)).close()
@@ -176,7 +186,7 @@ class TestNormalization:
         assert back.floored_dims == params.floored_dims
 
     def test_identity_is_a_no_op(self):
-        params = NormalizationParams.identity(3)
+        params = NormalizationParams(np.zeros(3), np.ones(3), (), 0)
         x = np.arange(6.0).reshape(2, 3)
         np.testing.assert_array_equal(params.apply(x), x)
 

@@ -10,7 +10,6 @@ from avatarprint.protocol import (
     ExperimentSpec,
     ProtocolError,
     Split,
-    check_labels,
     experiment_matrix,
     generate_trials,
     load_split,
@@ -219,27 +218,15 @@ class TestTrialIO:
 
 
 class TestCheckLabels:
-    def _trials(self):
+    def test_generated_trials_pass(self):
         catalog = tiny_catalog(n_ids=3, cross_per_driver=1)
         split = Split(frozenset(), frozenset({"id00", "id01", "id02"}))
-        return catalog, generate_trials(catalog, split)
-
-    def test_generated_trials_pass(self):
-        catalog, trials = self._trials()
-        check_labels(trials, catalog)
-
-    def test_flipped_label_detected(self):
-        catalog, trials = self._trials()
-        bad = trials[0]._replace(label=1 - trials[0].label)
-        with pytest.raises(ProtocolError, match="catalog implies"):
-            check_labels([bad], catalog)
-
-    def test_cross_enrollment_detected(self):
-        catalog, trials = self._trials()
-        cross = next(t.test_video for t in trials if t.label == 0)
-        bad = trials[0]._replace(enroll_video=cross)
-        with pytest.raises(ProtocolError, match="self-reenactment|different targets"):
-            check_labels([bad], catalog)
+        trials = generate_trials(catalog, split)
+        assert {t.label for t in trials} == {0, 1}
+        for t in trials:
+            enroll, test = catalog.video(t.enroll_video), catalog.video(t.test_video)
+            assert enroll.is_self and enroll.target == test.target
+            assert t.label == int(test.driver == enroll.driver)
 
 
 class TestExperimentSpec:
@@ -287,7 +274,7 @@ class TestExperimentMatrix:
             "CREMA-D-GAGA_to_CREMA-D-HUNY",
             "CREMA-D-GAGA_to_CREMA-D-LIVE",
         ]
-        assert all(j.train_key == ("CREMA-D", "GAGA") for j in jobs)
+        assert all((j.train_dataset, j.train_generator) == ("CREMA-D", "GAGA") for j in jobs)
 
     def test_duplicates_merge_models(self):
         specs = [
@@ -319,5 +306,5 @@ class TestExperimentMatrix:
         spec = ExperimentSpec("cross_generator", "CREMA-D", ALL_GENERATORS,
                               "CREMA-D", ("GAGA",))
         (job,) = experiment_matrix([spec])
-        assert job.train_key == ("CREMA-D", "All")
+        assert (job.train_dataset, job.train_generator) == ("CREMA-D", "All")
         assert job.condition == "CREMA-D/All->CREMA-D/GAGA"

@@ -18,7 +18,6 @@ from avatarprint.synthbench import (
     make_signatures,
     shift_frames,
     synth_corpus,
-    trajectory_signature,
 )
 
 from helpers import random_store
@@ -65,8 +64,6 @@ class TestShiftTransform:
         frames = rng.normal(size=(30, 4))
         out = shift_frames(frames, identity_transform(), rng)
         np.testing.assert_array_equal(out, frames)
-        assert identity_transform().is_identity
-        assert not default_generator_shift().is_identity
 
     def test_smoothing_damps_frame_to_frame_motion(self):
         rng = np.random.default_rng(6)
@@ -187,7 +184,7 @@ class TestSynthCorpus:
 
         def sig_of(ident, clip):
             frames = corpus.store.get(f"{gen}_{ident}_{ident}_c{clip:03d}").frames
-            return trajectory_signature(frames)
+            return frames.std(axis=0)  # per-dimension spread
 
         within, between = [], []
         for ident in ids:

@@ -7,7 +7,6 @@ against the published benchmark statistics.
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
@@ -15,6 +14,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from .files import read_csv, write_csv
 
 
 class CatalogError(ValueError):
@@ -427,83 +428,59 @@ def load_manifest(identities_path: str | Path, videos_path: str | Path) -> Catal
     identities_path = Path(identities_path)
     videos_path = Path(videos_path)
     identities: list[IdentityRecord] = []
-    with open(identities_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != IDENTITY_HEADER:
-            raise ManifestError(
-                f"bad header {header!r}, expected {IDENTITY_HEADER!r}", identities_path, 1
+    for lineno, row in enumerate(read_csv(identities_path, IDENTITY_HEADER, ManifestError), 2):
+        if not row:
+            continue
+        if len(row) != len(IDENTITY_HEADER):
+            raise ManifestError(f"expected {len(IDENTITY_HEADER)} fields, got {len(row)}",
+                                identities_path, lineno)
+        ident, ds, gender, eth, age = row
+        identities.append(
+            IdentityRecord(
+                id=ident,
+                dataset=_parse_enum(Dataset, ds, "dataset", identities_path, lineno),
+                gender=_parse_enum(Gender, gender, "gender", identities_path, lineno),
+                ethnicity=_parse_enum(Ethnicity, eth, "ethnicity", identities_path, lineno),
+                age_range=_parse_enum(AgeRange, age, "age_range", identities_path, lineno),
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(IDENTITY_HEADER):
-                raise ManifestError(f"expected {len(IDENTITY_HEADER)} fields, got {len(row)}",
-                                    identities_path, lineno)
-            ident, ds, gender, eth, age = row
-            identities.append(
-                IdentityRecord(
-                    id=ident,
-                    dataset=_parse_enum(Dataset, ds, "dataset", identities_path, lineno),
-                    gender=_parse_enum(Gender, gender, "gender", identities_path, lineno),
-                    ethnicity=_parse_enum(Ethnicity, eth, "ethnicity", identities_path, lineno),
-                    age_range=_parse_enum(AgeRange, age, "age_range", identities_path, lineno),
-                )
-            )
+        )
 
     videos: list[AvatarVideo] = []
-    with open(videos_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != VIDEO_HEADER:
-            raise ManifestError(
-                f"bad header {header!r}, expected {VIDEO_HEADER!r}", videos_path, 1
+    for lineno, row in enumerate(read_csv(videos_path, VIDEO_HEADER, ManifestError), 2):
+        if not row:
+            continue
+        if len(row) != len(VIDEO_HEADER):
+            raise ManifestError(f"expected {len(VIDEO_HEADER)} fields, got {len(row)}",
+                                videos_path, lineno)
+        video_id, ds, gen, target, driver, clip = row
+        try:
+            clip_idx = int(clip)
+        except ValueError:
+            raise ManifestError(f"bad source_clip {clip!r}", videos_path, lineno) from None
+        videos.append(
+            AvatarVideo(
+                video_id=video_id,
+                dataset=_parse_enum(Dataset, ds, "dataset", videos_path, lineno),
+                generator=_parse_enum(Generator, gen, "generator", videos_path, lineno),
+                target=target,
+                driver=driver,
+                source_clip=clip_idx,
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(VIDEO_HEADER):
-                raise ManifestError(f"expected {len(VIDEO_HEADER)} fields, got {len(row)}",
-                                    videos_path, lineno)
-            video_id, ds, gen, target, driver, clip = row
-            try:
-                clip_idx = int(clip)
-            except ValueError:
-                raise ManifestError(f"bad source_clip {clip!r}", videos_path, lineno) from None
-            videos.append(
-                AvatarVideo(
-                    video_id=video_id,
-                    dataset=_parse_enum(Dataset, ds, "dataset", videos_path, lineno),
-                    generator=_parse_enum(Generator, gen, "generator", videos_path, lineno),
-                    target=target,
-                    driver=driver,
-                    source_clip=clip_idx,
-                )
-            )
+        )
 
     return Catalog(identities, videos)
 
 
 def save_manifest(catalog: Catalog, identities_path: str | Path, videos_path: str | Path) -> None:
     """Write the two-CSV manifest; deterministic row order (sorted by id)."""
-    identities_path = Path(identities_path)
-    videos_path = Path(videos_path)
-    identities_path.parent.mkdir(parents=True, exist_ok=True)
-    videos_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(identities_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(IDENTITY_HEADER)
-        for ident in sorted(catalog.identities):
-            rec = catalog.identities[ident]
-            writer.writerow(
-                [rec.id, rec.dataset.value, rec.gender.value, rec.ethnicity.value,
-                 rec.age_range.value]
-            )
-    with open(videos_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(VIDEO_HEADER)
-        for vid in sorted(catalog.videos(), key=lambda v: v.video_id):
-            writer.writerow(
-                [vid.video_id, vid.dataset.value, vid.generator.value, vid.target,
-                 vid.driver, str(vid.source_clip)]
-            )
+    identities = (catalog.identities[ident] for ident in sorted(catalog.identities))
+    write_csv(identities_path, IDENTITY_HEADER, (
+        [rec.id, rec.dataset.value, rec.gender.value, rec.ethnicity.value, rec.age_range.value]
+        for rec in identities
+    ), lineterminator="\r\n")
+    videos = sorted(catalog.videos(), key=lambda v: v.video_id)
+    write_csv(videos_path, VIDEO_HEADER, (
+        [vid.video_id, vid.dataset.value, vid.generator.value, vid.target, vid.driver,
+         str(vid.source_clip)]
+        for vid in videos
+    ), lineterminator="\r\n")

@@ -28,6 +28,7 @@ from . import protocol as proto
 from . import scoring as sc
 from .embedder import (
     EmbedderConfig,
+    EmbedderError,
     GraphEncoderConfig,
     load_adjacency,
     load_checkpoint,
@@ -37,11 +38,13 @@ from .feature_store import (
     FeatureKind,
     FeatureSequence,
     FeatureStore,
+    FeatureStoreError,
     FeatureStoreWriter,
     import_frames_csv,
 )
+from .files import write_json, write_text
 from .synthbench import synth_corpus
-from .training import TrainHyper, TrainingDiverged, train
+from .training import TrainHyper, TrainingDiverged, TrainingError, train
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -82,6 +85,14 @@ def _check_keys(block: object, where: str, allowed: Iterable[str],
     if missing:
         raise ConfigError(f"{where}: missing key {', '.join(map(repr, missing))}")
     return block
+
+
+def _build(make: Callable, where: str, /, *args, **kwargs):
+    """``make(*args, **kwargs)``; a value it rejects is a config error at ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except (EmbedderError, proto.ProtocolError, TrainingError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -128,7 +139,8 @@ class RunConfig:
             embedder = _check_keys(m.get("embedder", {}), f"{where}.embedder", EMBEDDER_KEYS)
             hyper = _check_keys(m.get("hyper", {}), f"{where}.hyper", HYPER_KEYS)
             if embedder.get("graph"):
-                _check_keys(embedder["graph"], f"{where}.embedder.graph", GRAPH_KEYS)
+                graph = _check_keys(embedder["graph"], f"{where}.embedder.graph", GRAPH_KEYS)
+                _build(GraphEncoderConfig, f"{where}.embedder.graph", **graph)
                 if m.get("adjacency") is None:
                     raise ConfigError(f"{where}: graph encoder needs an adjacency file")
             models.append(
@@ -136,7 +148,7 @@ class RunConfig:
                     name=m["name"],
                     store=resolve(m["store"]),
                     embedder=dict(embedder),
-                    hyper=TrainHyper(**hyper),
+                    hyper=_build(TrainHyper, f"{where}.hyper", **hyper),
                     adjacency=resolve(m.get("adjacency")),
                 )
             )
@@ -150,7 +162,7 @@ class RunConfig:
             unknown = [name for name in e.get("models", ()) if name not in names]
             if unknown:
                 raise ConfigError(f"{where} references unknown model {unknown[0]!r}")
-            experiments.append(proto.ExperimentSpec.from_dict(e))
+            experiments.append(_build(proto.ExperimentSpec.from_dict, where, e))
         fusion = raw.get("fusion", {})
         return cls(
             seed=int(raw["seed"]),
@@ -204,7 +216,7 @@ def _is_done(path: Path) -> bool:
 
 
 def _mark_done(path: Path) -> None:
-    _done_path(path).write_text("done\n", encoding="utf-8")
+    write_text(_done_path(path), "done\n")
 
 
 def _positive_int(text: str) -> int:
@@ -231,12 +243,16 @@ def _checkpoint_path(out_dir: Path, model: str, dataset: str, generator: str) ->
 
 def _open_stores(stack: ExitStack, specs: Iterable[ModelSpec]) -> dict[str, FeatureStore]:
     """An open store per model name, closed with ``stack``; models that name
-    the same path share one handle (reads are positional, so threads may too)."""
+    the same path share one handle (reads are positional, so threads may too).
+    A store that cannot be read as one is a config error."""
     by_path: dict[Path, FeatureStore] = {}
     stores: dict[str, FeatureStore] = {}
     for spec in specs:
         if spec.store not in by_path:
-            by_path[spec.store] = stack.enter_context(FeatureStore(spec.store))
+            try:
+                by_path[spec.store] = stack.enter_context(FeatureStore(spec.store))
+            except FeatureStoreError as exc:
+                raise ConfigError(f"model {spec.name!r}: {exc}") from None
         stores[spec.name] = by_path[spec.store]
     return stores
 
@@ -343,10 +359,7 @@ def _train_one(
     )
     params, log = train(store, view, split.development, emb_config, spec.hyper, graph=graph)
     save_checkpoint(params, out_path)
-    log_path = out_path.with_suffix(".log.json")
-    with open(log_path, "w", encoding="utf-8") as fh:
-        json.dump(log.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_path.with_suffix(".log.json"), log.to_dict())
 
 
 def _score_job(
@@ -368,9 +381,8 @@ def _score_job(
 def cmd_train(args: argparse.Namespace) -> int:
     config = RunConfig.from_file(args.config)
     catalog = cat.load_manifest(config.identities, config.videos)
-    split = _resolve_split(config, catalog, None)
+    split = _resolve_split(config, catalog)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     chosen = [m for m in config.models if args.model in (None, m.name)]
     if not chosen:
         raise ConfigError(f"no model named {args.model!r} in config")
@@ -449,32 +461,25 @@ def cmd_fairness(args: argparse.Namespace) -> int:
 
 
 def cmd_import_features(args: argparse.Namespace) -> int:
-    writer = FeatureStoreWriter(args.store, FeatureKind(args.kind), args.dim)
-    for csv_path in args.files:
-        frames = import_frames_csv(csv_path)
-        video_id = Path(csv_path).stem
-        writer.put(FeatureSequence(video_id, FeatureKind(args.kind), frames, args.fps))
-    store = writer.seal()
-    print(f"imported {len(store)} sequences into {args.store}")
+    with FeatureStoreWriter(args.store, FeatureKind(args.kind), args.dim) as writer:
+        for csv_path in args.files:
+            frames = import_frames_csv(csv_path)
+            video_id = Path(csv_path).stem
+            writer.put(FeatureSequence(video_id, FeatureKind(args.kind), frames, args.fps))
+        with writer.seal() as store:
+            print(f"imported {len(store)} sequences into {args.store}")
     return EXIT_OK
 
 
 # -- the end-to-end runner ----------------------------------------------------
 
 
-def _resolve_split(
-    config: RunConfig, catalog: cat.Catalog, save_to: Path | None
-) -> proto.Split:
+def _resolve_split(config: RunConfig, catalog: cat.Catalog) -> proto.Split:
     if config.split is not None:
         split = proto.load_split(config.split)
         split.validate(catalog)
-    else:
-        split = proto.make_split(
-            catalog, eval_fraction=config.eval_fraction, seed=config.seed
-        )
-    if save_to is not None:
-        proto.save_split(split, save_to)
-    return split
+        return split
+    return proto.make_split(catalog, eval_fraction=config.eval_fraction, seed=config.seed)
 
 
 def _job_models(job: proto.Job, config: RunConfig) -> list[str]:
@@ -504,31 +509,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not config.experiments:
         raise ConfigError("config has no experiments to run")
 
-    run_dir = config.output_root / _sanitize(config.run_id)
-    for sub in ("config", "split", "trials", "models", "scores", "reports"):
-        (run_dir / sub).mkdir(parents=True, exist_ok=True)
-
-    with open(run_dir / "config" / "effective.json", "w", encoding="utf-8") as fh:
-        json.dump(config.effective(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
+    # everything that can reject the inputs runs before the run directory exists
     catalog = cat.load_manifest(config.identities, config.videos)
-    split = _resolve_split(config, catalog, run_dir / "split" / "split.json")
-
-    trials_path = run_dir / "trials" / "trials.csv"
-    if args.fresh or not _is_done(trials_path):
-        trials = proto.generate_trials(catalog, split, config.convention)
-        proto.save_trials(trials, trials_path)
-        _mark_done(trials_path)
-    else:
-        trials = proto.load_trials(trials_path)
-    print(f"{len(trials):,d} trials")
-
+    split = _resolve_split(config, catalog)
     jobs = proto.experiment_matrix(config.experiments, catalog)
     specs = {m.name: m for m in config.models}
-    failures: list[str] = []
-
-    # phase 1: one checkpoint per (model, training condition)
+    run_dir = config.output_root / _sanitize(config.run_id)
     train_tasks = {
         (name, job.train_dataset, job.train_generator): _checkpoint_path(
             run_dir / "models", name, job.train_dataset, job.train_generator
@@ -540,6 +526,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         stores = _open_stores(stack, [specs[name] for name in sorted({k[0] for k in train_tasks})])
 
+        write_json(run_dir / "config" / "effective.json", config.effective())
+        proto.save_split(split, run_dir / "split" / "split.json")
+        trials_path = run_dir / "trials" / "trials.csv"
+        if args.fresh or not _is_done(trials_path):
+            trials = proto.generate_trials(catalog, split, config.convention)
+            proto.save_trials(trials, trials_path)
+            _mark_done(trials_path)
+        else:
+            trials = proto.load_trials(trials_path)
+        print(f"{len(trials):,d} trials")
+        failures: list[str] = []
+
+        # phase 1: one checkpoint per (model, training condition)
         def run_training(key: tuple[str, str, str]) -> str | None:
             name, ds, gen = key
             out_path = train_tasks[key]
@@ -609,9 +608,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if all_reports:
         ev.write_report_csv(all_reports, run_dir / "reports" / "report.csv")
-        (run_dir / "reports" / "report.txt").write_text(
-            ev.render_report_text(all_reports), encoding="utf-8"
-        )
+        write_text(run_dir / "reports" / "report.txt", ev.render_report_text(all_reports))
         by_reference: dict[str, list[proto.Job]] = {}
         conditions = {r.condition for r in all_reports}
         for job in jobs:
@@ -627,17 +624,16 @@ def cmd_run(args: argparse.Namespace) -> int:
                 table = ev.delta_table(selected, ref)
             except ev.EvaluationError:
                 continue
-            name = _sanitize(ref)
-            (run_dir / "reports" / f"delta_{name}.txt").write_text(
-                ev.render_delta_text(table), encoding="utf-8"
-            )
+            write_text(run_dir / "reports" / f"delta_{_sanitize(ref)}.txt",
+                       ev.render_delta_text(table))
 
+    summary = run_dir / "reports" / "failures.txt"
     if failures:
-        summary = run_dir / "reports" / "failures.txt"
-        summary.write_text("\n".join(failures) + "\n", encoding="utf-8")
+        write_text(summary, "\n".join(failures) + "\n")
         for failure in failures:
             print(f"FAILED: {failure}", file=sys.stderr)
         return EXIT_FAIL
+    summary.unlink(missing_ok=True)  # left by an earlier, failed invocation
     print(f"reports in {run_dir / 'reports'}")
     return EXIT_OK
 

@@ -28,6 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .feature_store import NormalizationParams
+from .files import AtomicFile
 
 
 class EmbedderError(ValueError):
@@ -116,9 +117,9 @@ class GraphEncoderConfig:
 
     def __post_init__(self) -> None:
         if self.layers < 1:
-            raise EmbedderError("graph encoder needs >= 1 layer")
+            raise EmbedderError(f"graph encoder needs 'layers' >= 1, got {self.layers}")
         if self.hidden_dim < 1:
-            raise EmbedderError("graph hidden_dim must be >= 1")
+            raise EmbedderError(f"graph encoder needs 'hidden_dim' >= 1, got {self.hidden_dim}")
 
 
 @dataclass(frozen=True)
@@ -522,8 +523,6 @@ _CKPT_MAGIC = b"AVCK"
 def save_checkpoint(params: EmbedderParams, path: str | Path) -> None:
     """Write config + normalization + graph as a JSON header followed by the
     raw float64 parameter vector. Round trips bit-exactly."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "format_version": 1,
         "config": params.config.to_dict(),
@@ -532,7 +531,7 @@ def save_checkpoint(params: EmbedderParams, path: str | Path) -> None:
         "param_count": params.size,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with AtomicFile(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

@@ -9,7 +9,6 @@ enrollment identity.
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .catalog import Catalog
+from .files import read_csv, write_csv
 from .scoring import ScoreRow
 
 
@@ -246,25 +246,17 @@ ABSENT_CELL = "—"  # em dash for undefined table cells
 
 
 def write_report_csv(reports: Sequence[EvalReport], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        for r in sorted(reports, key=lambda r: (r.condition, r.model)):
-            writer.writerow([r.condition, r.model, repr(r.auc), r.genuine_n, r.impostor_n])
+    write_csv(path, REPORT_HEADER, (
+        [r.condition, r.model, repr(r.auc), r.genuine_n, r.impostor_n]
+        for r in sorted(reports, key=lambda r: (r.condition, r.model))
+    ))
 
 
 def read_report_csv(path: str | Path) -> list[EvalReport]:
-    reports = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != REPORT_HEADER:
-            raise EvaluationError(f"{path}: bad header {header!r}")
-        for condition, model, value, g_n, i_n in reader:
-            reports.append(EvalReport(condition, model, float(value), int(g_n), int(i_n)))
-    return reports
+    return [
+        EvalReport(condition, model, float(value), int(g_n), int(i_n))
+        for condition, model, value, g_n, i_n in read_csv(path, REPORT_HEADER, EvaluationError)
+    ]
 
 
 def render_report_text(reports: Sequence[EvalReport]) -> str:
@@ -305,16 +297,11 @@ def render_delta_text(table: DeltaTable) -> str:
 def write_fairness_csv(
     report: FairnessReport, condition: str, path: str | Path
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FAIRNESS_HEADER)
-        for c in report.cells:
-            writer.writerow(
-                [condition, c.model, c.attribute, c.subgroup,
-                 "" if c.auc is None else repr(c.auc), c.genuine_n, c.impostor_n]
-            )
+    write_csv(path, FAIRNESS_HEADER, (
+        [condition, c.model, c.attribute, c.subgroup,
+         "" if c.auc is None else repr(c.auc), c.genuine_n, c.impostor_n]
+        for c in report.cells
+    ))
 
 
 def render_fairness_text(report: FairnessReport) -> str:
@@ -339,13 +326,9 @@ def write_roc_csv(
     genuine: np.ndarray, impostor: np.ndarray, path: str | Path
 ) -> None:
     fpr, tpr = roc_points(genuine, impostor)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fpr", "tpr"])
-        for f_val, t_val in zip(fpr, tpr):
-            writer.writerow([repr(float(f_val)), repr(float(t_val))])
+    write_csv(path, ["fpr", "tpr"], (
+        [repr(float(f_val)), repr(float(t_val))] for f_val, t_val in zip(fpr, tpr)
+    ))
 
 
 def write_roc_csvs(rows: Iterable[ScoreRow], paths: Mapping[str, str | Path]) -> None:

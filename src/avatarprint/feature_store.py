@@ -2,22 +2,31 @@
 
 Each avatar video contributes one T x D float matrix (facial landmark
 coordinates or backbone embeddings). Sequences are stored once as 32-bit
-floats in a single append-only file with a JSON sidecar index, then read
-back lock-free via positioned reads; all computation downstream happens in
-64-bit precision.
+floats in one self-describing file, then read back lock-free via positioned
+reads; all computation downstream happens in 64-bit precision.
+
+On-disk format, version 2: header (magic, version, kind, D, index offset) |
+float32 payloads | index trailer, the key-sorted JSON map ``{video_id:
+[offset, T, fps]}``. The index offset is 0 until ``seal()`` writes the
+trailer and moves the file from its temporary name into place, so a store
+path holds a sealed store or nothing. Version-1 stores (JSON sidecar index)
+are refused; rebuild them with ``synth`` or ``import-features``.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
+
+from .files import AtomicFile
 
 
 class FeatureStoreError(ValueError):
@@ -39,11 +48,12 @@ class FeatureKind(str, Enum):
 LANDMARK_POINTS = 109  # per frame; landmark sequences carry x,y per point
 
 _MAGIC = b"AVFS"
-_VERSION = 1
+_VERSION = 2
 _KIND_CODES = {FeatureKind.LANDMARKS: 0, FeatureKind.EMBEDDING: 1}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
-_HEADER = struct.Struct("<4sIBII")  # magic, version, kind code, D, count
-_COUNT_OFFSET = _HEADER.size - 4
+_PREFIX = struct.Struct("<4sI")  # magic, version: the same in every version
+_HEADER = struct.Struct("<4sIBIQ")  # magic, version, kind code, D, index offset
+_INDEX_OFFSET_AT = _HEADER.size - 8
 
 
 @dataclass
@@ -83,12 +93,9 @@ class FeatureSequence:
         return int(self.frames.shape[1])
 
 
-def _sidecar_path(path: Path) -> Path:
-    return path.with_name(path.name + ".json")
-
-
 class FeatureStoreWriter:
-    """Exclusive writer; call seal() to finish and enable readers."""
+    """Exclusive writer; call seal() to finish and enable readers. Until then
+    the store exists only under a temporary name, which close() deletes."""
 
     def __init__(self, path: str | Path, kind: FeatureKind, dimension: int):
         if dimension < 1:
@@ -98,13 +105,15 @@ class FeatureStoreWriter:
                 f"landmark stores need dimension {2 * LANDMARK_POINTS}, got {dimension}"
             )
         self.path = Path(path)
+        if self.path.exists():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(self.path))
         self.kind = kind
         self.dimension = dimension
         self._entries: dict[str, tuple[int, int, float]] = {}  # id -> (offset, T, fps)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "xb")
-        self._fh.write(_HEADER.pack(_MAGIC, _VERSION, _KIND_CODES[kind], dimension, 0))
         self._sealed = False
+        self._pending = AtomicFile(self.path, "wb")
+        self._fh = self._pending.file
+        self._fh.write(_HEADER.pack(_MAGIC, _VERSION, _KIND_CODES[kind], dimension, 0))
 
     def put(self, seq: FeatureSequence) -> None:
         if self._sealed:
@@ -120,19 +129,21 @@ class FeatureStoreWriter:
             payload = np.ascontiguousarray(seq.frames, dtype="<f4")
         if not np.all(np.isfinite(payload)):
             raise FeatureStoreError(f"{seq.video_id}: values overflow 32-bit storage")
-        id_bytes = seq.video_id.encode("utf-8")
-        self._fh.write(struct.pack("<H", len(id_bytes)))
-        self._fh.write(id_bytes)
-        self._fh.write(struct.pack("<I", seq.num_frames))
         offset = self._fh.tell()
         self._fh.write(payload.tobytes())
         self._entries[seq.video_id] = (offset, seq.num_frames, float(seq.fps))
 
     def close(self) -> None:
-        """Abandon an unsealed writer and release the file handle. The
-        partial store file is left behind and cannot be sealed afterwards."""
-        if not self._fh.closed:
-            self._fh.close()
+        """Abandon an unsealed writer: its temporary file is deleted and
+        nothing appears at the store path. Does nothing after seal()."""
+        if not self._sealed:
+            self._pending.discard()
+
+    def __enter__(self) -> "FeatureStoreWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def __del__(self) -> None:
         try:
@@ -141,25 +152,17 @@ class FeatureStoreWriter:
             pass
 
     def seal(self) -> "FeatureStore":
+        """Write the index trailer, point the header at it, move the file into place."""
         if self._sealed:
             raise FeatureStoreError("store already sealed")
         if self._fh.closed:
             raise FeatureStoreError("writer was closed without sealing")
-        self._fh.seek(_COUNT_OFFSET)
-        self._fh.write(struct.pack("<I", len(self._entries)))
-        self._fh.close()
+        index_offset = self._fh.tell()
+        self._fh.write(json.dumps(self._entries, sort_keys=True).encode("utf-8"))
+        self._fh.seek(_INDEX_OFFSET_AT)
+        self._fh.write(struct.pack("<Q", index_offset))
+        self._pending.commit()
         self._sealed = True
-        sidecar = {
-            "version": _VERSION,
-            "kind": self.kind.value,
-            "dimension": self.dimension,
-            "count": len(self._entries),
-            "entries": {
-                vid: [off, t, fps] for vid, (off, t, fps) in sorted(self._entries.items())
-            },
-        }
-        with open(_sidecar_path(self.path), "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=0, sort_keys=True)
         return FeatureStore(self.path)
 
 
@@ -171,50 +174,38 @@ class FeatureStore:
         self._fd = -1  # closed until os.open succeeds, so __del__ has nothing to do
         self._fd = os.open(self.path, os.O_RDONLY)
         raw = os.pread(self._fd, _HEADER.size, 0)
-        if len(raw) < _HEADER.size:
+        if len(raw) < _PREFIX.size:
             raise FeatureStoreError(f"{self.path}: truncated header")
-        magic, version, kind_code, dim, count = _HEADER.unpack(raw)
+        magic, version = _PREFIX.unpack_from(raw)
         if magic != _MAGIC:
             raise FeatureStoreError(f"{self.path}: bad magic {magic!r}")
         if version != _VERSION:
-            raise FeatureStoreError(f"{self.path}: unsupported version {version}")
+            raise FeatureStoreError(
+                f"{self.path}: store format version {version}, this release reads only "
+                f"version {_VERSION}; rebuild the store with synth or import-features"
+            )
+        if len(raw) < _HEADER.size:
+            raise FeatureStoreError(f"{self.path}: truncated header")
+        _, _, kind_code, dim, index_offset = _HEADER.unpack(raw)
         if kind_code not in _CODE_KINDS:
             raise FeatureStoreError(f"{self.path}: unknown kind code {kind_code}")
+        if index_offset == 0:
+            raise FeatureStoreError(f"{self.path}: unsealed store (its writer never finished)")
         self.kind = _CODE_KINDS[kind_code]
         self.dimension = int(dim)
-        self._entries = self._load_index(int(count))
+        self._entries = self._read_index(index_offset)
 
-    def _load_index(self, count: int) -> dict[str, tuple[int, int, float]]:
-        sidecar = _sidecar_path(self.path)
-        if sidecar.exists():
-            with open(sidecar, encoding="utf-8") as fh:
-                data = json.load(fh)
-            if data.get("dimension") != self.dimension or data.get("kind") != self.kind.value:
-                raise FeatureStoreError(f"{sidecar}: index does not match store header")
-            if len(data["entries"]) != count:
-                raise FeatureStoreError(f"{sidecar}: index lists {len(data['entries'])} "
-                                        f"records, header promises {count}")
-            return {
-                vid: (int(off), int(t), float(fps))
-                for vid, (off, t, fps) in data["entries"].items()
-            }
-        # sidecar lost: rebuild by walking the records
-        entries: dict[str, tuple[int, int, float]] = {}
-        pos = _HEADER.size
+    def _read_index(self, index_offset: int) -> dict[str, list]:
+        """id -> [offset, T, fps], each record checked to end before the index."""
         size = os.fstat(self._fd).st_size
-        while pos < size and len(entries) < count:
-            (id_len,) = struct.unpack("<H", os.pread(self._fd, 2, pos))
-            pos += 2
-            vid = os.pread(self._fd, id_len, pos).decode("utf-8")
-            pos += id_len
-            (t,) = struct.unpack("<I", os.pread(self._fd, 4, pos))
-            pos += 4
-            entries[vid] = (pos, t, 30.0)
-            pos += t * self.dimension * 4
-        if len(entries) != count:
-            raise FeatureStoreError(f"{self.path}: header promises {count} records, "
-                                    f"found {len(entries)}")
-        return entries
+        try:  # an offset past the end reads b"", which is no JSON either
+            index = json.loads(os.pread(self._fd, max(size - index_offset, 0), index_offset))
+        except ValueError:  # bad JSON or UTF-8
+            raise FeatureStoreError(f"{self.path}: truncated or corrupt index") from None
+        for vid, (offset, t, _) in index.items():
+            if offset < _HEADER.size or offset + t * self.dimension * 4 > index_offset:
+                raise FeatureStoreError(f"{self.path}: record {vid!r} runs past the index")
+        return index
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -238,9 +229,6 @@ class FeatureStore:
             raise FeatureStoreError(f"{video_id}: truncated record")
         frames = np.frombuffer(raw, dtype="<f4").reshape(t, self.dimension)
         return FeatureSequence(video_id, self.kind, frames.astype(np.float64), fps)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.ids())
 
     def close(self) -> None:
         if self._fd >= 0:

@@ -9,7 +9,6 @@ trial always come from evaluation-split identities.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import defaultdict
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from .catalog import (
     Dataset,
     Generator,
 )
+from .files import read_csv, write_csv, write_json
 
 
 class ProtocolError(ValueError):
@@ -72,15 +72,10 @@ class Split:
 
 
 def save_split(split: Split, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
+    write_json(path, {
         "development": sorted(split.development),
         "evaluation": sorted(split.evaluation),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_split(path: str | Path) -> Split:
@@ -304,25 +299,15 @@ TRIAL_HEADER = ["trial_id", "dataset", "generator", "enroll_video", "test_video"
 
 
 def save_trials(trials: Iterable[Trial], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRIAL_HEADER)
-        writer.writerows(trials)
+    write_csv(path, TRIAL_HEADER, trials)
 
 
 def load_trials(path: str | Path) -> list[Trial]:
-    trials: list[Trial] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRIAL_HEADER:
-            raise ProtocolError(f"{path}: bad header {header!r}")
-        for row in reader:
-            trial_id, dataset, generator, enroll, test, label = row
-            trials.append(Trial(trial_id, dataset, generator, enroll, test, int(label)))
-    return trials
+    return [
+        Trial(trial_id, dataset, generator, enroll, test, int(label))
+        for trial_id, dataset, generator, enroll, test, label
+        in read_csv(path, TRIAL_HEADER, ProtocolError)
+    ]
 
 
 # -- experiment matrix -----------------------------------------------------------

@@ -16,7 +16,6 @@ per-trial scores, optionally z-scored per model first.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +25,7 @@ import numpy as np
 
 from .embedder import EmbedderParams, forward_batch
 from .feature_store import FeatureStore
+from .files import read_csv, write_csv
 
 
 class ScoringError(ValueError):
@@ -225,29 +225,16 @@ SCORE_HEADER = ["trial_id", "enroll_video", "test_video", "label", "model", "sco
 
 
 def write_score_table(table: ScoreTable, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORE_HEADER)
-        for row in table.rows:
-            writer.writerow(
-                [row.trial_id, row.enroll_video, row.test_video, row.label, row.model,
-                 "" if row.score is None else repr(row.score)]
-            )
+    write_csv(path, SCORE_HEADER, (
+        [row.trial_id, row.enroll_video, row.test_video, row.label, row.model,
+         "" if row.score is None else repr(row.score)]
+        for row in table.rows
+    ))
 
 
 def read_score_table(path: str | Path) -> ScoreTable:
-    table = ScoreTable()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SCORE_HEADER:
-            raise ScoringError(f"{path}: bad header {header!r}")
-        for row in reader:
-            trial_id, enroll, test, label, model, score = row
-            table.rows.append(
-                ScoreRow(trial_id, enroll, test, int(label), model,
-                         None if score == "" else float(score))
-            )
-    return table
+    return ScoreTable([
+        ScoreRow(trial_id, enroll, test, int(label), model, None if score == "" else float(score))
+        for trial_id, enroll, test, label, model, score
+        in read_csv(path, SCORE_HEADER, ScoringError)
+    ])

@@ -275,7 +275,6 @@ def synth_corpus(
         raise SynthError("need at least one generator")
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     generators = list(generators)
     if generator_transforms is None:
         generator_transforms = {}

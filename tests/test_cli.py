@@ -1,6 +1,11 @@
 """Command-line interface: argument handling, exit codes and the runner."""
 
+import errno
+import itertools
 import json
+import os
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +252,18 @@ class TestImportFeatures:
         # storage is 32-bit on disk, so agreement is to float32 resolution
         np.testing.assert_allclose(got, written["clip_a"], rtol=1e-6, atol=1e-7)
 
+    def test_bad_file_leaves_no_store(self, tmp_path):
+        for name in ("clip_a", "clip_b"):
+            (tmp_path / f"{name}.csv").write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n")
+        (tmp_path / "clip_c.csv").write_text("1.0,oops,3.0\n")
+        args = ["import-features", "--store", str(tmp_path / "out" / "store.avfs"),
+                "--dim", "3", *(str(tmp_path / f"clip_{c}.csv") for c in "abc")]
+        assert main(args) == EXIT_FAIL
+        assert list((tmp_path / "out").iterdir()) == []
+        (tmp_path / "clip_c.csv").write_text("1.0,2.0,3.0\n")
+        assert main(args) == EXIT_OK
+        assert FeatureStore(tmp_path / "out" / "store.avfs").ids() == ["clip_a", "clip_b", "clip_c"]
+
 
 class TestRun:
     def test_end_to_end_and_resume(self, corpus_small, tmp_path):
@@ -327,8 +344,12 @@ class TestRun:
         ("experiment", "eval_generators", None, "eval_generators"),
         ("experiment", "eval_generator", "GAGA", "eval_generator"),
         ("experiment", "models", ["ghost"], "ghost"),
+        ("hyper", "mining", "bogus", "bogus"),
+        ("experiment", "scenario", "zero_shot", "zero_shot"),
+        ("embedder", "graph", {"layers": 0}, "layers"),
     ], ids=["unknown-hyper", "unknown-embedder", "unknown-graph", "unknown-model",
-            "missing-experiment", "unknown-experiment", "unknown-model-name"])
+            "missing-experiment", "unknown-experiment", "unknown-model-name",
+            "bad-mining", "bad-scenario", "bad-graph-layers"])
     def test_bad_config_keys_are_usage_errors(self, corpus_small, tmp_path, capsys,
                                               block, key, value, named):
         payload = json.loads(
@@ -365,6 +386,77 @@ class TestRun:
         assert len(list((one / "models").glob("*.avck"))) == 4
         for sub in ("trials", "scores", "reports", "models"):
             assert tree_bytes(one / sub) == tree_bytes(two / sub), sub
+
+    @pytest.mark.parametrize("store", ["missing", "version-1", "unsealed"])
+    def test_unreadable_store_fails_before_the_run_directory(self, corpus_small, tmp_path,
+                                                             capsys, store):
+        path = tmp_path / "bad.avfs"
+        if store != "missing":
+            # version 1 header (magic, version, kind, D, count), and a version 2
+            # header (magic, version, kind, D, index offset) whose index is unwritten
+            path.write_bytes(struct.pack("<4sIBII", b"AVFS", 1, 1, 12, 0) if store == "version-1"
+                             else struct.pack("<4sIBIQ", b"AVFS", 2, 1, 12, 0))
+        payload = json.loads(
+            write_config(tmp_path / "c.json", corpus_small, experiments=[INTRA_GAGA]).read_text()
+        )
+        payload["models"][0]["store"] = str(path)
+        (tmp_path / "c.json").write_text(json.dumps(payload))
+        assert main(["run", "--config", str(tmp_path / "c.json")]) == EXIT_USAGE
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    def test_failed_replace_leaves_no_partial_artifact(self, corpus_small, tmp_path,
+                                                       monkeypatch):
+        """Make the k-th os.replace of a run fail, for every k: nothing is left
+        at that file's name or under a temporary name, every other file is
+        whole, no marker outlives its artifact, and a rerun ends where a
+        clean run does."""
+        cfg = write_config(tmp_path / "config.json", corpus_small,
+                           experiments=[INTRA_GAGA, CROSS_TO_LIVE])
+        real_replace = os.replace
+        replaced = []
+
+        def counting_replace(src, dst):
+            replaced.append(dst)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        assert main(["run", "--config", str(cfg), "--run-id", "clean"]) == EXIT_OK
+        clean_dir = tmp_path / "runs" / "clean"
+        clean = tree_bytes(clean_dir)
+        # every file of the run is moved into place, each once
+        assert sorted(Path(p).relative_to(clean_dir) for p in replaced) == sorted(clean)
+        config = Path("config", "effective.json")  # names the run id
+        failures = Path("reports", "failures.txt")
+        for k in range(1, len(replaced) + 1):
+            calls, failed = itertools.count(1), []
+
+            def failing_replace(src, dst):
+                if next(calls) == k:
+                    failed.append(Path(dst))
+                    raise OSError(errno.EIO, "injected failure", str(dst))
+                real_replace(src, dst)
+
+            run_id = f"k{k}"
+            run_dir = tmp_path / "runs" / run_id
+            monkeypatch.setattr(os, "replace", failing_replace)
+            assert main(["run", "--config", str(cfg), "--run-id", run_id]) != EXIT_OK
+            left = tree_bytes(run_dir)
+            assert failed[0].relative_to(run_dir) not in left, k
+            assert not [p for p in left if p.name.endswith(".tmp")], k
+            # with a failed job the reports cover the other jobs only
+            job_failed = failures in left
+            for p, content in left.items():
+                if p not in (config, failures) and not (job_failed and p.parts[0] == "reports"):
+                    assert content == clean[p], (k, p)
+                if p.suffix == ".done":
+                    assert p.with_suffix("") in left, (k, p)
+            monkeypatch.setattr(os, "replace", real_replace)
+            assert main(["run", "--config", str(cfg), "--run-id", run_id]) == EXIT_OK
+            again = tree_bytes(run_dir)
+            assert again.keys() == clean.keys(), k
+            for p in clean.keys() - {config}:
+                assert again[p] == clean[p], (k, p)
 
     def test_zero_workers_is_a_usage_error(self, corpus_small, tmp_path):
         cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA])

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import struct
 import sys
 
 import numpy as np
@@ -105,37 +106,63 @@ class TestStoreRoundTrip:
         with pytest.raises(FeatureStoreError, match="closed"):
             store.get("a")
 
-    def test_index_rebuild_after_sidecar_loss(self, tmp_path):
-        rng = np.random.default_rng(2)
-        path = tmp_path / "f.avfs"
-        store = random_store(path, [f"v{i}" for i in range(4)], 5, rng)
-        expected = {vid: store.get(vid).frames for vid in store.ids()}
-        store.close()
-        (tmp_path / "f.avfs.json").unlink()
-        rebuilt = FeatureStore(path)
-        assert rebuilt.ids() == sorted(expected)
-        for vid, arr in expected.items():
-            np.testing.assert_array_equal(rebuilt.get(vid).frames, arr)
+    def test_sealed_store_is_one_file_that_keeps_fps(self, tmp_path):
+        writer = FeatureStoreWriter(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 3)
+        for vid, fps in (("a", 25.0), ("b", 29.97), ("c", 30.0)):
+            writer.put(FeatureSequence(vid, FeatureKind.EMBEDDING, np.ones((4, 3)), fps))
+        writer.seal().close()
+        assert [p.name for p in tmp_path.iterdir()] == ["f.avfs"]
+        with FeatureStore(tmp_path / "f.avfs") as store:
+            assert [store.get(vid).fps for vid in "abc"] == [25.0, 29.97, 30.0]
 
-    def test_sidecar_mismatch_detected(self, tmp_path):
+    def test_abandoned_writer_leaves_nothing(self, tmp_path):
         path = tmp_path / "f.avfs"
-        random_store(path, ["a"], 4, np.random.default_rng(3)).close()
-        sidecar = tmp_path / "f.avfs.json"
-        data = json.loads(sidecar.read_text(encoding="utf-8"))
-        data["dimension"] = 99
-        sidecar.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(FeatureStoreError, match="does not match"):
-            FeatureStore(path)
+        writer = FeatureStoreWriter(path, FeatureKind.EMBEDDING, 3)
+        writer.put(FeatureSequence("a", FeatureKind.EMBEDDING, np.zeros((2, 3))))
+        writer.close()
+        with pytest.raises(FeatureStoreError, match="closed"):
+            writer.seal()
+        with pytest.raises(RuntimeError):
+            with FeatureStoreWriter(path, FeatureKind.EMBEDDING, 3) as writer:
+                writer.put(FeatureSequence("a", FeatureKind.EMBEDDING, np.zeros((2, 3))))
+                raise RuntimeError("the producer died")
+        writer = FeatureStoreWriter(path, FeatureKind.EMBEDDING, 3)
+        del writer
+        gc.collect()
+        assert list(tmp_path.iterdir()) == []
+        FeatureStoreWriter(path, FeatureKind.EMBEDDING, 3).seal().close()
+        assert [p.name for p in tmp_path.iterdir()] == ["f.avfs"]
 
-    def test_sidecar_entry_count_checked(self, tmp_path):
-        path = tmp_path / "f.avfs"
-        random_store(path, ["a", "b", "c"], 4, np.random.default_rng(4)).close()
-        sidecar = tmp_path / "f.avfs.json"
-        data = json.loads(sidecar.read_text(encoding="utf-8"))
-        del data["entries"]["b"]
-        sidecar.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(FeatureStoreError, match="header promises 3"):
+    def test_version_1_store_is_refused(self, tmp_path):
+        path = tmp_path / "old.avfs"
+        # version 1 header: magic, version, kind code, D, record count
+        path.write_bytes(struct.pack("<4sIBII", b"AVFS", 1, 1, 3, 0))
+        with pytest.raises(FeatureStoreError, match="version 1") as exc:
             FeatureStore(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("cut-index", "truncated or corrupt index"),
+        ("unsealed", "unsealed"),
+        ("record-past-index", "runs past the index"),
+    ], ids=["cut-index", "unsealed", "record-past-index"])
+    def test_damaged_store_is_refused(self, tmp_path, damage, message):
+        path = tmp_path / "f.avfs"
+        random_store(path, ["a", "b"], 4, np.random.default_rng(3), frames=6).close()
+        raw = bytearray(path.read_bytes())
+        (index_offset,) = struct.unpack_from("<Q", raw, 13)
+        if damage == "cut-index":
+            del raw[-3:]
+        elif damage == "unsealed":
+            raw[13:21] = bytes(8)
+        else:  # "b" claims one frame more than was written before the index
+            index = json.loads(raw[index_offset:])
+            index["b"][1] += 1
+            raw[index_offset:] = json.dumps(index).encode()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FeatureStoreError, match=message) as exc:
+            FeatureStore(path)
+        assert str(path) in str(exc.value)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.avfs"

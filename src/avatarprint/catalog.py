@@ -411,11 +411,13 @@ IDENTITY_HEADER = ["id", "dataset", "gender", "ethnicity", "age_range"]
 VIDEO_HEADER = ["video_id", "dataset", "generator", "target_id", "driver_id", "source_clip"]
 
 
-def _parse_enum(cls, raw: str, what: str, path: Path, line: int):
+def _parse_enum(members: Mapping[str, Enum], raw: str, what: str, path: Path, line: int):
+    """The member of ``members`` (value -> member, in definition order) whose
+    value is ``raw``."""
     try:
-        return cls(raw)
-    except ValueError:
-        allowed = ", ".join(m.value for m in cls)
+        return members[raw]
+    except KeyError:
+        allowed = ", ".join(members)
         raise ManifestError(f"bad {what} {raw!r} (allowed: {allowed})", path, line) from None
 
 
@@ -427,6 +429,10 @@ def load_manifest(identities_path: str | Path, videos_path: str | Path) -> Catal
     """
     identities_path = Path(identities_path)
     videos_path = Path(videos_path)
+    # value -> member dicts: a lookup per field costs far less than an Enum call
+    datasets, generators, genders, ethnicities, ages = (
+        {m.value: m for m in cls} for cls in (Dataset, Generator, Gender, Ethnicity, AgeRange)
+    )
     identities: list[IdentityRecord] = []
     for lineno, row in enumerate(read_csv(identities_path, IDENTITY_HEADER, ManifestError), 2):
         if not row:
@@ -438,10 +444,10 @@ def load_manifest(identities_path: str | Path, videos_path: str | Path) -> Catal
         identities.append(
             IdentityRecord(
                 id=ident,
-                dataset=_parse_enum(Dataset, ds, "dataset", identities_path, lineno),
-                gender=_parse_enum(Gender, gender, "gender", identities_path, lineno),
-                ethnicity=_parse_enum(Ethnicity, eth, "ethnicity", identities_path, lineno),
-                age_range=_parse_enum(AgeRange, age, "age_range", identities_path, lineno),
+                dataset=_parse_enum(datasets, ds, "dataset", identities_path, lineno),
+                gender=_parse_enum(genders, gender, "gender", identities_path, lineno),
+                ethnicity=_parse_enum(ethnicities, eth, "ethnicity", identities_path, lineno),
+                age_range=_parse_enum(ages, age, "age_range", identities_path, lineno),
             )
         )
 
@@ -460,8 +466,8 @@ def load_manifest(identities_path: str | Path, videos_path: str | Path) -> Catal
         videos.append(
             AvatarVideo(
                 video_id=video_id,
-                dataset=_parse_enum(Dataset, ds, "dataset", videos_path, lineno),
-                generator=_parse_enum(Generator, gen, "generator", videos_path, lineno),
+                dataset=_parse_enum(datasets, ds, "dataset", videos_path, lineno),
+                generator=_parse_enum(generators, gen, "generator", videos_path, lineno),
                 target=target,
                 driver=driver,
                 source_clip=clip_idx,

@@ -559,7 +559,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"{len(train_tasks)} training conditions done")
         failed_train = {k for k, r in zip(ordered_keys, results) if r}
 
-        # phase 2: score each job with its training condition's checkpoints
+        # phase 2: score each job with its training condition's checkpoints;
+        # one pass groups the trials by (dataset, generator), in trial order
+        condition_trials: dict[tuple[str, str], list[proto.Trial]] = {}
+        for t in trials:
+            condition_trials.setdefault((t.dataset, t.generator), []).append(t)
+
         def run_scoring(job: proto.Job) -> str | None:
             score_path = run_dir / "scores" / f"{_sanitize(job.job_id)}.csv"
             if not args.fresh and _is_done(score_path):
@@ -571,11 +576,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     if key in failed_train:
                         return f"score {job.job_id}: training failed for {name}"
                     checkpoints[name] = train_tasks[key]
-                job_trials = [
-                    t
-                    for t in trials
-                    if t.dataset == job.eval_dataset and t.generator == job.eval_generator
-                ]
+                job_trials = condition_trials.get((job.eval_dataset, job.eval_generator))
                 if not job_trials:
                     return (f"score {job.job_id}: no trials for "
                             f"{job.eval_dataset}/{job.eval_generator}")

@@ -327,7 +327,7 @@ def write_roc_csv(
 ) -> None:
     fpr, tpr = roc_points(genuine, impostor)
     write_csv(path, ["fpr", "tpr"], (
-        [repr(float(f_val)), repr(float(t_val))] for f_val, t_val in zip(fpr, tpr)
+        [repr(f_val), repr(t_val)] for f_val, t_val in zip(fpr.tolist(), tpr.tolist())
     ))
 
 

@@ -262,6 +262,8 @@ def generate_trials(
             {k[1] for k in self_videos if k[0] == dataset}, key=lambda g: g.value
         )
         for generator in generators:
+            # enum values read once per block: the property lookup is costly per trial
+            ds, gen = dataset.value, generator.value
             identities = sorted(
                 k[2] for k in self_videos if k[0] == dataset and k[1] == generator
             )
@@ -274,16 +276,10 @@ def generate_trials(
                         if convention == EXCLUDE_IDENTICAL and enroll == test:
                             continue
                         counter += 1
-                        trials.append(
-                            Trial(f"t{counter:08d}", dataset.value, generator.value,
-                                  enroll, test, 1)
-                        )
+                        trials.append(Trial(f"t{counter:08d}", ds, gen, enroll, test, 1))
                     for test in tests_cross:
                         counter += 1
-                        trials.append(
-                            Trial(f"t{counter:08d}", dataset.value, generator.value,
-                                  enroll, test, 0)
-                        )
+                        trials.append(Trial(f"t{counter:08d}", ds, gen, enroll, test, 0))
     return trials
 
 
@@ -303,8 +299,14 @@ def save_trials(trials: Iterable[Trial], path: str | Path) -> None:
 
 
 def load_trials(path: str | Path) -> list[Trial]:
+    """The trials of a file written by ``save_trials``, in file order. Like a
+    generated list, the loaded one keeps one string per distinct dataset,
+    generator and video id, shared by every trial that names it; trial ids
+    are unique and are not shared."""
+    share = {}.setdefault
     return [
-        Trial(trial_id, dataset, generator, enroll, test, int(label))
+        Trial(trial_id, share(dataset, dataset), share(generator, generator),
+              share(enroll, enroll), share(test, test), int(label))
         for trial_id, dataset, generator, enroll, test, label
         in read_csv(path, TRIAL_HEADER, ProtocolError)
     ]

@@ -125,7 +125,7 @@ def score_pair(
     return PairScore(enroll_video, test_video, float(_row_dots(first[None], second[None])[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreRow:
     trial_id: str
     enroll_video: str
@@ -233,8 +233,13 @@ def write_score_table(table: ScoreTable, path: str | Path) -> None:
 
 
 def read_score_table(path: str | Path) -> ScoreTable:
+    """The rows of a file written by ``write_score_table``, in file order.
+    The table keeps one string per distinct trial id, video id and model,
+    shared by every row that names it."""
+    share = {}.setdefault
     return ScoreTable([
-        ScoreRow(trial_id, enroll, test, int(label), model, None if score == "" else float(score))
+        ScoreRow(share(trial_id, trial_id), share(enroll, enroll), share(test, test),
+                 int(label), share(model, model), None if score == "" else float(score))
         for trial_id, enroll, test, label, model, score
         in read_csv(path, SCORE_HEADER, ScoringError)
     ])

@@ -216,6 +216,10 @@ class TestManifestIO:
         with pytest.raises(ManifestError, match="bad gender") as err:
             load_manifest(ident, videos)
         assert err.value.line == 3
+        assert err.value.path == str(ident)
+        assert str(err.value) == (
+            f"{ident}:3: bad gender 'robot' (allowed: female, male, unknown)"
+        )
 
     def test_bad_clip_index(self, tmp_path):
         ident = tmp_path / "identities.csv"

@@ -114,6 +114,17 @@ class TestRoc:
         assert text.splitlines()[0] == "fpr,tpr"
         assert len(text.splitlines()) == 1 + 3 + 1  # header + 3 thresholds + origin
 
+    def test_roc_csv_is_repr_of_each_point(self, tmp_path):
+        rng = np.random.default_rng(11)
+        genuine, impostor = rng.normal(1, 1, 50), rng.normal(0, 1, 70)
+        genuine[:5] = impostor[:5]  # tied thresholds across the classes
+        write_roc_csv(genuine, impostor, tmp_path / "roc.csv")
+        fpr, tpr = roc_points(genuine, impostor)
+        want = "fpr,tpr\n" + "".join(
+            f"{float(f)!r},{float(t)!r}\n" for f, t in zip(fpr, tpr)
+        )
+        assert (tmp_path / "roc.csv").read_bytes() == want.encode("utf-8")
+
 
 def _rows(model, scores, labels, prefix="v"):
     return [

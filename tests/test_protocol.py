@@ -216,6 +216,17 @@ class TestTrialIO:
         with pytest.raises(ProtocolError, match="bad header"):
             load_trials(p)
 
+    def test_loaded_trials_share_repeated_strings(self, tmp_path):
+        catalog = tiny_catalog()
+        split = Split(frozenset(), frozenset({"id00", "id01", "id02", "id03"}))
+        save_trials(generate_trials(catalog, split), tmp_path / "trials.csv")
+        loaded = load_trials(tmp_path / "trials.csv")
+        assert len({t.enroll_video for t in loaded}) < len(loaded)
+        seen: dict[str, str] = {}
+        for t in loaded:
+            for value in (t.dataset, t.generator, t.enroll_video, t.test_video):
+                assert seen.setdefault(value, value) is value
+
 
 class TestCheckLabels:
     def test_generated_trials_pass(self):

@@ -1,5 +1,7 @@
 """Windowed cosine scoring: window grids, pair scores, caching and fusion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,30 @@ class TestScoreTrials:
         write_score_table(table, tmp_path / "scores.csv")
         back = read_score_table(tmp_path / "scores.csv")
         assert back.rows[0].score is None
+
+    def test_read_table_shares_repeated_strings(self, tmp_path):
+        ids, store = _setup(tmp_path)
+        trials = [FakeTrial(f"t{i}", ids[0], ids[i + 1], i % 2) for i in range(3)]
+        models = {f"m{k}": (make_params(seed=k), store) for k in (1, 2)}
+        write_score_table(score_trials(models, trials), tmp_path / "scores.csv")
+        rows = read_score_table(tmp_path / "scores.csv").rows
+        assert len(rows) == 3 * 3  # two models and fusion per trial
+        seen: dict[str, str] = {}
+        for row in rows:
+            for value in (row.trial_id, row.enroll_video, row.test_video, row.model):
+                assert seen.setdefault(value, value) is value
+
+    def test_score_row_has_no_dict(self):
+        row = ScoreRow("t1", "a", "b", 1, "m", 0.5)
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(AttributeError):
+            row.score = 0.25
+
+    def test_replace_changes_only_the_score(self):
+        row = ScoreRow("t1", "a", "b", 1, "m", 0.5)
+        changed = dataclasses.replace(row, score=0.25)
+        assert changed == ScoreRow("t1", "a", "b", 1, "m", 0.25)
+        assert changed != row and row.score == 0.5
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -353,7 +354,7 @@ def _train_one(
     graph = graph_cfg = None
     if graph_opts:
         graph = load_adjacency(spec.adjacency, num_nodes=store.dimension // 2)
-        graph_cfg = GraphEncoderConfig(**graph_opts, adjacency=str(spec.adjacency))
+        graph_cfg = GraphEncoderConfig(**graph_opts)
     emb_config = EmbedderConfig(
         input_dim=store.dimension, **opts, graph=graph_cfg, seed=config.seed
     )
@@ -500,9 +501,20 @@ def _reference_condition(job: proto.Job) -> str:
     return f"{ds}/{gen}->{ds}/{gen}"
 
 
+def _run_dir(config: RunConfig) -> Path:
+    """The run's directory: one level below output_root, named by the
+    sanitized run id. An id that would name output_root itself or its parent
+    is a config error."""
+    name = _sanitize(config.run_id)
+    if name in ("", ".", ".."):
+        raise ConfigError(f"run id {config.run_id!r} does not name a directory "
+                          f"inside output_root")
+    return config.output_root / name
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = RunConfig.from_file(args.config)
-    if args.run_id:
+    if args.run_id is not None:
         config.run_id = args.run_id
     if args.seed is not None:
         config.seed = args.seed
@@ -514,7 +526,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     split = _resolve_split(config, catalog)
     jobs = proto.experiment_matrix(config.experiments, catalog)
     specs = {m.name: m for m in config.models}
-    run_dir = config.output_root / _sanitize(config.run_id)
+    run_dir = _run_dir(config)
     train_tasks = {
         (name, job.train_dataset, job.train_generator): _checkpoint_path(
             run_dir / "models", name, job.train_dataset, job.train_generator
@@ -525,11 +537,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     ordered_keys = sorted(train_tasks)
     with ExitStack() as stack:
         stores = _open_stores(stack, [specs[name] for name in sorted({k[0] for k in train_tasks})])
+        if args.fresh:  # the inputs are good: drop every output of earlier invocations
+            for sub in ("trials", "models", "scores", "reports"):
+                if (run_dir / sub).is_dir():
+                    shutil.rmtree(run_dir / sub)
 
         write_json(run_dir / "config" / "effective.json", config.effective())
         proto.save_split(split, run_dir / "split" / "split.json")
         trials_path = run_dir / "trials" / "trials.csv"
-        if args.fresh or not _is_done(trials_path):
+        if not _is_done(trials_path):
             trials = proto.generate_trials(catalog, split, config.convention)
             proto.save_trials(trials, trials_path)
             _mark_done(trials_path)
@@ -542,7 +558,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         def run_training(key: tuple[str, str, str]) -> str | None:
             name, ds, gen = key
             out_path = train_tasks[key]
-            if not args.fresh and _is_done(out_path):
+            if _is_done(out_path):
                 return None
             try:
                 _train_one(config, specs[name], stores[name], catalog, split, ds, gen, out_path)
@@ -567,7 +583,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         def run_scoring(job: proto.Job) -> str | None:
             score_path = run_dir / "scores" / f"{_sanitize(job.job_id)}.csv"
-            if not args.fresh and _is_done(score_path):
+            if _is_done(score_path):
                 return None
             try:
                 checkpoints = {}
@@ -724,7 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="parallel training and scoring jobs (default 1)")
     p.add_argument("--fresh", action="store_true",
-                   help="ignore completion markers and recompute everything")
+                   help="delete the run's trials, models, scores and reports, "
+                        "then recompute everything")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("import-features", help="build a store from per-video CSV files")

@@ -113,7 +113,10 @@ def load_adjacency(path: str | Path, num_nodes: int | None = None) -> AdjacencyG
 class GraphEncoderConfig:
     layers: int = 1
     hidden_dim: int = 32
-    adjacency: str | None = None  # path the graph was loaded from, informational
+    # Path the graph was loaded from. Checkpoints do not record it (the edges
+    # travel in the checkpoint itself); the field stays for callers that
+    # still pass it (`perfbench/workloads.py:setup_job`).
+    adjacency: str | None = None
 
     def __post_init__(self) -> None:
         if self.layers < 1:
@@ -173,11 +176,7 @@ class EmbedderConfig:
             "graph": None,
         }
         if self.graph is not None:
-            d["graph"] = {
-                "layers": self.graph.layers,
-                "hidden_dim": self.graph.hidden_dim,
-                "adjacency": self.graph.adjacency,
-            }
+            d["graph"] = {"layers": self.graph.layers, "hidden_dim": self.graph.hidden_dim}
         return d
 
     @classmethod
@@ -185,7 +184,8 @@ class EmbedderConfig:
         graph = None
         if d.get("graph"):
             g = d["graph"]
-            graph = GraphEncoderConfig(int(g["layers"]), int(g["hidden_dim"]), g.get("adjacency"))
+            # an "adjacency" key, written by older checkpoints, is ignored
+            graph = GraphEncoderConfig(int(g["layers"]), int(g["hidden_dim"]))
         return cls(
             input_dim=int(d["input_dim"]),
             heads=int(d["heads"]),

@@ -3,15 +3,17 @@
 Each video is cut into fixed-length windows (stride = half a window,
 trailing frames dropped), every window is embedded, and a pair of videos is
 scored by the mean of the full pairwise cosine matrix between their window
-embeddings. For unit rows that mean is exactly the dot product of the two
-videos' mean unit window embeddings,
+embeddings. ``gather_windows`` is the one place windows are cut, for
+scoring and training alike. For unit rows the mean cosine is exactly the
+dot product of the two videos' mean unit window embeddings,
 
     mean_ij <u_i, v_j> = <mean_i u_i, mean_j v_j>,
 
-so each video is reduced once to one d-vector per (model, window length)
-and a whole trial list is scored per model by one row-wise dot product of
-two gathered (trials, d) matrices. Multiple models fuse by averaging their
-per-trial scores, optionally z-scored per model first.
+so ``mean_embeddings`` reduces each model to one (videos, d) matrix, every
+video embedded once, and a whole trial list is scored per model by one
+row-wise dot product of two gathered (trials, d) matrices. Multiple models
+fuse by averaging their per-trial scores, optionally z-scored per model
+first.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +45,12 @@ def window_starts(num_frames: int, window_len: int, stride: int) -> list[int]:
     return [i * stride for i in range(count)]
 
 
+def gather_windows(frames: np.ndarray, starts, window_len: int) -> np.ndarray:
+    """The windows of ``frames`` (T, D) that begin at ``starts``, as one
+    (len(starts), window_len, D) copy."""
+    return frames[np.asarray(starts, dtype=np.intp)[:, None] + np.arange(window_len)]
+
+
 def video_window_embeddings(
     params: EmbedderParams, store: FeatureStore, video_id: str
 ) -> np.ndarray | None:
@@ -57,35 +65,21 @@ def video_window_embeddings(
     starts = window_starts(frames.shape[0], window_len, window_len // 2)
     if not starts:
         return None
-    windows = np.stack([frames[s : s + window_len] for s in starts])
-    z, _ = forward_batch(params, windows)
+    z, _ = forward_batch(params, gather_windows(frames, starts, window_len))
     return z
 
 
-class EmbeddingCache:
-    """Mean unit window embedding keyed by (video_id, model_id, window_len):
-    the rows of ``video_window_embeddings`` scaled to unit length, averaged.
-    None stands for a video shorter than one window.
-
-    model_id must distinguish both the architecture and the training
-    condition of the parameters it stands for.
-    """
-
-    def __init__(self) -> None:
-        self._data: dict[tuple[str, str, int], np.ndarray | None] = {}
-        self.computes = 0
-
-    def get(
-        self, params: EmbedderParams, store: FeatureStore, video_id: str, model_id: str
-    ) -> np.ndarray | None:
-        key = (video_id, model_id, params.config.window_len)
-        if key not in self._data:
-            z = video_window_embeddings(params, store, video_id)
-            if z is not None:
-                z = (z / np.linalg.norm(z, axis=1, keepdims=True)).mean(axis=0)
-            self._data[key] = z
-            self.computes += 1
-        return self._data[key]
+def mean_embeddings(
+    params: EmbedderParams, store: FeatureStore, video_ids: Sequence[str]
+) -> np.ndarray:
+    """(len(video_ids), d): each video's window embeddings scaled to unit
+    length and averaged, with a NaN row for a video shorter than one window."""
+    means = np.full((len(video_ids), params.config.projection_dim), np.nan)
+    for i, vid in enumerate(video_ids):
+        z = video_window_embeddings(params, store, vid)
+        if z is not None:
+            means[i] = (z / np.linalg.norm(z, axis=1, keepdims=True)).mean(axis=0)
+    return means
 
 
 def _row_dots(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -106,23 +100,14 @@ class PairScore:
 
 
 def score_pair(
-    params: EmbedderParams,
-    store: FeatureStore,
-    enroll_video: str,
-    test_video: str,
-    cache: EmbeddingCache | None = None,
-    model_id: str = "model",
+    params: EmbedderParams, store: FeatureStore, enroll_video: str, test_video: str
 ) -> PairScore:
     """Mean over the full pairwise cosine matrix of the two videos' window
     embeddings. The two operands are put in a canonical order (smaller video
     id first) so the score is exactly symmetric in its arguments."""
-    cache = cache if cache is not None else EmbeddingCache()
-    m_e = cache.get(params, store, enroll_video, model_id)
-    m_t = cache.get(params, store, test_video, model_id)
-    if m_e is None or m_t is None:
-        return PairScore(enroll_video, test_video, None)
-    first, second = (m_e, m_t) if enroll_video <= test_video else (m_t, m_e)
-    return PairScore(enroll_video, test_video, float(_row_dots(first[None], second[None])[0]))
+    means = mean_embeddings(params, store, sorted((enroll_video, test_video)))
+    score = float(_row_dots(means[:1], means[1:])[0])
+    return PairScore(enroll_video, test_video, None if math.isnan(score) else score)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,7 +157,6 @@ def score_trials(
     """
     if not models:
         raise ScoringError("need at least one model")
-    cache = EmbeddingCache()
     model_ids = sorted(models)
 
     trials = list(trials)
@@ -193,12 +177,7 @@ def score_trials(
     # (models, trials); NaN marks a trial with a video shorter than one window
     scores = np.empty((len(model_ids), len(kept)))
     for row, m in enumerate(model_ids):
-        params, store = models[m]
-        means = np.full((len(videos), params.config.projection_dim), np.nan)
-        for i, vid in enumerate(videos):
-            mean = cache.get(params, store, vid, m)
-            if mean is not None:
-                means[i] = mean
+        means = mean_embeddings(*models[m], videos)
         scores[row] = _row_dots(means[first], means[second])
 
     columns = list(model_ids)

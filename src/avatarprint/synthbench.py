@@ -98,17 +98,13 @@ def make_signatures(
 
 # -- shift transforms -----------------------------------------------------------
 
-GENERATOR_SHIFT = "generator_shift"
-DATASET_SHIFT = "dataset_shift"
-
-
 @dataclass(frozen=True)
 class ShiftTransform:
     """Feature-level stand-in for rendering with a different generator or
     drawing from a different source corpus. Applied identically to every
-    identity, so it never encodes who is who."""
+    identity, so it never encodes who is who. The defaults leave frames
+    untouched."""
 
-    kind: str
     smoothing_width: int = 1  # moving-average width; 1 = untouched
     style_bias: float = 0.0  # magnitude of a fixed additive style vector
     amplitude_rescale: float = 1.0
@@ -117,8 +113,6 @@ class ShiftTransform:
     style_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in (GENERATOR_SHIFT, DATASET_SHIFT):
-            raise SynthError(f"unknown shift kind {self.kind!r}")
         if self.smoothing_width < 1:
             raise SynthError("smoothing_width must be >= 1")
         if self.noise_sigma < 0 or self.amplitude_rescale <= 0:
@@ -134,13 +128,8 @@ class ShiftTransform:
         return np.random.default_rng(self.style_seed).standard_normal(dim) * self.style_bias
 
 
-def identity_transform() -> ShiftTransform:
-    return ShiftTransform(kind=GENERATOR_SHIFT)
-
-
 def default_generator_shift(style_seed: int = 101) -> ShiftTransform:
     return ShiftTransform(
-        kind=GENERATOR_SHIFT,
         smoothing_width=7,
         style_bias=0.5,
         noise_sigma=0.05,
@@ -150,7 +139,6 @@ def default_generator_shift(style_seed: int = 101) -> ShiftTransform:
 
 def default_dataset_shift() -> ShiftTransform:
     return ShiftTransform(
-        kind=DATASET_SHIFT,
         amplitude_rescale=0.6,
         frame_range=(95, 120),
         noise_sigma=0.05,
@@ -280,10 +268,9 @@ def synth_corpus(
         generator_transforms = {}
         for idx, gen in enumerate(generators):
             if idx == 0:
-                generator_transforms[gen] = identity_transform()
+                generator_transforms[gen] = ShiftTransform()
             else:
                 generator_transforms[gen] = ShiftTransform(
-                    kind=GENERATOR_SHIFT,
                     smoothing_width=1 + 2 * idx,
                     style_bias=0.2 * idx,
                     style_seed=100 + idx,

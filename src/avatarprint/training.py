@@ -1,10 +1,13 @@
 """Triplet training of the window embedder.
 
-Windows are labeled by the driver identity of their source video; batches
-sample a few identities with several windows each, mine triplets within the
-batch (anchor and positive share a driver, the negative does not), and update
-all parameters with Adam on analytically computed gradients. Everything is
-deterministic given the model seed.
+Training keeps one normalized frame matrix of the development videos and a
+start index per half-stride window into it; each batch is cut from it with
+``scoring.gather_windows``, the same gather that scoring uses, so no tensor
+of all windows is ever formed. Windows are labeled by the driver identity of
+their source video; batches sample a few identities with several windows
+each, mine triplets within the batch (anchor and positive share a driver,
+the negative does not), and update all parameters with Adam on analytically
+computed gradients. Everything is deterministic given the model seed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .embedder import (
     init_params,
 )
 from .feature_store import FeatureStore, NormalizationParams, normalize
-from .scoring import window_starts
+from .scoring import gather_windows, window_starts
 
 
 class TrainingError(ValueError):
@@ -140,10 +143,11 @@ def _collect_windows(
     development_ids: set[str],
     config: EmbedderConfig,
     normalization: NormalizationParams,
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Materialize every training window.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """Every training window, as a start into one frame matrix.
 
-    Returns (windows (N, F, D), label indices (N,), label names). Videos
+    Returns (normalized frames (T, D) of the videos in id order, start of
+    each window in them (N,), label indices (N,), label names). Videos
     shorter than one window are skipped.
     """
     videos = [
@@ -159,15 +163,21 @@ def _collect_windows(
             f"{len(missing)} development videos lack stored features, "
             f"e.g. {missing[:3]}"
         )
-    windows: list[np.ndarray] = []
+    chunks: list[np.ndarray] = []
+    starts: list[int] = []
     labels: list[str] = []
+    offset = 0
     stride = config.window_len // 2
     for video in sorted(videos, key=lambda v: v.video_id):
         frames = normalization.apply(store.get(video.video_id).frames)
-        for start in window_starts(frames.shape[0], config.window_len, stride):
-            windows.append(frames[start : start + config.window_len])
-            labels.append(video.driver)
-    if not windows:
+        video_starts = window_starts(frames.shape[0], config.window_len, stride)
+        if not video_starts:
+            continue
+        chunks.append(frames)
+        starts.extend(offset + s for s in video_starts)
+        labels.extend([video.driver] * len(video_starts))
+        offset += frames.shape[0]
+    if not starts:
         raise TrainingError("every development video is shorter than one window")
     names = sorted(set(labels))
     if len(names) < 2:
@@ -175,7 +185,8 @@ def _collect_windows(
             f"triplets need >= 2 driver identities with windows, got {len(names)}"
         )
     index = {name: i for i, name in enumerate(names)}
-    return np.stack(windows), np.array([index[l] for l in labels]), names
+    return (np.concatenate(chunks), np.array(starts, dtype=np.intp),
+            np.array([index[l] for l in labels]), names)
 
 
 def _squared_distances(z: np.ndarray) -> np.ndarray:
@@ -244,34 +255,26 @@ def _batch_loss_grad(
     return loss, grad, float(active.mean())
 
 
-def _make_probe(
-    windows: np.ndarray,
-    labels: np.ndarray,
-    size: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    anchors, positives, negatives = [], [], []
+def _make_probe(labels: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Window indices of ``size`` probe triplets: row 0 holds the anchors,
+    row 1 the positives and row 2 the negatives."""
+    triplets = np.empty((3, size), dtype=np.intp)
     present = np.unique(labels)
-    for _ in range(size):
+    for i in range(size):
         label = rng.choice(present)
         own = np.flatnonzero(labels == label)
         other = np.flatnonzero(labels != label)
         a = rng.choice(own)
         p = rng.choice(own[own != a]) if own.size > 1 else a
-        negatives.append(windows[rng.choice(other)])
-        anchors.append(windows[a])
-        positives.append(windows[p])
-    return np.stack(anchors), np.stack(positives), np.stack(negatives)
+        triplets[:, i] = a, p, rng.choice(other)
+    return triplets
 
 
-def probe_loss(
-    params: EmbedderParams,
-    probe: tuple[np.ndarray, np.ndarray, np.ndarray],
-    margin: float,
-) -> float:
-    anchors, positives, negatives = probe
-    n = anchors.shape[0]
-    z, _ = forward_batch(params, np.concatenate([anchors, positives, negatives]))
+def probe_loss(params: EmbedderParams, probe: np.ndarray, margin: float) -> float:
+    """Mean triplet loss of ``probe``: the anchor, positive and negative
+    windows of its triplets, stacked in that order."""
+    n = probe.shape[0] // 3
+    z, _ = forward_batch(params, probe)
     za, zp, zn = z[:n], z[n : 2 * n], z[2 * n :]
     terms = np.sum((za - zp) ** 2, axis=1) - np.sum((za - zn) ** 2, axis=1) + margin
     return float(np.maximum(terms, 0.0).mean())
@@ -304,24 +307,26 @@ def train(
             raise TrainingError("no development videos to fit normalization on")
         normalization = normalize(store, [v for v in dev_videos if v in store])
 
-    windows, labels, names = _collect_windows(store, catalog, dev_ids, config, normalization)
+    frames, starts, labels, names = _collect_windows(store, catalog, dev_ids, config, normalization)
+    window_len = config.window_len
 
     per_step_ids = hyper.batch // hyper.windows_per_identity
     k = hyper.windows_per_identity
-    steps_per_epoch = max(1, int(round(windows.shape[0] / hyper.batch)))
+    steps_per_epoch = max(1, int(round(starts.size / hyper.batch)))
 
     # init_params consumes config.seed itself; batch sampling and the probe
     # get independent child streams of the same seed
     sample_seq, probe_seq = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(sample_seq)
-    probe = _make_probe(windows, labels, hyper.batch, np.random.default_rng(probe_seq))
+    triplets = _make_probe(labels, hyper.batch, np.random.default_rng(probe_seq))
+    probe = gather_windows(frames, starts[triplets.ravel()], window_len)
 
     params = init_params(config, normalization, graph)
     adam = Adam(params.size, hyper.lr)
 
     log = TrainingLog(
         steps_per_epoch=steps_per_epoch,
-        num_windows=int(windows.shape[0]),
+        num_windows=int(starts.size),
         num_identities=len(names),
         initial_probe_loss=probe_loss(params, probe, hyper.margin),
     )
@@ -345,7 +350,8 @@ def train(
             idx = np.concatenate(idx_chunks)
             try:
                 loss, grad, frac = _batch_loss_grad(
-                    params, windows[idx], labels[idx], hyper.margin, hyper.mining, rng
+                    params, gather_windows(frames, starts[idx], window_len), labels[idx],
+                    hyper.margin, hyper.mining, rng,
                 )
             except NonFiniteError as exc:
                 log.diverged = True

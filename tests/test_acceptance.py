@@ -27,7 +27,6 @@ from avatarprint.evaluation import (
 )
 from avatarprint.protocol import INCLUDE_IDENTICAL, generate_trials, trial_counts
 from avatarprint.scoring import (
-    EmbeddingCache,
     ScoreRow,
     score_pair,
     score_trials,
@@ -228,12 +227,11 @@ def test_4_pair_scoring(tmp_path):
         video_ids = [f"v{i:03d}" for i in range(40)]
         big = random_store(tmp_path / "sym.avfs", video_ids, 6,
                            np.random.default_rng(7), frames=(8, 40))
-        cache = EmbeddingCache()
         picker = np.random.default_rng(13)
         for _ in range(1000):
             a, b = (str(v) for v in picker.choice(video_ids, 2))
-            one_way = score_pair(params, big, a, b, cache).score
-            other_way = score_pair(params, big, b, a, cache).score
+            one_way = score_pair(params, big, a, b).score
+            other_way = score_pair(params, big, b, a).score
             assert one_way == other_way
             assert -1.0 - 1e-12 <= one_way <= 1.0 + 1e-12
 

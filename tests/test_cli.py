@@ -297,6 +297,72 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--fresh"]) == EXIT_OK
         assert score_file.read_bytes() == first  # determinism, not staleness
 
+    def test_fresh_removes_outputs_of_dropped_jobs(self, corpus_small, tmp_path):
+        cfg = write_config(tmp_path / "config.json", corpus_small,
+                           experiments=[INTRA_GAGA, CROSS_TO_LIVE])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        run_dir = tmp_path / "runs" / "testrun"
+        assert [p for p in run_dir.rglob("*") if "LIVE" in p.name]
+        write_config(cfg, corpus_small, experiments=[INTRA_GAGA])
+        assert main(["run", "--config", str(cfg), "--fresh"]) == EXIT_OK
+        assert not [p for p in run_dir.rglob("*") if "LIVE" in p.name]
+        # what is left is exactly what a first run of the smaller config writes
+        assert main(["run", "--config", str(cfg), "--run-id", "clean"]) == EXIT_OK
+        left, clean = tree_bytes(run_dir), tree_bytes(tmp_path / "runs" / "clean")
+        assert left.keys() == clean.keys()
+        for p in clean.keys() - {Path("config", "effective.json")}:
+            assert left[p] == clean[p], p
+
+    def test_fresh_with_bad_inputs_keeps_the_outputs(self, corpus_small, tmp_path):
+        cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        before = tree_bytes(tmp_path / "runs" / "testrun")
+        payload = json.loads(cfg.read_text())
+        payload["models"][0]["store"] = str(tmp_path / "missing.avfs")
+        cfg.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg), "--fresh"]) == EXIT_USAGE
+        assert tree_bytes(tmp_path / "runs" / "testrun") == before
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("run_id", ["..", ".", ""], ids=["parent", "root", "empty"])
+    def test_run_id_must_stay_inside_output_root(self, corpus_small, tmp_path, capsys,
+                                                 route, run_id):
+        work = tmp_path / "work"
+        work.mkdir()
+        cfg = write_config(work / "config.json", corpus_small, experiments=[INTRA_GAGA])
+        argv = ["run", "--config", str(cfg)]
+        if route == "flag":
+            argv += ["--run-id", run_id]
+        else:
+            payload = json.loads(cfg.read_text())
+            payload["run_id"] = run_id
+            cfg.write_text(json.dumps(payload))
+        assert main(argv) == EXIT_USAGE
+        assert "run id" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "work"]
+
+    def test_graph_checkpoints_do_not_depend_on_the_run_directory(self, corpus_small,
+                                                                   tmp_path):
+        graph_model = {
+            "name": "g",
+            "store": str(corpus_small.store_path),
+            "embedder": {"heads": 2, "attention_dim": 8, "projection_dim": 6,
+                         "window_len": 16, "graph": {"layers": 1, "hidden_dim": 8}},
+            "hyper": {"epochs": 1, "batch": 16, "windows_per_identity": 4},
+            "adjacency": "chain.csv",  # relative to the config's directory
+        }
+        for where in ("a", "b"):
+            (tmp_path / where).mkdir()
+            (tmp_path / where / "chain.csv").write_text(
+                "".join(f"{i},{i + 1}\n" for i in range(5)), encoding="utf-8")
+            cfg = write_config(tmp_path / where / "config.json", corpus_small,
+                               experiments=[INTRA_GAGA], extra_models=[graph_model])
+            assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        first, second = (tmp_path / w / "runs" / "testrun" for w in ("a", "b"))
+        assert list((first / "models").glob("g_*.avck"))
+        for sub in ("models", "scores", "reports"):
+            assert tree_bytes(first / sub) == tree_bytes(second / sub), sub
+
     def test_failing_model_isolated(self, corpus_small, tmp_path):
         broken = {
             "name": "broken",

@@ -1,5 +1,7 @@
 """Embedder forward pass, graph encoder, parameters and checkpointing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,18 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.normalization.std, norm.std)
         assert back.normalization.floored_dims == (1,)
         assert back.normalization.n_frames == 321
+
+    def test_adjacency_path_is_not_recorded(self, tmp_path):
+        cfg, graph = graph_setup(seed=4)
+        with_path = replace(cfg, graph=replace(cfg.graph, adjacency="/elsewhere/edges.csv"))
+        assert "adjacency" not in with_path.to_dict()["graph"]
+        save_checkpoint(init_params(cfg, graph=graph), tmp_path / "a.avck")
+        save_checkpoint(init_params(with_path, graph=graph), tmp_path / "b.avck")
+        assert (tmp_path / "a.avck").read_bytes() == (tmp_path / "b.avck").read_bytes()
+        # a config written with the path, as older checkpoints hold it, still loads
+        old = cfg.to_dict()
+        old["graph"]["adjacency"] = "/elsewhere/edges.csv"
+        assert EmbedderConfig.from_dict(old) == cfg
 
     def test_plain_model_round_trip(self, tmp_path):
         params = init_params(small_config(seed=11))

@@ -1,17 +1,20 @@
-"""Windowed cosine scoring: window grids, pair scores, caching and fusion."""
+"""Windowed cosine scoring: window grids, pair scores, mean embeddings and fusion."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from avatarprint import scoring
 from avatarprint.embedder import EmbedderConfig, EmbedderError, forward, init_params
 from avatarprint.feature_store import NormalizationParams
 from avatarprint.scoring import (
     FUSION_MODEL,
-    EmbeddingCache,
     ScoreRow,
     ScoringError,
+    gather_windows,
+    mean_embeddings,
     read_score_table,
     score_pair,
     score_trials,
@@ -70,6 +73,19 @@ class TestWindows:
         with pytest.raises(ScoringError):
             window_starts(10, 4, 0)
 
+    def test_gather_equals_slicing_at_window_starts(self):
+        rng = np.random.default_rng(13)
+        for window in (2, 4, 8, 16):
+            for frames in range(1, 3 * window + 2):
+                x = rng.normal(size=(frames, 3))
+                starts = window_starts(frames, window, window // 2)
+                got = gather_windows(x, starts, window)
+                assert got.shape == (len(starts), window, 3)
+                assert got.flags.c_contiguous
+                if starts:
+                    want = np.stack([x[s : s + window] for s in starts])
+                    np.testing.assert_array_equal(got, want)
+
 
 class TestPairScore:
     def test_matches_double_loop_reference(self, tmp_path):
@@ -102,10 +118,9 @@ class TestPairScore:
         ids = [f"v{i}" for i in range(10)]
         store = random_store(tmp_path / "f.avfs", ids, 6, rng, frames=(8, 60))
         params = make_params()
-        cache = EmbeddingCache()
         for _ in range(60):
             a, b = rng.choice(ids, size=2)
-            s = score_pair(params, store, str(a), str(b), cache).score
+            s = score_pair(params, store, str(a), str(b)).score
             assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
     def test_normalization_travels_with_params(self, tmp_path):
@@ -117,26 +132,6 @@ class TestPairScore:
         plain = score_pair(make_params(), store, "a", "b").score
         shifted = score_pair(make_params(normalization=norm), store, "a", "b").score
         assert plain != shifted
-
-    def test_cache_avoids_recomputation(self, tmp_path):
-        rng = np.random.default_rng(4)
-        ids = [f"v{i}" for i in range(6)]
-        store = random_store(tmp_path / "f.avfs", ids, 6, rng)
-        params = make_params()
-        cache = EmbeddingCache()
-        for a in ids:
-            for b in ids:
-                score_pair(params, store, a, b, cache, model_id="m")
-        assert cache.computes == len(ids)
-
-    def test_cache_keys_on_model_id(self, tmp_path):
-        rng = np.random.default_rng(5)
-        store = random_store(tmp_path / "f.avfs", ["a", "b"], 6, rng)
-        cache = EmbeddingCache()
-        s1 = score_pair(make_params(seed=1), store, "a", "b", cache, model_id="m1").score
-        s2 = score_pair(make_params(seed=2), store, "a", "b", cache, model_id="m2").score
-        assert cache.computes == 4
-        assert s1 != s2
 
 
 def _setup(tmp_path, n=5):
@@ -208,6 +203,47 @@ class TestScoreTrials:
             params, _ = models[row.model]
             for a, b in ((row.enroll_video, row.test_video), (row.test_video, row.enroll_video)):
                 assert score_pair(params, store, a, b).score == row.score
+
+    def test_each_video_embedded_once_per_model(self, tmp_path, monkeypatch):
+        ids, store = _setup(tmp_path, n=6)
+        pairs = itertools.product(ids[:5], repeat=2)
+        trials = [FakeTrial(f"t{i}", a, b, 0) for i, (a, b) in enumerate(pairs)]
+        calls = []
+        real = scoring.video_window_embeddings
+
+        def counting(params, store, video_id):
+            calls.append((params.config.seed, video_id))
+            return real(params, store, video_id)
+
+        monkeypatch.setattr(scoring, "video_window_embeddings", counting)
+        models = {f"m{k}": (make_params(seed=k), store) for k in (1, 2)}
+        score_trials(models, trials)
+        # ids[5] is in no trial, so it is never embedded
+        assert sorted(calls) == [(k, v) for k in (1, 2) for v in ids[:5]]
+
+    def test_models_on_one_store_do_not_share_means(self, tmp_path):
+        ids, store = _setup(tmp_path)
+        trials = [FakeTrial(f"t{i}", ids[i], ids[i + 1], i % 2) for i in range(4)]
+        models = {f"m{k}": (make_params(seed=k), store) for k in (1, 2)}
+        both = score_trials(models, trials)
+        for name in models:
+            alone = score_trials({name: models[name]}, trials)
+            assert [r for r in both.rows if r.model == name] == alone.rows
+        by_model = {m: [r.score for r in both.rows if r.model == m] for m in models}
+        assert by_model["m1"] != by_model["m2"]
+        assert not np.array_equal(mean_embeddings(*models["m1"], ids),
+                                  mean_embeddings(*models["m2"], ids))
+
+    def test_short_video_has_a_nan_mean(self, tmp_path):
+        ids = [f"v{i}" for i in range(12)]
+        store = random_store(tmp_path / "f.avfs", ids, 6, np.random.default_rng(10),
+                             frames=(5, 12))
+        means = mean_embeddings(make_params(window_len=8), store, ids)
+        assert means.shape == (12, 4)
+        short = [store.get(v).num_frames < 8 for v in ids]
+        assert 0 < sum(short) < len(ids)
+        for row, too_short in zip(means, short):
+            assert np.isnan(row).all() if too_short else np.isfinite(row).all()
 
     def test_single_model_has_no_fusion_row(self, tmp_path):
         ids, store = _setup(tmp_path)

@@ -5,8 +5,6 @@ import pytest
 
 from avatarprint.catalog import Dataset, Generator
 from avatarprint.synthbench import (
-    DATASET_SHIFT,
-    GENERATOR_SHIFT,
     MIN_SIGNATURE_DISTANCE,
     ShiftTransform,
     SynthError,
@@ -14,7 +12,6 @@ from avatarprint.synthbench import (
     apply_shift,
     default_dataset_shift,
     default_generator_shift,
-    identity_transform,
     make_signatures,
     shift_frames,
     synth_corpus,
@@ -50,54 +47,45 @@ class TestSignatures:
 
 class TestShiftTransform:
     def test_validation(self):
-        with pytest.raises(SynthError, match="kind"):
-            ShiftTransform(kind="other")
         with pytest.raises(SynthError, match="smoothing"):
-            ShiftTransform(kind=GENERATOR_SHIFT, smoothing_width=0)
+            ShiftTransform(smoothing_width=0)
         with pytest.raises(SynthError, match="noise_sigma"):
-            ShiftTransform(kind=GENERATOR_SHIFT, noise_sigma=-1.0)
+            ShiftTransform(noise_sigma=-1.0)
         with pytest.raises(SynthError, match="frame_range"):
-            ShiftTransform(kind=DATASET_SHIFT, frame_range=(1, 50))
+            ShiftTransform(frame_range=(1, 50))
 
     def test_identity_transform_is_an_exact_no_op(self):
         rng = np.random.default_rng(5)
         frames = rng.normal(size=(30, 4))
-        out = shift_frames(frames, identity_transform(), rng)
+        out = shift_frames(frames, ShiftTransform(), rng)
         np.testing.assert_array_equal(out, frames)
 
     def test_smoothing_damps_frame_to_frame_motion(self):
         rng = np.random.default_rng(6)
         frames = rng.normal(size=(200, 3))
-        smooth = ShiftTransform(kind=GENERATOR_SHIFT, smoothing_width=7)
+        smooth = ShiftTransform(smoothing_width=7)
         out = shift_frames(frames, smooth, rng)
         assert out.shape == frames.shape
         assert np.diff(out, axis=0).std() < 0.5 * np.diff(frames, axis=0).std()
 
     def test_style_vector_depends_only_on_its_seed(self):
-        a = ShiftTransform(kind=GENERATOR_SHIFT, style_bias=0.5, style_seed=3)
-        b = ShiftTransform(kind=GENERATOR_SHIFT, style_bias=0.5, style_seed=3,
-                           smoothing_width=9)
-        c = ShiftTransform(kind=GENERATOR_SHIFT, style_bias=0.5, style_seed=4)
+        a = ShiftTransform(style_bias=0.5, style_seed=3)
+        b = ShiftTransform(style_bias=0.5, style_seed=3, smoothing_width=9)
+        c = ShiftTransform(style_bias=0.5, style_seed=4)
         np.testing.assert_array_equal(a.style_vector(6), b.style_vector(6))
         assert not np.array_equal(a.style_vector(6), c.style_vector(6))
-        np.testing.assert_array_equal(
-            ShiftTransform(kind=GENERATOR_SHIFT).style_vector(4), np.zeros(4)
-        )
+        np.testing.assert_array_equal(ShiftTransform().style_vector(4), np.zeros(4))
 
     def test_amplitude_rescale(self):
         rng = np.random.default_rng(7)
         frames = rng.normal(size=(50, 3))
-        out = shift_frames(
-            frames, ShiftTransform(kind=DATASET_SHIFT, amplitude_rescale=0.6), rng
-        )
+        out = shift_frames(frames, ShiftTransform(amplitude_rescale=0.6), rng)
         np.testing.assert_allclose(out, 0.6 * frames, rtol=1e-12)
 
     def test_frame_range_redraws_lengths(self):
         rng = np.random.default_rng(8)
         frames = rng.normal(size=(40, 3))
-        out = shift_frames(
-            frames, ShiftTransform(kind=DATASET_SHIFT, frame_range=(95, 120)), rng
-        )
+        out = shift_frames(frames, ShiftTransform(frame_range=(95, 120)), rng)
         assert 95 <= out.shape[0] <= 120
         # resampling interpolates, so endpoints survive exactly
         np.testing.assert_allclose(out[0], frames[0], atol=1e-12)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from avatarprint.embedder import EmbedderConfig
-from avatarprint.feature_store import NormalizationParams
+from avatarprint.feature_store import NormalizationParams, normalize
+from avatarprint.scoring import gather_windows, window_starts
 from avatarprint.training import (
     Adam,
     NoValidTripletError,
@@ -12,6 +13,8 @@ from avatarprint.training import (
     TrainingDiverged,
     TrainingError,
     TrainingLog,
+    _collect_windows,
+    _make_probe,
     _mine,
     train,
 )
@@ -113,6 +116,63 @@ class TestMine:
         rng = np.random.default_rng(3)
         pairs = {tuple(x) for _ in range(200) for x in zip(*_mine(d2, labels, "random", rng))}
         assert {(p, q) for p, q in pairs if p in (1, 2)} == {(p, q) for p in (1, 2) for q in (3, 4, 5)}
+
+
+def stacked_windows(store, catalog, dev_ids, window_len, normalization):
+    """Every training window as one stacked (N, F, D) tensor with its driver:
+    the per-video slicing that a frame matrix and window starts replace."""
+    windows, drivers = [], []
+    videos = [v for v in catalog.videos() if v.driver in dev_ids and v.target in dev_ids]
+    for video in sorted(videos, key=lambda v: v.video_id):
+        frames = normalization.apply(store.get(video.video_id).frames)
+        for start in window_starts(frames.shape[0], window_len, window_len // 2):
+            windows.append(frames[start : start + window_len])
+            drivers.append(video.driver)
+    return np.stack(windows), drivers
+
+
+class TestCollectWindows:
+    def _setup(self, tmp_path):
+        catalog = tiny_catalog(n_ids=4, clips=3, cross_per_driver=2)
+        vids = [v.video_id for v in catalog.videos()]
+        # 10-40 frames against 16-frame windows: some videos hold none
+        store = random_store(tmp_path / "f.avfs", vids, 12, np.random.default_rng(4),
+                             frames=(10, 40))
+        dev = {"id00", "id01", "id02", "id03"}
+        return store, catalog, dev, normalize(store, vids)
+
+    def test_frames_and_starts_reproduce_stacked_slices(self, tmp_path):
+        store, catalog, dev, norm = self._setup(tmp_path)
+        assert any(store.get(v).num_frames < 16 for v in store.ids())
+        frames, starts, labels, names = _collect_windows(store, catalog, dev, small_config(), norm)
+        want, drivers = stacked_windows(store, catalog, dev, 16, norm)
+        got = gather_windows(frames, starts, 16)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+        assert [names[i] for i in labels] == drivers
+
+    def test_probe_indices_draw_the_old_probe(self, tmp_path):
+        store, catalog, dev, norm = self._setup(tmp_path)
+        frames, starts, labels, _ = _collect_windows(store, catalog, dev, small_config(), norm)
+        windows = gather_windows(frames, starts, 16)
+        # the probe as drawn from materialized windows, same calls on the rng
+        rng = np.random.default_rng(21)
+        want = [[], [], []]
+        present = np.unique(labels)
+        for _ in range(32):
+            label = rng.choice(present)
+            own = np.flatnonzero(labels == label)
+            other = np.flatnonzero(labels != label)
+            a = rng.choice(own)
+            p = rng.choice(own[own != a]) if own.size > 1 else a
+            want[2].append(windows[rng.choice(other)])
+            want[0].append(windows[a])
+            want[1].append(windows[p])
+        triplets = _make_probe(labels, 32, np.random.default_rng(21))
+        np.testing.assert_array_equal(
+            gather_windows(frames, starts[triplets.ravel()], 16),
+            np.concatenate([np.stack(w) for w in want]),
+        )
 
 
 class TestTrain:

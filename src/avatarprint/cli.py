@@ -3,8 +3,11 @@
 Subcommands cover manifest validation, synthetic corpus generation, trial
 list generation, training, scoring, evaluation, fairness breakdowns, and a
 config-driven end-to-end experiment runner. Every command is deterministic
-given its config and seed; the runner writes per-stage completion markers so
-an interrupted run resumes without recomputing finished work.
+given its config and seed. The runner trains one checkpoint per (model,
+training condition), then runs each job as one task that scores, evaluates
+and reports it, so a failing job fails alone. It reuses or makes every
+artifact by one rule, ``_reuse_or_make``, so an interrupted run resumes
+without recomputing finished work.
 
 Exit codes: 0 success, 1 validation or job failure, 2 usage/configuration or
 I/O error.
@@ -21,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import catalog as cat
 from . import evaluation as ev
@@ -51,6 +54,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+T = TypeVar("T")
+
 
 class ConfigError(ValueError):
     pass
@@ -72,6 +77,9 @@ EMBEDDER_KEYS = _field_names(EmbedderConfig, "input_dim", "seed")  # the store a
 GRAPH_KEYS = _field_names(GraphEncoderConfig, "adjacency")  # the model's adjacency path
 HYPER_KEYS = _field_names(TrainHyper)
 EXPERIMENT_KEYS = _field_names(proto.ExperimentSpec)
+CONFIG_KEYS = frozenset({"seed", "run_id", "output_root", "identities", "videos", "split",
+                         "eval_fraction", "convention", "models", "fusion", "experiments"})
+FUSION_KEYS = frozenset({"enabled", "zscore"})
 
 
 def _check_keys(block: object, where: str, allowed: Iterable[str],
@@ -86,6 +94,15 @@ def _check_keys(block: object, where: str, allowed: Iterable[str],
     if missing:
         raise ConfigError(f"{where}: missing key {', '.join(map(repr, missing))}")
     return block
+
+
+def _checked(block: Mapping, where: str, key: str, default, valid: Callable[[object], bool],
+             expected: str):
+    """``block[key]``, or ``default`` when it is unset, once ``valid`` accepts it."""
+    value = block.get(key, default)
+    if not valid(value):
+        raise ConfigError(f"{where}: {key!r} must be {expected}, got {value!r}")
+    return value
 
 
 def _build(make: Callable, where: str, /, *args, **kwargs):
@@ -130,11 +147,10 @@ class RunConfig:
         def resolve(p: str | None) -> Path | None:
             return None if p is None else (base / p).resolve()
 
-        for key in ("seed", "identities", "videos", "models"):
-            if key not in raw:
-                raise ConfigError(f"config is missing required key {key!r}")
+        _check_keys(raw, "config", CONFIG_KEYS, required=("seed", "identities", "videos", "models"))
+        is_list = lambda v: type(v) is list
         models = []
-        for i, m in enumerate(raw["models"]):
+        for i, m in enumerate(_checked(raw, "config", "models", None, is_list, "a list")):
             where = f"models[{i}]"
             _check_keys(m, where, MODEL_KEYS, required=("name", "store"))
             embedder = _check_keys(m.get("embedder", {}), f"{where}.embedder", EMBEDDER_KEYS)
@@ -157,26 +173,31 @@ class RunConfig:
         if len(set(names)) != len(names):
             raise ConfigError("model names must be unique")
         experiments = []
-        for i, e in enumerate(raw.get("experiments", [])):
+        for i, e in enumerate(_checked(raw, "config", "experiments", [], is_list, "a list")):
             where = f"experiments[{i}]"
             _check_keys(e, where, EXPERIMENT_KEYS, required=EXPERIMENT_KEYS - {"models"})
             unknown = [name for name in e.get("models", ()) if name not in names]
             if unknown:
                 raise ConfigError(f"{where} references unknown model {unknown[0]!r}")
             experiments.append(_build(proto.ExperimentSpec.from_dict, where, e))
-        fusion = raw.get("fusion", {})
+        fusion = _check_keys(raw.get("fusion", {}), "fusion", FUSION_KEYS)
         return cls(
-            seed=int(raw["seed"]),
+            seed=_checked(raw, "config", "seed", None, lambda v: type(v) is int, "an integer"),
             run_id=str(raw.get("run_id", "run")),
             output_root=resolve(raw.get("output_root", "runs")),
             identities=resolve(raw["identities"]),
             videos=resolve(raw["videos"]),
             split=resolve(raw.get("split")),
-            eval_fraction=float(raw.get("eval_fraction", 0.3)),
-            convention=raw.get("convention", proto.EXCLUDE_IDENTICAL),
+            eval_fraction=_checked(raw, "config", "eval_fraction", 0.3,
+                                   lambda v: type(v) is float and 0 < v < 1,
+                                   "a number between 0 and 1, exclusive"),
+            convention=_checked(raw, "config", "convention", proto.EXCLUDE_IDENTICAL,
+                                lambda v: v in proto.CONVENTIONS, f"one of {proto.CONVENTIONS}"),
             models=models,
-            fusion_enabled=bool(fusion.get("enabled", True)),
-            fusion_zscore=bool(fusion.get("zscore", False)),
+            fusion_enabled=_checked(fusion, "fusion", "enabled", True, lambda v: type(v) is bool,
+                                    "true or false"),
+            fusion_zscore=_checked(fusion, "fusion", "zscore", False, lambda v: type(v) is bool,
+                                   "true or false"),
             experiments=experiments,
         )
 
@@ -208,16 +229,15 @@ class RunConfig:
 # -- helpers -------------------------------------------------------------------
 
 
-def _done_path(path: Path) -> Path:
-    return path.with_name(path.name + ".done")
-
-
-def _is_done(path: Path) -> bool:
-    return path.exists() and _done_path(path).exists()
-
-
-def _mark_done(path: Path) -> None:
-    write_text(_done_path(path), "done\n")
+def _reuse_or_make(path: Path, make: Callable[[Path], T], load: Callable[[Path], T]) -> T:
+    """``load(path)`` when ``path`` and its ``.done`` marker exist; otherwise
+    ``make(path)``, which writes the artifact, and then the marker."""
+    done = path.with_name(path.name + ".done")
+    if path.exists() and done.exists():
+        return load(path)
+    made = make(path)
+    write_text(done, "done\n")
+    return made
 
 
 def _positive_int(text: str) -> int:
@@ -369,9 +389,13 @@ def _score_job(
     stores: Mapping[str, FeatureStore],
     trials: Sequence[proto.Trial],
     out_path: str | Path,
+    condition: str,
 ) -> sc.ScoreTable:
-    """Score ``trials`` with each named model's checkpoint and write the table."""
+    """Score ``trials``, those of ``condition``, with each named model's
+    checkpoint and write the table. No trials is an error, and writes nothing."""
     models = {name: (load_checkpoint(ckpt), stores[name]) for name, ckpt in checkpoints.items()}
+    if not trials:
+        raise proto.ProtocolError(f"no trials for {condition}")
     table = sc.score_trials(
         models, trials, include_fusion=config.fusion_enabled, zscore_fusion=config.fusion_zscore
     )
@@ -416,7 +440,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         checkpoints[name] = ckpt
     with ExitStack() as stack:
         stores = _open_stores(stack, [specs[name] for name in checkpoints])
-        table = _score_job(config, checkpoints, stores, trials, args.out)
+        table = _score_job(config, checkpoints, stores, trials, args.out,
+                           f"{args.eval_dataset or '*'}/{args.eval_generator or '*'}")
     if table.missing_videos:
         print(f"missing features for {len(table.missing_videos)} videos", file=sys.stderr)
     if table.unscorable_trials:
@@ -544,25 +569,26 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         write_json(run_dir / "config" / "effective.json", config.effective())
         proto.save_split(split, run_dir / "split" / "split.json")
-        trials_path = run_dir / "trials" / "trials.csv"
-        if not _is_done(trials_path):
-            trials = proto.generate_trials(catalog, split, config.convention)
-            proto.save_trials(trials, trials_path)
-            _mark_done(trials_path)
-        else:
-            trials = proto.load_trials(trials_path)
-        print(f"{len(trials):,d} trials")
-        failures: list[str] = []
 
-        # phase 1: one checkpoint per (model, training condition)
+        def make_trials(path: Path) -> list[proto.Trial]:
+            trials = proto.generate_trials(catalog, split, config.convention)
+            proto.save_trials(trials, path)
+            return trials
+
+        trials = _reuse_or_make(run_dir / "trials" / "trials.csv", make_trials, proto.load_trials)
+        print(f"{len(trials):,d} trials")
+
+        # one checkpoint per (model, training condition)
         def run_training(key: tuple[str, str, str]) -> str | None:
             name, ds, gen = key
             out_path = train_tasks[key]
-            if _is_done(out_path):
-                return None
             try:
-                _train_one(config, specs[name], stores[name], catalog, split, ds, gen, out_path)
-                _mark_done(out_path)
+                _reuse_or_make(
+                    out_path,
+                    lambda path: _train_one(config, specs[name], stores[name], catalog, split,
+                                            ds, gen, path),
+                    lambda path: None,
+                )
                 return None
             except TrainingDiverged as exc:
                 save_checkpoint(exc.params, out_path.with_suffix(".diverged.avck"))
@@ -570,88 +596,72 @@ def cmd_run(args: argparse.Namespace) -> int:
             except Exception as exc:  # job isolation: one failure must not sink the run
                 return f"train {name} on {ds}/{gen}: {exc}"
 
-        results = _map(run_training, ordered_keys, args.workers)
-        failures.extend(r for r in results if r)
+        train_failures = dict(zip(ordered_keys, _map(run_training, ordered_keys, args.workers)))
         print(f"{len(train_tasks)} training conditions done")
-        failed_train = {k for k, r in zip(ordered_keys, results) if r}
 
-        # phase 2: score each job with its training condition's checkpoints;
-        # one pass groups the trials by (dataset, generator), in trial order
+        # one task per job: score it (or read its table back), evaluate it and
+        # write its reports; one pass groups the trials by (dataset, generator)
         condition_trials: dict[tuple[str, str], list[proto.Trial]] = {}
         for t in trials:
             condition_trials.setdefault((t.dataset, t.generator), []).append(t)
+        reports_dir = run_dir / "reports"
 
-        def run_scoring(job: proto.Job) -> str | None:
-            score_path = run_dir / "scores" / f"{_sanitize(job.job_id)}.csv"
-            if _is_done(score_path):
-                return None
+        def run_job(job: proto.Job) -> tuple[str | None, list[ev.EvalReport]]:
+            checkpoints = {}
+            for name in _job_models(job, config):
+                key = (name, job.train_dataset, job.train_generator)
+                if train_failures[key]:
+                    return f"score {job.job_id}: training failed for {name}", []
+                checkpoints[name] = train_tasks[key]
+            eval_condition = (job.eval_dataset, job.eval_generator)
+            stem = _sanitize(job.job_id)
             try:
-                checkpoints = {}
-                for name in _job_models(job, config):
-                    key = (name, job.train_dataset, job.train_generator)
-                    if key in failed_train:
-                        return f"score {job.job_id}: training failed for {name}"
-                    checkpoints[name] = train_tasks[key]
-                job_trials = condition_trials.get((job.eval_dataset, job.eval_generator))
-                if not job_trials:
-                    return (f"score {job.job_id}: no trials for "
-                            f"{job.eval_dataset}/{job.eval_generator}")
-                _score_job(config, checkpoints, stores, job_trials, score_path)
-                _mark_done(score_path)
-                return None
+                table = _reuse_or_make(
+                    run_dir / "scores" / f"{stem}.csv",
+                    lambda path: _score_job(config, checkpoints, stores,
+                                            condition_trials.get(eval_condition, []), path,
+                                            "/".join(eval_condition)),
+                    sc.read_score_table,
+                )
             except Exception as exc:
-                return f"score {job.job_id}: {exc}"
-
-        results = _map(run_scoring, jobs, args.workers)
-    failures.extend(r for r in results if r)
-    failed_jobs = {j.job_id for j, r in zip(jobs, results) if r}
-    print(f"{len(jobs) - len(failed_jobs)}/{len(jobs)} jobs scored")
-
-    # phase 3: reports, deltas, fairness
-    all_reports: list[ev.EvalReport] = []
-    for job in jobs:
-        if job.job_id in failed_jobs:
-            continue
-        score_path = run_dir / "scores" / f"{_sanitize(job.job_id)}.csv"
-        table = sc.read_score_table(score_path)
-        reports = ev.evaluate_rows(table.rows, job.condition)
-        all_reports.extend(reports)
-        fair = ev.fairness_report(table.rows, catalog)
-        ev.write_fairness_csv(
-            fair, job.condition,
-            run_dir / "reports" / f"fairness_{_sanitize(job.job_id)}.csv",
-        )
-        _write_rocs(table, reports, run_dir / "reports", job.job_id)
-
-    if all_reports:
-        ev.write_report_csv(all_reports, run_dir / "reports" / "report.csv")
-        write_text(run_dir / "reports" / "report.txt", ev.render_report_text(all_reports))
-        by_reference: dict[str, list[proto.Job]] = {}
-        conditions = {r.condition for r in all_reports}
-        for job in jobs:
-            if job.job_id in failed_jobs:
-                continue
-            ref = _reference_condition(job)
-            if ref in conditions:
-                by_reference.setdefault(ref, []).append(job)
-        for ref, ref_jobs in sorted(by_reference.items()):
-            selected = [r for r in all_reports
-                        if r.condition in {j.condition for j in ref_jobs} | {ref}]
+                return f"score {job.job_id}: {exc}", []
             try:
-                table = ev.delta_table(selected, ref)
+                reports = ev.evaluate_rows(table.rows, job.condition)
+                ev.write_fairness_csv(ev.fairness_report(table.rows, catalog), job.condition,
+                                      reports_dir / f"fairness_{stem}.csv")
+                _write_rocs(table, reports, reports_dir, job.job_id)
+            except Exception as exc:
+                return f"report {job.job_id}: {exc}", []
+            return None, reports
+
+        results = _map(run_job, jobs, args.workers)
+    failures = [f for f in train_failures.values() if f] + [f for f, _ in results if f]
+    print(f"{sum(f is None for f, _ in results)}/{len(jobs)} jobs scored")
+
+    all_reports = [r for _, reports in results for r in reports]
+    if all_reports:
+        ev.write_report_csv(all_reports, reports_dir / "report.csv")
+        write_text(reports_dir / "report.txt", ev.render_report_text(all_reports))
+        # a job's delta is against its reference condition; a group whose
+        # reference job did not report is skipped
+        by_reference: dict[str, list[ev.EvalReport]] = {}
+        for job, (_, reports) in zip(jobs, results):
+            by_reference.setdefault(_reference_condition(job), []).extend(reports)
+        for ref, group in sorted(by_reference.items()):
+            try:
+                table = ev.delta_table(group, ref)
             except ev.EvaluationError:
                 continue
-            write_text(run_dir / "reports" / f"delta_{_sanitize(ref)}.txt",
-                       ev.render_delta_text(table))
+            write_text(reports_dir / f"delta_{_sanitize(ref)}.txt", ev.render_delta_text(table))
 
-    summary = run_dir / "reports" / "failures.txt"
+    summary = reports_dir / "failures.txt"
     if failures:
         write_text(summary, "\n".join(failures) + "\n")
         for failure in failures:
             print(f"FAILED: {failure}", file=sys.stderr)
         return EXIT_FAIL
     summary.unlink(missing_ok=True)  # left by an earlier, failed invocation
-    print(f"reports in {run_dir / 'reports'}")
+    print(f"reports in {reports_dir}")
     return EXIT_OK
 
 
@@ -697,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eval-fraction", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--convention", default=proto.EXCLUDE_IDENTICAL,
-                   choices=[proto.EXCLUDE_IDENTICAL, proto.INCLUDE_IDENTICAL])
+                   choices=proto.CONVENTIONS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_trials)
 

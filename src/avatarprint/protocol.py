@@ -79,9 +79,17 @@ def save_split(split: Split, path: str | Path) -> None:
 
 
 def load_split(path: str | Path) -> Split:
+    """The split ``save_split`` wrote to ``path``; a side that is missing or
+    not a list of identity ids is a ``ProtocolError`` naming the file."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return Split(frozenset(payload["development"]), frozenset(payload["evaluation"]))
+    sides = []
+    for side in ("development", "evaluation"):
+        ids = payload.get(side) if isinstance(payload, dict) else None
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise ProtocolError(f"{path}: {side!r} must be a list of identity ids")
+        sides.append(frozenset(ids))
+    return Split(*sides)
 
 
 def _components(catalog: Catalog, ids: Sequence[str]) -> list[list[str]]:
@@ -222,6 +230,7 @@ class Trial(NamedTuple):
 
 EXCLUDE_IDENTICAL = "exclude_identical"
 INCLUDE_IDENTICAL = "include_identical"
+CONVENTIONS = (EXCLUDE_IDENTICAL, INCLUDE_IDENTICAL)
 
 
 def generate_trials(
@@ -237,7 +246,7 @@ def generate_trials(
     against every cross-reenactment of the same target by a different driver.
     Output order and trial ids are canonical and stable.
     """
-    if convention not in (EXCLUDE_IDENTICAL, INCLUDE_IDENTICAL):
+    if convention not in CONVENTIONS:
         raise ProtocolError(f"unknown convention {convention!r}")
     if not split.evaluation:
         raise ProtocolError("evaluation side of the split is empty")

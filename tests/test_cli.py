@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from avatarprint import evaluation, scoring
 from avatarprint.catalog import save_manifest
 from avatarprint.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from avatarprint.feature_store import FeatureStore
@@ -193,6 +194,23 @@ class TestTrainScoreEvaluateChain:
         ]) == EXIT_OK
         assert (tmp_path / "fair.csv").exists()
 
+    def test_score_without_trials_fails(self, corpus_small, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", corpus_small, epochs=1)
+        assert main(["train", "--config", str(cfg), "--train-generator", "GAGA",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        (tmp_path / "t.csv").write_text(
+            "trial_id,dataset,generator,enroll_video,test_video,label\n"
+            "t00000000,CREMA-D,GAGA,gaga_a_a_c000,gaga_a_a_c001,1\n"
+        )
+        code = main([
+            "score", "--config", str(cfg), "--trials", str(tmp_path / "t.csv"),
+            "--checkpoint", f"m={tmp_path / 'm_CREMA-D_GAGA.avck'}",
+            "--eval-generator", "LIVE", "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == EXIT_FAIL
+        assert "no trials for */LIVE" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_score_rejects_unknown_model(self, corpus_small, tmp_path):
         cfg = write_config(tmp_path / "config.json", corpus_small)
         (tmp_path / "t.csv").write_text(
@@ -266,10 +284,14 @@ class TestImportFeatures:
 
 
 class TestRun:
-    def test_end_to_end_and_resume(self, corpus_small, tmp_path):
+    def test_end_to_end_and_resume(self, corpus_small, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "config.json", corpus_small,
                            experiments=[INTRA_GAGA, CROSS_TO_LIVE])
+        reads = []
+        monkeypatch.setattr(scoring, "read_score_table",
+                            lambda path: reads.append(path) or read_score_table(path))
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert reads == []  # each job evaluates the table it just scored
         run_dir = tmp_path / "runs" / "testrun"
         trials_path = run_dir / "trials" / "trials.csv"
         report_path = run_dir / "reports" / "report.csv"
@@ -281,11 +303,43 @@ class TestRun:
         assert list((run_dir / "reports").glob("fairness_*.csv"))
         assert not (run_dir / "reports" / "failures.txt").exists()
 
-        # a second, non-fresh invocation reuses every completed stage
-        before = {p: p.read_bytes() for p in run_dir.rglob("*.csv")}
+        # a second, non-fresh invocation reuses every completed stage and
+        # reads each job's score table back once
+        before = tree_bytes(run_dir)
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
-        for p, content in before.items():
-            assert p.read_bytes() == content
+        assert sorted(Path(p).name for p in reads) == sorted(
+            p.name for p in (run_dir / "scores").glob("*.csv"))
+        assert len(reads) == 2
+        assert tree_bytes(run_dir) == before
+
+    def test_report_error_fails_only_that_job(self, corpus_small, tmp_path, monkeypatch,
+                                              capsys):
+        cfg = write_config(tmp_path / "config.json", corpus_small,
+                           experiments=[INTRA_GAGA, CROSS_TO_LIVE])
+        assert main(["run", "--config", str(cfg), "--run-id", "clean"]) == EXIT_OK
+        real_fairness = evaluation.fairness_report
+
+        def failing_fairness(rows, catalog, *args):
+            if catalog.video(rows[0].enroll_video).generator.value == "LIVE":
+                raise evaluation.EvaluationError("injected report failure")
+            return real_fairness(rows, catalog, *args)
+
+        monkeypatch.setattr(evaluation, "fairness_report", failing_fairness)
+        assert main(["run", "--config", str(cfg)]) == EXIT_FAIL
+        run_dir = tmp_path / "runs" / "testrun"
+        failures = (run_dir / "reports" / "failures.txt").read_text()
+        assert "CREMA-D-GAGA_to_CREMA-D-LIVE" in failures and "injected" in failures
+        assert "1/2 jobs scored" in capsys.readouterr().out
+        conditions = {row.split(",")[0] for row in
+                      (run_dir / "reports" / "report.csv").read_text().splitlines()[1:]}
+        assert conditions == {"CREMA-D/GAGA->CREMA-D/GAGA"}
+        # the failed job's scores were kept, so a rerun only reports it
+        monkeypatch.setattr(evaluation, "fairness_report", real_fairness)
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        again, clean = tree_bytes(run_dir), tree_bytes(tmp_path / "runs" / "clean")
+        assert again.keys() == clean.keys()
+        for p in clean.keys() - {Path("config", "effective.json")}:
+            assert again[p] == clean[p], p
 
     def test_fresh_recomputes_and_agrees(self, corpus_small, tmp_path):
         cfg = write_config(tmp_path / "config.json", corpus_small,
@@ -413,9 +467,18 @@ class TestRun:
         ("hyper", "mining", "bogus", "bogus"),
         ("experiment", "scenario", "zero_shot", "zero_shot"),
         ("embedder", "graph", {"layers": 0}, "layers"),
+        ("config", "fusoin", {}, "fusoin"),
+        ("fusion", "z_score", True, "z_score"),
+        ("fusion", "enabled", "false", "enabled"),
+        ("config", "models", 5, "models"),
+        ("config", "seed", "abc", "seed"),
+        ("config", "eval_fraction", 5, "eval_fraction"),
+        ("config", "convention", "bogus", "bogus"),
     ], ids=["unknown-hyper", "unknown-embedder", "unknown-graph", "unknown-model",
             "missing-experiment", "unknown-experiment", "unknown-model-name",
-            "bad-mining", "bad-scenario", "bad-graph-layers"])
+            "bad-mining", "bad-scenario", "bad-graph-layers", "unknown-top-level",
+            "unknown-fusion", "string-fusion-flag", "models-not-a-list", "string-seed",
+            "eval-fraction-out-of-range", "bad-convention"])
     def test_bad_config_keys_are_usage_errors(self, corpus_small, tmp_path, capsys,
                                               block, key, value, named):
         payload = json.loads(
@@ -423,7 +486,8 @@ class TestRun:
         )
         model, experiment = payload["models"][0], payload["experiments"][0]
         target = {"hyper": model["hyper"], "embedder": model["embedder"],
-                  "model": model, "experiment": experiment}[block]
+                  "model": model, "experiment": experiment, "config": payload,
+                  "fusion": payload.setdefault("fusion", {})}[block]
         if value is None:
             del target[key]
         else:
@@ -442,16 +506,27 @@ class TestRun:
                          "window_len": 16},
             "hyper": {"epochs": 2, "batch": 16, "windows_per_identity": 4},
         }
+        all_to_live = {**CROSS_TO_LIVE, "train_generator": "All"}
         cfg = write_config(tmp_path / "config.json", corpus_small,
-                           experiments=[INTRA_GAGA, INTRA_LIVE, CROSS_TO_LIVE],
+                           experiments=[INTRA_GAGA, INTRA_LIVE, CROSS_TO_LIVE, all_to_live],
                            extra_models=[second])
         for workers in ("1", "2"):
             assert main(["run", "--config", str(cfg), "--run-id", f"w{workers}",
                          "--workers", workers]) == EXIT_OK
         one, two = tmp_path / "runs" / "w1", tmp_path / "runs" / "w2"
-        assert len(list((one / "models").glob("*.avck"))) == 4
+        assert len(list((one / "models").glob("*.avck"))) == 6
         for sub in ("trials", "scores", "reports", "models"):
             assert tree_bytes(one / sub) == tree_bytes(two / sub), sub
+        # a job trained on one generator is compared with that generator's
+        # intra job; a job trained on All with its evaluation generator's
+        reports = one / "reports"
+        assert sorted(p.name for p in reports.glob("delta_*.txt")) == [
+            "delta_CREMA-D-GAGA--CREMA-D-GAGA.txt", "delta_CREMA-D-LIVE--CREMA-D-LIVE.txt"]
+        gaga = (reports / "delta_CREMA-D-GAGA--CREMA-D-GAGA.txt").read_text()
+        live = (reports / "delta_CREMA-D-LIVE--CREMA-D-LIVE.txt").read_text()
+        assert "CREMA-D/GAGA->CREMA-D/LIVE" in gaga and "All" not in gaga
+        assert "CREMA-D/All->CREMA-D/LIVE" in live and "CREMA-D/LIVE->CREMA-D/LIVE" in live
+        assert "CREMA-D/GAGA->" not in live
 
     @pytest.mark.parametrize("store", ["missing", "version-1", "unsealed"])
     def test_unreadable_store_fails_before_the_run_directory(self, corpus_small, tmp_path,
@@ -523,6 +598,25 @@ class TestRun:
             assert again.keys() == clean.keys(), k
             for p in clean.keys() - {config}:
                 assert again[p] == clean[p], (k, p)
+
+    @pytest.mark.parametrize("side", [None, "not a list"], ids=["missing", "not-a-list"])
+    def test_bad_split_fails_before_the_run_directory(self, corpus_small, tmp_path, capsys,
+                                                      side):
+        split = json.loads((corpus_small.root / "split.json").read_text())
+        if side is None:
+            del split["development"]
+        else:
+            split["development"] = side
+        split_path = tmp_path / "split.json"
+        split_path.write_text(json.dumps(split))
+        cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA])
+        payload = json.loads(cfg.read_text())
+        payload["split"] = str(split_path)
+        cfg.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg)]) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(split_path) in err and "'development'" in err
+        assert not (tmp_path / "runs").exists()
 
     def test_zero_workers_is_a_usage_error(self, corpus_small, tmp_path):
         cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA])

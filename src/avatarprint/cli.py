@@ -149,6 +149,8 @@ class RunConfig:
 
         _check_keys(raw, "config", CONFIG_KEYS, required=("seed", "identities", "videos", "models"))
         is_list = lambda v: type(v) is list
+        is_str = lambda v: type(v) is str
+        is_str_or_null = lambda v: v is None or type(v) is str
         models = []
         for i, m in enumerate(_checked(raw, "config", "models", None, is_list, "a list")):
             where = f"models[{i}]"
@@ -163,10 +165,11 @@ class RunConfig:
             models.append(
                 ModelSpec(
                     name=m["name"],
-                    store=resolve(m["store"]),
+                    store=resolve(_checked(m, where, "store", None, is_str, "a string")),
                     embedder=dict(embedder),
                     hyper=_build(TrainHyper, f"{where}.hyper", **hyper),
-                    adjacency=resolve(m.get("adjacency")),
+                    adjacency=resolve(_checked(m, where, "adjacency", None, is_str_or_null,
+                                               "a string or null")),
                 )
             )
         names = [m.name for m in models]
@@ -183,11 +186,12 @@ class RunConfig:
         fusion = _check_keys(raw.get("fusion", {}), "fusion", FUSION_KEYS)
         return cls(
             seed=_checked(raw, "config", "seed", None, lambda v: type(v) is int, "an integer"),
-            run_id=str(raw.get("run_id", "run")),
-            output_root=resolve(raw.get("output_root", "runs")),
-            identities=resolve(raw["identities"]),
-            videos=resolve(raw["videos"]),
-            split=resolve(raw.get("split")),
+            run_id=_checked(raw, "config", "run_id", "run", is_str, "a string"),
+            output_root=resolve(_checked(raw, "config", "output_root", "runs", is_str, "a string")),
+            identities=resolve(_checked(raw, "config", "identities", None, is_str, "a string")),
+            videos=resolve(_checked(raw, "config", "videos", None, is_str, "a string")),
+            split=resolve(_checked(raw, "config", "split", None, is_str_or_null,
+                                   "a string or null")),
             eval_fraction=_checked(raw, "config", "eval_fraction", 0.3,
                                    lambda v: type(v) is float and 0 < v < 1,
                                    "a number between 0 and 1, exclusive"),
@@ -387,7 +391,7 @@ def _score_job(
     config: RunConfig,
     checkpoints: Mapping[str, str | Path],
     stores: Mapping[str, FeatureStore],
-    trials: Sequence[proto.Trial],
+    trials: proto.TrialSet,
     out_path: str | Path,
     condition: str,
 ) -> sc.ScoreTable:
@@ -424,11 +428,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     config = RunConfig.from_file(args.config)
-    trials = proto.load_trials(args.trials)
-    if args.eval_dataset:
-        trials = [t for t in trials if t.dataset == args.eval_dataset]
-    if args.eval_generator:
-        trials = [t for t in trials if t.generator == args.eval_generator]
+    trials = proto.load_trials(args.trials).select(args.eval_dataset, args.eval_generator)
     specs = {m.name: m for m in config.models}
     checkpoints: dict[str, str] = {}
     for pair in args.checkpoint:
@@ -478,10 +478,13 @@ def _write_rocs(
 def cmd_fairness(args: argparse.Namespace) -> int:
     catalog = cat.load_manifest(args.identities, args.videos)
     table = sc.read_score_table(args.scores)
+    condition = args.condition or Path(args.scores).stem
+    if not ev.evaluate_rows(table.rows, condition):
+        print("no scored trials with both classes present", file=sys.stderr)
+        return EXIT_FAIL
     report = ev.fairness_report(table.rows, catalog)
     print(ev.render_fairness_text(report), end="")
     if args.out:
-        condition = args.condition or Path(args.scores).stem
         ev.write_fairness_csv(report, condition, args.out)
     return EXIT_OK
 
@@ -570,7 +573,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_json(run_dir / "config" / "effective.json", config.effective())
         proto.save_split(split, run_dir / "split" / "split.json")
 
-        def make_trials(path: Path) -> list[proto.Trial]:
+        def make_trials(path: Path) -> proto.TrialSet:
             trials = proto.generate_trials(catalog, split, config.convention)
             proto.save_trials(trials, path)
             return trials
@@ -600,10 +603,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"{len(train_tasks)} training conditions done")
 
         # one task per job: score it (or read its table back), evaluate it and
-        # write its reports; one pass groups the trials by (dataset, generator)
-        condition_trials: dict[tuple[str, str], list[proto.Trial]] = {}
-        for t in trials:
-            condition_trials.setdefault((t.dataset, t.generator), []).append(t)
+        # write its reports
         reports_dir = run_dir / "reports"
 
         def run_job(job: proto.Job) -> tuple[str | None, list[ev.EvalReport]]:
@@ -613,14 +613,13 @@ def cmd_run(args: argparse.Namespace) -> int:
                 if train_failures[key]:
                     return f"score {job.job_id}: training failed for {name}", []
                 checkpoints[name] = train_tasks[key]
-            eval_condition = (job.eval_dataset, job.eval_generator)
             stem = _sanitize(job.job_id)
             try:
                 table = _reuse_or_make(
                     run_dir / "scores" / f"{stem}.csv",
                     lambda path: _score_job(config, checkpoints, stores,
-                                            condition_trials.get(eval_condition, []), path,
-                                            "/".join(eval_condition)),
+                                            trials.select(job.eval_dataset, job.eval_generator),
+                                            path, f"{job.eval_dataset}/{job.eval_generator}"),
                     sc.read_score_table,
                 )
             except Exception as exc:

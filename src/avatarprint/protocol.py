@@ -5,15 +5,26 @@ A trial pairs a self-reenactment enrollment video with a test video of the
 same target identity: genuine when the test is driven by the same person,
 impostor when a different person drives the target's avatar. Both sides of a
 trial always come from evaluation-split identities.
+
+A list of trials is a ``TrialSet``: NumPy columns of trial numbers (the id
+``t%08d`` is derived from the number), (dataset, generator) condition codes,
+enroll and test video codes into a sorted video-id vocabulary, and labels.
+Generation builds each (dataset, generator, target) block as whole arrays,
+a job's trials are a condition mask, and only the CSV reader and writer
+touch one trial at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+from array import array
 from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,9 +33,8 @@ from .catalog import (
     CANONICAL_IDENTITIES,
     Catalog,
     Dataset,
-    Generator,
 )
-from .files import read_csv, write_csv, write_json
+from .files import AtomicFile, read_csv, write_json
 
 
 class ProtocolError(ValueError):
@@ -231,20 +241,152 @@ class Trial(NamedTuple):
 EXCLUDE_IDENTICAL = "exclude_identical"
 INCLUDE_IDENTICAL = "include_identical"
 CONVENTIONS = (EXCLUDE_IDENTICAL, INCLUDE_IDENTICAL)
+MAX_TRIALS = 99_999_999  # a trial id is "t" and eight digits
+_CHUNK = 1 << 16  # trials turned into Python objects at a time
+
+
+def _trial_ids(numbers: Iterable[int]) -> list[str]:
+    return [f"t{n:08d}" for n in numbers]
+
+
+def _named(vocab: Sequence, *codes: np.ndarray) -> tuple[tuple, list[np.ndarray]]:
+    """The entries of ``vocab`` that some code in ``codes`` names, sorted, and
+    the codes renumbered to index them."""
+    named = np.zeros(len(vocab), dtype=bool)
+    for column in codes:
+        named[column] = True
+    order = sorted(np.flatnonzero(named).tolist(), key=vocab.__getitem__)
+    renumber = np.zeros(len(vocab), dtype=np.int64)
+    renumber[order] = np.arange(len(order))
+    return (tuple(vocab[i] for i in order),
+            [renumber[column].astype(column.dtype) for column in codes])
+
+
+class TrialSet(Sequence[Trial]):
+    """Trials as columns: trial ``i`` is ``Trial(f"t{number[i]:08d}",
+    *conditions[condition[i]], videos[enroll[i]], videos[test[i]], label[i])``.
+
+    ``videos`` is the sorted tuple of the video ids the trials name, and only
+    those; ``conditions`` is the sorted tuple of their (dataset, generator)
+    pairs. A set therefore has one encoding per list of trials, so ``==`` is
+    row equality whether the sets were generated, loaded or selected. A
+    slice, boolean mask or index array gives the selected trials as a
+    ``TrialSet`` that keeps their trial numbers; an integer gives one
+    ``Trial``.
+    """
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, videos: Sequence[str], conditions: Sequence[tuple[str, str]],
+                 number: np.ndarray, condition: np.ndarray, enroll: np.ndarray,
+                 test: np.ndarray, label: np.ndarray):
+        """Columns of codes into ``videos`` and ``conditions``. The set keeps
+        the entries some trial names, sorted, and codes the columns by them."""
+        self.number = np.asarray(number, dtype=np.int32)
+        self.label = np.asarray(label, dtype=np.int8)
+        self.videos, (self.enroll, self.test) = _named(
+            videos, np.asarray(enroll, dtype=np.int32), np.asarray(test, dtype=np.int32))
+        self.conditions, (self.condition,) = _named(
+            conditions, np.asarray(condition, dtype=np.int8))
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.number, self.condition, self.enroll, self.test, self.label
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence[str]], source: str = "trials") -> "TrialSet":
+        """The trials of (trial_id, dataset, generator, enroll_video,
+        test_video, label) string rows, in row order. A row that is not six
+        fields, with a trial id of "t" and eight ASCII digits and a label of
+        0 or 1, is a ``ProtocolError`` naming ``source`` and the row."""
+        number, condition, label = array("i"), array("b"), array("b")
+        enroll, test = array("i"), array("i")
+        videos: dict[str, int] = {}
+        conditions: dict[tuple[str, str], int] = {}
+        video_code, condition_code = videos.setdefault, conditions.setdefault
+        labels = {"0": 0, "1": 1}
+        row = None
+        try:
+            for row in rows:
+                trial_id, dataset, generator, enroll_video, test_video, row_label = row
+                digits = trial_id[1:]
+                if trial_id[:1] != "t" or len(digits) != 8 or not (
+                        digits.isascii() and digits.isdigit()):
+                    raise ValueError(trial_id)
+                number.append(int(digits))
+                condition.append(condition_code((dataset, generator), len(conditions)))
+                enroll.append(video_code(enroll_video, len(videos)))
+                test.append(video_code(test_video, len(videos)))
+                label.append(labels[row_label])
+        except ProtocolError:  # raised by ``rows`` itself, such as a bad header
+            raise
+        except (ValueError, KeyError, OverflowError):
+            raise ProtocolError(
+                f"{source}: row {len(label) + 1} is not a trial (id t and 8 digits, dataset, "
+                f"generator, enroll video, test video, label 0 or 1): {row!r}"
+            ) from None
+        # the codes number the strings in order of first appearance
+        return cls(list(videos), list(conditions), number, condition, enroll, test, label)
+
+    def __len__(self) -> int:
+        return len(self.number)
+
+    def __getitem__(self, key):
+        if isinstance(key, (slice, np.ndarray)):
+            return TrialSet(self.videos, self.conditions,
+                            *(column[key] for column in self._columns()))
+        (trial_id,) = _trial_ids([int(self.number[key])])
+        dataset, generator = self.conditions[self.condition[key]]
+        return Trial(trial_id, dataset, generator, self.videos[self.enroll[key]],
+                     self.videos[self.test[key]], int(self.label[key]))
+
+    def _chunks(self) -> Iterator[tuple[list, ...]]:
+        """The columns as lists, a bounded number of trials at a time: trial
+        ids, condition codes, enroll and test video codes, labels."""
+        for start in range(0, len(self), _CHUNK):
+            part = slice(start, start + _CHUNK)
+            yield (_trial_ids(self.number[part].tolist()),
+                   *(column[part].tolist() for column in self._columns()[1:]))
+
+    def __iter__(self) -> Iterator[Trial]:
+        videos, conditions = self.videos, self.conditions
+        for chunk in self._chunks():
+            for trial_id, c, e, t, label in zip(*chunk):
+                yield Trial(trial_id, *conditions[c], videos[e], videos[t], label)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TrialSet):
+            return NotImplemented
+        return (self.videos == other.videos and self.conditions == other.conditions
+                and all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns())))
+
+    def __repr__(self) -> str:
+        return (f"TrialSet({len(self):,d} trials, {len(self.videos):,d} videos, "
+                f"{len(self.conditions)} conditions)")
+
+    def select(self, dataset: str | None = None, generator: str | None = None) -> "TrialSet":
+        """The trials of ``dataset`` and ``generator``; None matches any."""
+        codes = [code for code, (ds, gen) in enumerate(self.conditions)
+                 if dataset in (None, ds) and generator in (None, gen)]
+        return self[np.isin(self.condition, codes)]
 
 
 def generate_trials(
     catalog: Catalog,
     split: Split,
     convention: str = EXCLUDE_IDENTICAL,
-) -> list[Trial]:
+) -> TrialSet:
     """Exhaustive genuine and impostor trials over evaluation identities.
 
     Genuine: every ordered pair of same-driver self-reenactment videos within
     one (dataset, generator); include_identical keeps the enrollment video
     also serving as its own test. Impostor: every self-reenactment enrollment
     against every cross-reenactment of the same target by a different driver.
-    Output order and trial ids are canonical and stable.
+
+    Order and trial ids are canonical and stable: trials are numbered from 1
+    in order of (dataset, generator, target, enrollment video), then genuine
+    before impostor, then test video. Each (dataset, generator, target) is
+    one block: the enrollments by enrollments grid, without its diagonal
+    under exclude_identical, beside the enrollments by cross videos grid.
     """
     if convention not in CONVENTIONS:
         raise ProtocolError(f"unknown convention {convention!r}")
@@ -252,73 +394,95 @@ def generate_trials(
         raise ProtocolError("evaluation side of the split is empty")
     eval_ids = split.evaluation
 
-    self_videos: dict[tuple[Dataset, Generator, str], list[str]] = defaultdict(list)
-    cross_videos: dict[tuple[Dataset, Generator, str], list[str]] = defaultdict(list)
+    self_videos: dict[tuple[str, str, str], list[str]] = defaultdict(list)
+    cross_videos: dict[tuple[str, str, str], list[str]] = defaultdict(list)
     for video in catalog.videos():
         if video.driver not in eval_ids or video.target not in eval_ids:
             continue
-        key = (video.dataset, video.generator, video.target)
-        if video.is_self:
-            self_videos[key].append(video.video_id)
-        else:
-            cross_videos[key].append(video.video_id)
+        key = (video.dataset.value, video.generator.value, video.target)
+        (self_videos if video.is_self else cross_videos)[key].append(video.video_id)
 
-    trials: list[Trial] = []
-    counter = 0
-    datasets = sorted({k[0] for k in self_videos}, key=lambda d: d.value)
-    for dataset in datasets:
-        generators = sorted(
-            {k[1] for k in self_videos if k[0] == dataset}, key=lambda g: g.value
-        )
-        for generator in generators:
-            # enum values read once per block: the property lookup is costly per trial
-            ds, gen = dataset.value, generator.value
-            identities = sorted(
-                k[2] for k in self_videos if k[0] == dataset and k[1] == generator
-            )
-            for identity in identities:
-                key = (dataset, generator, identity)
-                enrolls = sorted(self_videos[key])
-                tests_cross = sorted(cross_videos.get(key, []))
-                for enroll in enrolls:
-                    for test in enrolls:
-                        if convention == EXCLUDE_IDENTICAL and enroll == test:
-                            continue
-                        counter += 1
-                        trials.append(Trial(f"t{counter:08d}", ds, gen, enroll, test, 1))
-                    for test in tests_cross:
-                        counter += 1
-                        trials.append(Trial(f"t{counter:08d}", ds, gen, enroll, test, 0))
-    return trials
+    blocks = sorted(self_videos)
+    exclude = int(convention == EXCLUDE_IDENTICAL)
+    total = sum(len(self_videos[k]) * (len(self_videos[k]) - exclude + len(cross_videos[k]))
+                for k in blocks)
+    if total > MAX_TRIALS:
+        raise ProtocolError(f"{total:,d} trials, more than the {MAX_TRIALS:,d} trial ids")
+
+    # codes into every candidate video, sorted, so sorted codes are sorted ids;
+    # TrialSet keeps the videos the trials name
+    videos = sorted(v for k in blocks for v in (*self_videos[k], *cross_videos[k]))
+    code = {v: i for i, v in enumerate(videos)}
+    conditions = sorted({k[:2] for k in blocks})
+    columns: list[tuple[np.ndarray, ...]] = []
+    for key in blocks:
+        enrolls = np.array(sorted(code[v] for v in self_videos[key]), dtype=np.int32)
+        cross = np.array(sorted(code[v] for v in cross_videos[key]), dtype=np.int32)
+        n = enrolls.size
+        genuine = np.broadcast_to(enrolls, (n, n))
+        if exclude:
+            genuine = genuine[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+        tests = np.hstack([genuine, np.broadcast_to(cross, (n, cross.size))])
+        labels = np.repeat(np.array([1, 0], dtype=np.int8), [genuine.shape[1], cross.size])
+        columns.append((
+            np.full(tests.size, conditions.index(key[:2]), dtype=np.int8),
+            np.repeat(enrolls, tests.shape[1]),
+            tests.ravel(),
+            np.tile(labels, n),
+        ))
+    # one more, empty block: no blocks at all concatenate to empty columns
+    condition, enroll, test, label = (
+        np.concatenate(parts) for parts in zip(*columns, [np.empty(0, dtype=np.int32)] * 4))
+    return TrialSet(videos, conditions, np.arange(1, total + 1, dtype=np.int32),
+                    condition, enroll, test, label)
 
 
-def trial_counts(trials: Iterable[Trial]) -> dict[tuple[str, str, int], int]:
-    """Counts keyed by (dataset, generator, label)."""
-    counts: dict[tuple[str, str, int], int] = defaultdict(int)
-    for t in trials:
-        counts[(t.dataset, t.generator, t.label)] += 1
-    return dict(counts)
+def trial_counts(trials: TrialSet) -> dict[tuple[str, str, int], int]:
+    """Counts keyed by (dataset, generator, label), for the cells holding
+    trials, in key order."""
+    cells = np.bincount(trials.condition.astype(np.intp) * 2 + trials.label,
+                        minlength=2 * len(trials.conditions))
+    return {
+        (dataset, generator, label): int(cells[2 * code + label])
+        for code, (dataset, generator) in enumerate(trials.conditions)
+        for label in (0, 1)
+        if cells[2 * code + label]
+    }
 
 
 TRIAL_HEADER = ["trial_id", "dataset", "generator", "enroll_video", "test_video", "label"]
 
 
-def save_trials(trials: Iterable[Trial], path: str | Path) -> None:
-    write_csv(path, TRIAL_HEADER, trials)
+def save_trials(trials: TrialSet, path: str | Path) -> None:
+    """``trials`` as CSV, byte for byte what ``csv.writer`` (lines ending in
+    a newline) writes for their rows. Each video id and condition is
+    formatted once by such a writer; QUOTE_MINIMAL quotes each field on its
+    own, so rows can be joined from the formatted fields."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def formatted(value: str) -> str:
+        # a second, empty field: a row of one empty field is written as ""
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([value, ""])
+        return buffer.getvalue()[:-2]
+
+    videos = [formatted(v) for v in trials.videos]
+    conditions = [f"{formatted(ds)},{formatted(gen)}" for ds, gen in trials.conditions]
+    with AtomicFile(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(TRIAL_HEADER)
+        for chunk in trials._chunks():
+            fh.write("".join(
+                f"{trial_id},{conditions[c]},{videos[e]},{videos[t]},{label}\n"
+                for trial_id, c, e, t, label in zip(*chunk)
+            ))
 
 
-def load_trials(path: str | Path) -> list[Trial]:
-    """The trials of a file written by ``save_trials``, in file order. Like a
-    generated list, the loaded one keeps one string per distinct dataset,
-    generator and video id, shared by every trial that names it; trial ids
-    are unique and are not shared."""
-    share = {}.setdefault
-    return [
-        Trial(trial_id, share(dataset, dataset), share(generator, generator),
-              share(enroll, enroll), share(test, test), int(label))
-        for trial_id, dataset, generator, enroll, test, label
-        in read_csv(path, TRIAL_HEADER, ProtocolError)
-    ]
+def load_trials(path: str | Path) -> TrialSet:
+    """The trials of a file written by ``save_trials``, in file order; a
+    malformed row is a ``ProtocolError`` naming the file."""
+    return TrialSet.from_rows(read_csv(path, TRIAL_HEADER, ProtocolError), source=str(path))
 
 
 # -- experiment matrix -----------------------------------------------------------

@@ -10,24 +10,28 @@ dot product of the two videos' mean unit window embeddings,
     mean_ij <u_i, v_j> = <mean_i u_i, mean_j v_j>,
 
 so ``mean_embeddings`` reduces each model to one (videos, d) matrix, every
-video embedded once, and a whole trial list is scored per model by one
-row-wise dot product of two gathered (trials, d) matrices. Multiple models
-fuse by averaging their per-trial scores, optionally z-scored per model
-first.
+video embedded once, and a whole ``TrialSet`` is scored per model by one
+row-wise dot product of two (trials, d) matrices gathered by its enroll and
+test columns. The set's video vocabulary is sorted by id, so the smaller
+code of a pair is score_pair's first operand and the two paths agree bit
+for bit. Multiple models fuse by averaging their per-trial scores,
+optionally z-scored per model first.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .embedder import EmbedderParams, forward_batch
 from .feature_store import FeatureStore
 from .files import read_csv, write_csv
+from .protocol import TrialSet
 
 
 class ScoringError(ValueError):
@@ -144,7 +148,7 @@ def _zscore(scores: np.ndarray) -> np.ndarray:
 
 def score_trials(
     models: Mapping[str, tuple[EmbedderParams, FeatureStore]],
-    trials: Iterable,
+    trials: TrialSet,
     include_fusion: bool = True,
     zscore_fusion: bool = False,
 ) -> ScoreTable:
@@ -159,25 +163,17 @@ def score_trials(
         raise ScoringError("need at least one model")
     model_ids = sorted(models)
 
-    trials = list(trials)
-    missing = {
-        vid
-        for trial in trials
-        for vid in (trial.enroll_video, trial.test_video)
-        if any(vid not in models[m][1] for m in model_ids)
-    }
-    kept = [t for t in trials if t.enroll_video not in missing and t.test_video not in missing]
-    videos = sorted({vid for t in kept for vid in (t.enroll_video, t.test_video)})
-    index = {vid: i for i, vid in enumerate(videos)}
-    enroll = np.fromiter((index[t.enroll_video] for t in kept), np.intp, len(kept))
-    test = np.fromiter((index[t.test_video] for t in kept), np.intp, len(kept))
-    # videos are indexed in id order, so this is score_pair's operand order
-    first, second = np.minimum(enroll, test), np.maximum(enroll, test)
+    # each distinct video is looked up once; the vocabulary is sorted
+    lacking = np.array([any(vid not in models[m][1] for m in model_ids) for vid in trials.videos],
+                       dtype=bool)
+    kept = trials[~(lacking[trials.enroll] | lacking[trials.test])]
+    # kept.videos is sorted by id, so this is score_pair's operand order
+    first, second = np.minimum(kept.enroll, kept.test), np.maximum(kept.enroll, kept.test)
 
     # (models, trials); NaN marks a trial with a video shorter than one window
     scores = np.empty((len(model_ids), len(kept)))
     for row, m in enumerate(model_ids):
-        means = mean_embeddings(*models[m], videos)
+        means = mean_embeddings(*models[m], kept.videos)
         scores[row] = _row_dots(means[first], means[second])
 
     columns = list(model_ids)
@@ -188,15 +184,11 @@ def score_trials(
         stacked = np.vstack([scores, fused])
     values = [[None if math.isnan(s) else s for s in col] for col in stacked.tolist()]
 
-    table = ScoreTable(missing_videos=sorted(missing))
-    for i, trial in enumerate(kept):
+    table = ScoreTable(missing_videos=list(itertools.compress(trials.videos, lacking.tolist())))
+    for i, (trial_id, _, _, enroll, test, label) in enumerate(kept):
         for model, col in zip(columns, values):
-            table.rows.append(
-                ScoreRow(trial.trial_id, trial.enroll_video, trial.test_video,
-                         trial.label, model, col[i])
-            )
-    unscorable = np.isnan(scores).any(axis=0).tolist()
-    table.unscorable_trials = [t.trial_id for t, bad in zip(kept, unscorable) if bad]
+            table.rows.append(ScoreRow(trial_id, enroll, test, label, model, col[i]))
+    table.unscorable_trials = [t.trial_id for t in kept[np.isnan(scores).any(axis=0)]]
     return table
 
 

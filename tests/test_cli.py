@@ -66,6 +66,9 @@ CROSS_TO_LIVE = {
 INTRA_LIVE = {**INTRA_GAGA, "train_generator": "LIVE", "eval_generators": ["LIVE"]}
 
 
+ABSENT = object()  # a config key left out, where None is a JSON null
+
+
 def tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -210,6 +213,38 @@ class TestTrainScoreEvaluateChain:
         assert code == EXIT_FAIL
         assert "no trials for */LIVE" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("trial_id", ["t1", "t+0000001", "t0000000x"])
+    def test_score_rejects_a_non_canonical_trial_id(self, corpus_small, tmp_path, capsys,
+                                                    trial_id):
+        cfg = write_config(tmp_path / "config.json", corpus_small)
+        trials = tmp_path / "t.csv"
+        trials.write_text(
+            "trial_id,dataset,generator,enroll_video,test_video,label\n"
+            f"{trial_id},CREMA-D,GAGA,gaga_a_a_c000,gaga_a_a_c001,1\n"
+        )
+        code = main([
+            "score", "--config", str(cfg), "--trials", str(trials),
+            "--checkpoint", f"m={tmp_path / 'm.avck'}", "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert str(trials) in err and repr(trial_id) in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_fairness_on_a_table_without_scores_fails(self, corpus_small, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("trial_id,enroll_video,test_video,label,model,score\n"
+                          "t00000001,gaga_a_a_c000,gaga_a_a_c001,1,m,\n")
+        code = main([
+            "fairness", "--scores", str(scores),
+            "--identities", str(corpus_small.root / "identities.csv"),
+            "--videos", str(corpus_small.root / "videos.csv"),
+            "--out", str(tmp_path / "fair.csv"),
+        ])
+        assert code == EXIT_FAIL
+        assert "no scored trials with both classes present" in capsys.readouterr().err
+        assert not (tmp_path / "fair.csv").exists()
 
     def test_score_rejects_unknown_model(self, corpus_small, tmp_path):
         cfg = write_config(tmp_path / "config.json", corpus_small)
@@ -461,7 +496,7 @@ class TestRun:
         ("embedder", "head", 2, "head"),
         ("embedder", "graph", {"layer": 2}, "layer"),
         ("model", "hyperparams", {}, "hyperparams"),
-        ("experiment", "eval_generators", None, "eval_generators"),
+        ("experiment", "eval_generators", ABSENT, "eval_generators"),
         ("experiment", "eval_generator", "GAGA", "eval_generator"),
         ("experiment", "models", ["ghost"], "ghost"),
         ("hyper", "mining", "bogus", "bogus"),
@@ -474,11 +509,20 @@ class TestRun:
         ("config", "seed", "abc", "seed"),
         ("config", "eval_fraction", 5, "eval_fraction"),
         ("config", "convention", "bogus", "bogus"),
+        ("config", "identities", 5, "identities"),
+        ("config", "videos", ["videos.csv"], "videos"),
+        ("config", "split", 3, "split"),
+        ("config", "output_root", None, "output_root"),
+        ("config", "run_id", None, "run_id"),
+        ("model", "store", 5, "store"),
+        ("model", "adjacency", 7, "adjacency"),
     ], ids=["unknown-hyper", "unknown-embedder", "unknown-graph", "unknown-model",
             "missing-experiment", "unknown-experiment", "unknown-model-name",
             "bad-mining", "bad-scenario", "bad-graph-layers", "unknown-top-level",
             "unknown-fusion", "string-fusion-flag", "models-not-a-list", "string-seed",
-            "eval-fraction-out-of-range", "bad-convention"])
+            "eval-fraction-out-of-range", "bad-convention", "number-identities", "list-videos",
+            "number-split", "null-output-root", "null-run-id", "number-store",
+            "number-adjacency"])
     def test_bad_config_keys_are_usage_errors(self, corpus_small, tmp_path, capsys,
                                               block, key, value, named):
         payload = json.loads(
@@ -488,7 +532,7 @@ class TestRun:
         target = {"hyper": model["hyper"], "embedder": model["embedder"],
                   "model": model, "experiment": experiment, "config": payload,
                   "fusion": payload.setdefault("fusion", {})}[block]
-        if value is None:
+        if value is ABSENT:
             del target[key]
         else:
             target[key] = value

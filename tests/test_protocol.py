@@ -1,15 +1,25 @@
-"""Splits, exhaustive trial generation and the experiment matrix."""
+"""Splits, exhaustive trial generation, trial sets and the experiment matrix."""
 
+import csv
+import random
+from collections import Counter
+
+import numpy as np
 import pytest
 
-from avatarprint.catalog import Dataset, Generator
+from avatarprint.catalog import AvatarVideo, Catalog, Dataset, Generator, IdentityRecord, cross_video_id
 from avatarprint.protocol import (
     ALL_GENERATORS,
+    CONVENTIONS,
     EXCLUDE_IDENTICAL,
     INCLUDE_IDENTICAL,
+    MAX_TRIALS,
+    TRIAL_HEADER,
     ExperimentSpec,
     ProtocolError,
     Split,
+    Trial,
+    TrialSet,
     experiment_matrix,
     generate_trials,
     load_split,
@@ -124,6 +134,58 @@ def _formula_counts(catalog, split, convention):
     return genuine, impostor
 
 
+def _catalog(renderings, datasets=None):
+    """A catalog of (generator, target, driver, clip) renderings; identities
+    are CREMA-D unless ``datasets`` maps them elsewhere."""
+    datasets = datasets or {}
+    ids = sorted({i for _, target, driver, _ in renderings for i in (target, driver)})
+    dataset = {i: datasets.get(i, Dataset.CREMA_D) for i in ids}
+    return Catalog(
+        [IdentityRecord(i, dataset[i]) for i in ids],
+        [AvatarVideo(cross_video_id(gen, target, driver, clip), dataset[target], gen,
+                     target, driver, clip)
+         for gen, target, driver, clip in renderings],
+    )
+
+
+G, L = Generator.GAGA, Generator.LIVE
+# id01 has one self video and is impersonated; id02 has self videos and no
+# impostor; id03 is impersonated in GAGA but has a self video only in LIVE;
+# id04 has one self video and nothing else; ravd00/ravd01 are a second dataset
+EDGE_CATALOG = _catalog(
+    [(G, "id00", "id00", c) for c in range(3)]
+    + [(G, "id00", "id01", 0), (G, "id00", "id02", 1)]
+    + [(G, "id01", "id01", 0), (G, "id01", "id00", 0)]
+    + [(G, "id02", "id02", c) for c in range(3)]
+    + [(G, "id03", "id00", 0), (L, "id03", "id03", 0), (L, "id03", "id01", 0)]
+    + [(L, "id00", "id00", c) for c in range(2)]
+    + [(G, "id04", "id04", 0)]
+    + [(G, "ravd00", "ravd00", c) for c in range(2)] + [(G, "ravd00", "ravd01", 0)],
+    datasets={"ravd00": Dataset.RAVDESS, "ravd01": Dataset.RAVDESS},
+)
+
+
+def _canonical_trials(catalog, split, convention):
+    """The brute-force pairs as trials in canonical order: (dataset,
+    generator, target, enroll video, genuine before impostor, test video)."""
+    genuine, impostor = enumerate_trials_bruteforce(
+        catalog, split, convention == INCLUDE_IDENTICAL)
+    rows = []
+    for pairs, label in ((genuine, 1), (impostor, 0)):
+        for enroll, test in pairs:
+            video = catalog.video(enroll)
+            rows.append((video.dataset.value, video.generator.value, video.target,
+                         enroll, 1 - label, test))
+    return [
+        Trial(f"t{i:08d}", dataset, generator, enroll, test, 1 - impostor)
+        for i, (dataset, generator, _, enroll, impostor, test) in enumerate(sorted(rows), 1)
+    ]
+
+
+def _rows(trials):
+    return [[*t[:5], str(t.label)] for t in trials]
+
+
 class TestGenerateTrials:
     @pytest.mark.parametrize("convention", [EXCLUDE_IDENTICAL, INCLUDE_IDENTICAL])
     def test_matches_bruteforce_enumeration(self, convention):
@@ -148,6 +210,41 @@ class TestGenerateTrials:
         want_gen, want_imp = _formula_counts(catalog, split, convention)
         assert sum(t.label for t in trials) == want_gen
         assert sum(1 - t.label for t in trials) == want_imp
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("catalog, evaluation", [
+        (tiny_catalog(n_ids=5, clips=3, cross_per_driver=2, generators=(G, L)),
+         {"id00", "id01", "id02", "id03"}),
+        (EDGE_CATALOG, {"id00", "id01", "id02", "id03", "id04", "ravd00", "ravd01"}),
+    ], ids=["tiny", "edges"])
+    def test_order_equals_sorted_bruteforce(self, catalog, evaluation, convention):
+        split = Split(frozenset(set(catalog.identities) - evaluation), frozenset(evaluation))
+        trials = generate_trials(catalog, split, convention)
+        want = _canonical_trials(catalog, split, convention)
+        assert list(trials) == want
+        assert trial_counts(trials) == Counter((t.dataset, t.generator, t.label) for t in want)
+        assert trials.videos == tuple(sorted({v for t in want for v in t[3:5]}))
+
+    def test_edge_blocks(self):
+        split = Split(frozenset(), frozenset(EDGE_CATALOG.identities))
+        trials = generate_trials(EDGE_CATALOG, split)
+        gaga = trials.select("CREMA-D", "GAGA")
+        one_self = cross_video_id(G, "id01", "id01", 0)
+        assert [t.label for t in gaga if t.enroll_video == one_self] == [0]
+        no_impostor = {t.label for t in gaga if t.enroll_video.startswith("gaga_id02")}
+        assert no_impostor == {1}
+        # id03's GAGA impersonation has no GAGA enrollment; id04 is in no trial
+        assert cross_video_id(G, "id03", "id00", 0) not in trials.videos
+        assert cross_video_id(G, "id04", "id04", 0) not in trials.videos
+        assert cross_video_id(G, "id04", "id04", 0) in {
+            t.test_video for t in generate_trials(EDGE_CATALOG, split, INCLUDE_IDENTICAL)}
+
+    def test_too_many_trials_for_the_ids(self):
+        catalog = _catalog([(G, "id00", "id00", c) for c in range(10_001)])
+        split = Split(frozenset(), frozenset({"id00"}))
+        assert 10_001 * 10_000 > MAX_TRIALS
+        with pytest.raises(ProtocolError, match="100,010,000 trials"):
+            generate_trials(catalog, split)
 
     def test_canonical_order_and_ids(self):
         catalog = tiny_catalog(n_ids=3, clips=2, cross_per_driver=1,
@@ -226,6 +323,77 @@ class TestTrialIO:
         for t in loaded:
             for value in (t.dataset, t.generator, t.enroll_video, t.test_video):
                 assert seen.setdefault(value, value) is value
+
+
+class TestTrialSet:
+    @pytest.fixture
+    def trials(self):
+        catalog = tiny_catalog(n_ids=4, clips=2, cross_per_driver=2, generators=(G, L))
+        return generate_trials(catalog, Split(frozenset(), frozenset(catalog.identities)))
+
+    def test_sequence_contract(self, trials):
+        rows = list(trials)
+        assert rows == [trials[i] for i in range(len(trials))]
+        assert trials[-1] == rows[-1] and isinstance(trials[0], Trial)
+        with pytest.raises(IndexError):
+            trials[len(trials)]
+        sample = random.Random(3).sample(trials, 6)
+        assert len(sample) == 6 and all(t in rows for t in sample)
+        part = trials[5:11]
+        assert isinstance(part, TrialSet) and list(part) == rows[5:11]
+        assert part[0].trial_id == "t00000006"
+        impostor = trials[trials.label == 0]
+        assert list(impostor) == [t for t in rows if t.label == 0]
+        assert impostor.videos == tuple(sorted({v for t in impostor for v in t[3:5]}))
+        assert list(trials.select(generator="LIVE")) == [t for t in rows if t.generator == "LIVE"]
+        assert list(trials.select("CREMA-D", "GAGA")) == [t for t in rows if t.generator == "GAGA"]
+        assert len(trials.select("RAVDESS")) == 0
+
+    def test_equality_is_row_equality(self, trials):
+        rows = _rows(trials)
+        assert TrialSet.from_rows(rows) == trials
+        assert trials[:-1] != trials and trials[:] == trials
+        assert trials[np.arange(len(trials))[::-1]] != trials
+        with pytest.raises(TypeError):
+            hash(trials)
+        for field, value in ((5, "0"), (3, rows[0][4]), (2, "LIVE")):
+            changed = [list(r) for r in rows]
+            assert changed[0][field] != value
+            changed[0][field] = value
+            assert TrialSet.from_rows(changed) != trials
+
+    def test_quoted_video_ids_round_trip(self, tmp_path):
+        rows = [
+            ["t00000001", "CREMA-D", "GAGA", "a,b", 'say "hi"', "1"],
+            ["t00000002", "CREMA-D", "GAGA", "a,b", "", "0"],
+            ["t00000007", "RAVDESS", "LIVE", 'say "hi"', "plain", "0"],
+        ]
+        trials = TrialSet.from_rows(rows)
+        save_trials(trials, tmp_path / "trials.csv")
+        with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(TRIAL_HEADER)
+            writer.writerows(rows)
+        assert (tmp_path / "trials.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        loaded = load_trials(tmp_path / "trials.csv")
+        assert loaded == trials and _rows(loaded) == rows
+
+    @pytest.mark.parametrize("row", [
+        ["t1", "CREMA-D", "GAGA", "a", "b", "1"],
+        ["t+0000001", "CREMA-D", "GAGA", "a", "b", "1"],
+        ["t0000000x", "CREMA-D", "GAGA", "a", "b", "1"],
+        ["t\uff100000001", "CREMA-D", "GAGA", "a", "b", "1"],
+        ["t00000001", "CREMA-D", "GAGA", "a", "b", "2"],
+        ["t00000001", "CREMA-D", "GAGA", "a", "b"],
+    ], ids=["short", "sign", "letter", "wide-digit", "label", "fields"])
+    def test_malformed_row_names_the_file(self, tmp_path, row):
+        path = tmp_path / "trials.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [TRIAL_HEADER, ["t00000001", "CREMA-D", "GAGA", "a", "b", "1"], row])
+        with pytest.raises(ProtocolError, match="row 2") as raised:
+            load_trials(path)
+        assert str(path) in str(raised.value)
 
 
 class TestCheckLabels:

@@ -9,6 +9,7 @@ import pytest
 from avatarprint import scoring
 from avatarprint.embedder import EmbedderConfig, EmbedderError, forward, init_params
 from avatarprint.feature_store import NormalizationParams
+from avatarprint.protocol import TrialSet
 from avatarprint.scoring import (
     FUSION_MODEL,
     ScoreRow,
@@ -141,18 +142,18 @@ def _setup(tmp_path, n=5):
     return ids, store
 
 
-class FakeTrial:
-    def __init__(self, trial_id, enroll, test, label):
-        self.trial_id = trial_id
-        self.enroll_video = enroll
-        self.test_video = test
-        self.label = label
+def trial_set(pairs) -> TrialSet:
+    """Trials t00000001, t00000002, ... of (enroll, test, label) triples."""
+    return TrialSet.from_rows(
+        [f"t{i:08d}", "CREMA-D", "GAGA", enroll, test, str(label)]
+        for i, (enroll, test, label) in enumerate(pairs, 1)
+    )
 
 
 class TestFusion:
     def test_mean_of_models(self, tmp_path):
         ids, store = _setup(tmp_path)
-        trials = [FakeTrial(f"t{i}", ids[i], ids[i + 1], i % 2) for i in range(4)]
+        trials = trial_set((ids[i], ids[i + 1], i % 2) for i in range(4))
         models = {f"m{k}": (make_params(seed=k), store) for k in (1, 2, 3)}
         table = score_trials(models, trials)
         for i in range(0, len(table.rows), 4):
@@ -166,20 +167,20 @@ class TestFusion:
         # 12 frames hold one 8-frame window but no 16-frame one
         models = {"short": (make_params(window_len=8), store),
                   "long": (make_params(window_len=16), store)}
-        trials = [FakeTrial("t1", "a", "b", 1), FakeTrial("t2", "a", "c", 0)]
+        trials = trial_set([("a", "b", 1), ("a", "c", 0)])
         for zscore in (False, True):
             table = score_trials(models, trials, zscore_fusion=zscore)
             by_model = {(r.trial_id, r.model): r.score for r in table.rows}
-            assert by_model[("t1", "short")] is not None
-            assert by_model[("t1", "long")] is None
-            assert by_model[("t1", FUSION_MODEL)] is None
-            assert table.unscorable_trials == ["t1", "t2"]
+            assert by_model[("t00000001", "short")] is not None
+            assert by_model[("t00000001", "long")] is None
+            assert by_model[("t00000001", FUSION_MODEL)] is None
+            assert table.unscorable_trials == ["t00000001", "t00000002"]
 
 
 class TestScoreTrials:
     def test_per_model_and_fusion_rows(self, tmp_path):
         ids, store = _setup(tmp_path)
-        trials = [FakeTrial("t1", ids[0], ids[1], 1), FakeTrial("t2", ids[0], ids[2], 0)]
+        trials = trial_set([(ids[0], ids[1], 1), (ids[0], ids[2], 0)])
         models = {"m1": (make_params(seed=1), store), "m2": (make_params(seed=2), store)}
         table = score_trials(models, trials)
         assert [r.model for r in table.rows] == ["m1", "m2", "fusion"] * 2
@@ -191,10 +192,9 @@ class TestScoreTrials:
     def test_rows_equal_score_pair_exactly(self, tmp_path):
         ids, store = _setup(tmp_path, n=7)
         rng = np.random.default_rng(8)
-        trials = [
-            FakeTrial(f"t{i}", str(a), str(b), i % 2)
-            for i, (a, b) in enumerate(rng.choice(ids, size=(40, 2)))
-        ]
+        trials = trial_set(
+            (str(a), str(b), i % 2) for i, (a, b) in enumerate(rng.choice(ids, size=(40, 2)))
+        )
         models = {"m1": (make_params(seed=1), store), "m2": (make_params(seed=2), store)}
         table = score_trials(models, trials)
         for row in table.rows:
@@ -207,7 +207,7 @@ class TestScoreTrials:
     def test_each_video_embedded_once_per_model(self, tmp_path, monkeypatch):
         ids, store = _setup(tmp_path, n=6)
         pairs = itertools.product(ids[:5], repeat=2)
-        trials = [FakeTrial(f"t{i}", a, b, 0) for i, (a, b) in enumerate(pairs)]
+        trials = trial_set((a, b, 0) for a, b in pairs)
         calls = []
         real = scoring.video_window_embeddings
 
@@ -223,7 +223,7 @@ class TestScoreTrials:
 
     def test_models_on_one_store_do_not_share_means(self, tmp_path):
         ids, store = _setup(tmp_path)
-        trials = [FakeTrial(f"t{i}", ids[i], ids[i + 1], i % 2) for i in range(4)]
+        trials = trial_set((ids[i], ids[i + 1], i % 2) for i in range(4))
         models = {f"m{k}": (make_params(seed=k), store) for k in (1, 2)}
         both = score_trials(models, trials)
         for name in models:
@@ -248,27 +248,20 @@ class TestScoreTrials:
     def test_single_model_has_no_fusion_row(self, tmp_path):
         ids, store = _setup(tmp_path)
         table = score_trials(
-            {"m": (make_params(), store)}, [FakeTrial("t1", ids[0], ids[1], 1)]
+            {"m": (make_params(), store)}, trial_set([(ids[0], ids[1], 1)])
         )
         assert [r.model for r in table.rows] == ["m"]
 
     def test_missing_video_skips_trial(self, tmp_path):
         ids, store = _setup(tmp_path)
-        trials = [
-            FakeTrial("t1", ids[0], "ghost", 1),
-            FakeTrial("t2", ids[0], ids[1], 1),
-        ]
+        trials = trial_set([(ids[0], "ghost", 1), (ids[0], ids[1], 1)])
         table = score_trials({"m": (make_params(), store)}, trials)
         assert table.missing_videos == ["ghost"]
-        assert [r.trial_id for r in table.rows] == ["t2"]
+        assert [r.trial_id for r in table.rows] == ["t00000002"]
 
     def test_zscore_fusion_changes_only_fused_rows(self, tmp_path):
         ids, store = _setup(tmp_path)
-        trials = [
-            FakeTrial("t1", ids[0], ids[1], 1),
-            FakeTrial("t2", ids[0], ids[2], 0),
-            FakeTrial("t3", ids[1], ids[3], 0),
-        ]
+        trials = trial_set([(ids[0], ids[1], 1), (ids[0], ids[2], 0), (ids[1], ids[3], 0)])
         models = {"m1": (make_params(seed=1), store), "m2": (make_params(seed=2), store)}
         plain = score_trials(models, trials, zscore_fusion=False)
         zed = score_trials(models, trials, zscore_fusion=True)
@@ -280,7 +273,7 @@ class TestScoreTrials:
 
     def test_round_trip_csv(self, tmp_path):
         ids, store = _setup(tmp_path)
-        trials = [FakeTrial("t1", ids[0], ids[1], 1)]
+        trials = trial_set([(ids[0], ids[1], 1)])
         table = score_trials({"m": (make_params(), store)}, trials)
         write_score_table(table, tmp_path / "scores.csv")
         back = read_score_table(tmp_path / "scores.csv")
@@ -296,7 +289,7 @@ class TestScoreTrials:
 
     def test_read_table_shares_repeated_strings(self, tmp_path):
         ids, store = _setup(tmp_path)
-        trials = [FakeTrial(f"t{i}", ids[0], ids[i + 1], i % 2) for i in range(3)]
+        trials = trial_set((ids[0], ids[i + 1], i % 2) for i in range(3))
         models = {f"m{k}": (make_params(seed=k), store) for k in (1, 2)}
         write_score_table(score_trials(models, trials), tmp_path / "scores.csv")
         rows = read_score_table(tmp_path / "scores.csv").rows

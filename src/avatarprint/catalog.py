@@ -84,6 +84,8 @@ class IdentityRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise CatalogError("identity id must be non-empty")
+        if not self.id.isprintable():
+            raise CatalogError(f"identity id {self.id!r} holds a control character")
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,9 @@ class AvatarVideo:
     def __post_init__(self) -> None:
         if not self.video_id:
             raise CatalogError("video_id must be non-empty")
+        if not self.video_id.isprintable():
+            # no CSV this package writes could carry it: a \r ends a row on reading
+            raise CatalogError(f"video_id {self.video_id!r} holds a control character")
         if self.source_clip < 0:
             raise CatalogError(f"video {self.video_id}: source_clip must be >= 0")
 
@@ -441,15 +446,14 @@ def load_manifest(identities_path: str | Path, videos_path: str | Path) -> Catal
             raise ManifestError(f"expected {len(IDENTITY_HEADER)} fields, got {len(row)}",
                                 identities_path, lineno)
         ident, ds, gender, eth, age = row
-        identities.append(
-            IdentityRecord(
-                id=ident,
-                dataset=_parse_enum(datasets, ds, "dataset", identities_path, lineno),
-                gender=_parse_enum(genders, gender, "gender", identities_path, lineno),
-                ethnicity=_parse_enum(ethnicities, eth, "ethnicity", identities_path, lineno),
-                age_range=_parse_enum(ages, age, "age_range", identities_path, lineno),
-            )
-        )
+        dataset = _parse_enum(datasets, ds, "dataset", identities_path, lineno)
+        annotation = (_parse_enum(genders, gender, "gender", identities_path, lineno),
+                      _parse_enum(ethnicities, eth, "ethnicity", identities_path, lineno),
+                      _parse_enum(ages, age, "age_range", identities_path, lineno))
+        try:
+            identities.append(IdentityRecord(ident, dataset, *annotation))
+        except CatalogError as exc:
+            raise ManifestError(str(exc), identities_path, lineno) from None
 
     videos: list[AvatarVideo] = []
     for lineno, row in enumerate(read_csv(videos_path, VIDEO_HEADER, ManifestError), 2):
@@ -463,16 +467,12 @@ def load_manifest(identities_path: str | Path, videos_path: str | Path) -> Catal
             clip_idx = int(clip)
         except ValueError:
             raise ManifestError(f"bad source_clip {clip!r}", videos_path, lineno) from None
-        videos.append(
-            AvatarVideo(
-                video_id=video_id,
-                dataset=_parse_enum(datasets, ds, "dataset", videos_path, lineno),
-                generator=_parse_enum(generators, gen, "generator", videos_path, lineno),
-                target=target,
-                driver=driver,
-                source_clip=clip_idx,
-            )
-        )
+        dataset = _parse_enum(datasets, ds, "dataset", videos_path, lineno)
+        generator = _parse_enum(generators, gen, "generator", videos_path, lineno)
+        try:
+            videos.append(AvatarVideo(video_id, dataset, generator, target, driver, clip_idx))
+        except CatalogError as exc:
+            raise ManifestError(str(exc), videos_path, lineno) from None
 
     return Catalog(identities, videos)
 

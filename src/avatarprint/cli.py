@@ -447,7 +447,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if table.unscorable_trials:
         print(f"{len(table.unscorable_trials)} trials unscorable (too short)",
               file=sys.stderr)
-    print(f"wrote {len(table.rows):,d} score rows to {args.out}")
+    print(f"wrote {table.scores.size:,d} score rows to {args.out}")
     return EXIT_OK
 
 
@@ -607,13 +607,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         reports_dir = run_dir / "reports"
 
         def run_job(job: proto.Job) -> tuple[str | None, list[ev.EvalReport]]:
+            stem = _sanitize(job.job_id)
+            # an earlier invocation's reports of this job go first, so a job
+            # that fails below leaves none beside a report.csv that omits it
+            for old in [reports_dir / f"fairness_{stem}.csv",
+                        *reports_dir.glob(f"roc_{stem}_*.csv")]:
+                old.unlink(missing_ok=True)
             checkpoints = {}
             for name in _job_models(job, config):
                 key = (name, job.train_dataset, job.train_generator)
                 if train_failures[key]:
                     return f"score {job.job_id}: training failed for {name}", []
                 checkpoints[name] = train_tasks[key]
-            stem = _sanitize(job.job_id)
             try:
                 table = _reuse_or_make(
                     run_dir / "scores" / f"{stem}.csv",

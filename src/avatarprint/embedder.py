@@ -1,7 +1,8 @@
 """Window embedding model.
 
 Maps a fixed-length window of per-frame features to a compact L2-normalized
-embedding: optional per-frame graph encoder over facial landmarks, multi-head
+embedding: optional per-frame graph encoder over facial landmarks (with a
+learned per-node readout, run in blocks of frames), multi-head
 temporal attention pooling (learned query vectors over key/value projections
 of the frames), a linear map back to the frame-feature dimension, and a final
 projection head. Gradients are derived analytically; no autodiff framework is
@@ -210,6 +211,7 @@ def _param_shapes(config: EmbedderConfig) -> list[tuple[str, tuple[int, ...]]]:
             shapes.append((f"graph.l{layer}.weight", (in_dim, config.graph.hidden_dim)))
             shapes.append((f"graph.l{layer}.bias", (config.graph.hidden_dim,)))
             in_dim = config.graph.hidden_dim
+        shapes.append(("graph.readout", (config.input_dim // 2, config.graph.hidden_dim)))
     shapes += [
         ("attn.query", (h, a)),
         ("attn.key", (h, dim, a)),
@@ -277,12 +279,16 @@ def init_params(
     graph: AdjacencyGraph | None = None,
 ) -> EmbedderParams:
     """Seeded initialization: zero biases, scaled Gaussian weights, unit
-    Gaussian query vectors. Deterministic for a given config.seed."""
+    Gaussian query vectors, and a graph readout of 1/nodes (the node mean),
+    which draws nothing from the generator. Deterministic for a given
+    config.seed."""
     rng = np.random.default_rng(config.seed)
     chunks = []
     for name, shape in _param_shapes(config):
         if name.endswith(".bias"):
             chunks.append(np.zeros(shape))
+        elif name == "graph.readout":
+            chunks.append(np.full(shape, 1.0 / shape[0]))
         elif name == "attn.query":
             chunks.append(rng.standard_normal(shape))
         else:
@@ -295,9 +301,12 @@ def init_params(
 # -- graph encoder -----------------------------------------------------------
 
 
+GRAPH_BLOCK = 128  # frames encoded at a time, so a block's (frames, nodes, hidden) stays in cache
+
+
 @dataclass
 class _GraphState:
-    aggregated: np.ndarray | None = None  # (N, L, 2) neighbor-averaged landmarks
+    aggregated: np.ndarray | None = None  # (N, L, 3): neighbor-averaged landmarks, ones
     activated: list[np.ndarray] = field(default_factory=list)  # per layer: (N, L, out)
 
 
@@ -307,8 +316,11 @@ def graph_encode(
     """Encode frames of landmark points, (N, L, 2) -> (N, hidden_dim).
 
     Each layer averages every node with its neighbors (degree-normalized),
-    applies a learned linear map and tanh; the frame descriptor is the mean
-    over nodes after the last layer.
+    applies a learned linear map and tanh. The frame descriptor is the
+    readout R (L, hidden) applied per node, Σₙ a[:, n, :] ⊙ R[n], so it
+    keeps which landmark moved how; at initialization R is the node mean.
+    Frames run in blocks of ``GRAPH_BLOCK``; layer 0's bias rides in its
+    weight product as a ones column of the aggregated landmarks.
     """
     cfg = params.config.graph
     graph = params.graph
@@ -320,51 +332,70 @@ def graph_encode(
             f"expected (N, {graph.num_nodes}, 2) landmark frames, "
             f"got {frames_landmarks.shape}"
         )
+    n, nodes = frames_landmarks.shape[:2]
     norm = graph.norm_matrix()
-    hidden = frames_landmarks
-    for layer in range(cfg.layers):
-        aggregated = np.matmul(norm, hidden)
-        if state is not None and layer == 0:
-            state.aggregated = aggregated
-        hidden = np.matmul(aggregated, params[f"graph.l{layer}.weight"])
-        del aggregated
-        hidden += params[f"graph.l{layer}.bias"]
+    first = np.vstack([params["graph.l0.weight"], params["graph.l0.bias"]])
+    readout = params["graph.readout"]
+    aggregated = np.empty((n, nodes, 3))
+    aggregated[:, :, 2] = 1.0
+    activated = [np.empty((n, nodes, cfg.hidden_dim)) for _ in range(cfg.layers)]
+    desc = np.empty((n, cfg.hidden_dim))
+    for start in range(0, n, GRAPH_BLOCK):
+        part = slice(start, start + GRAPH_BLOCK)
+        np.matmul(norm, frames_landmarks[part], out=aggregated[part, :, :2])
+        hidden = np.matmul(aggregated[part], first, out=activated[0][part])
         np.tanh(hidden, out=hidden)
-        if state is not None:
-            state.activated.append(hidden)
-    return np.matmul(np.full(graph.num_nodes, 1.0 / graph.num_nodes), hidden)  # node mean
+        for layer in range(1, cfg.layers):
+            hidden = np.matmul(np.matmul(norm, hidden), params[f"graph.l{layer}.weight"],
+                               out=activated[layer][part])
+            hidden += params[f"graph.l{layer}.bias"]
+            np.tanh(hidden, out=hidden)
+        np.einsum("nlh,lh->nh", hidden, readout, out=desc[part])
+    if state is not None:
+        state.aggregated, state.activated = aggregated, activated
+    return desc
 
 
 def _graph_backward(
     params: EmbedderParams, state: _GraphState, d_desc: np.ndarray, grads: dict[str, np.ndarray]
 ) -> None:
-    """Accumulate graph-encoder gradients given d(loss)/d(descriptor), (N, hidden).
+    """Accumulate graph-encoder gradients given d(loss)/d(descriptor), (N, hidden),
+    block by block as ``graph_encode`` ran.
 
-    Above the first layer, G = normᵀ ∂pre gives both the weight gradient
-    Σ inputᵀ G and the gradient G Wᵀ reaching the layer's input, so only the
-    first layer's (N, L, 2) aggregated landmarks are kept from the forward
-    pass. The landmarks themselves need no gradient.
+    The readout gives ∂R = Σ_N a ⊙ ∂desc and ∂a = ∂desc ⊙ R for the last
+    layer's activations a. Above the first layer, G = normᵀ ∂pre gives both
+    the weight gradient Σ inputᵀ G and the gradient G Wᵀ reaching the
+    layer's input, so only the first layer's aggregated landmarks are kept
+    from the forward pass; their ones column yields the first bias's
+    gradient with its weight's. The landmarks themselves need no gradient.
     """
     cfg = params.config.graph
     graph = params.graph
     assert cfg is not None and graph is not None and state.aggregated is not None
     norm_t = graph.norm_matrix().T
-    d_hidden = (d_desc / graph.num_nodes)[:, None, :]  # broadcast over the nodes
-    for layer in range(cfg.layers - 1, -1, -1):
-        activated = state.activated[layer]
-        hid = activated.shape[2]
-        d_pre = np.multiply(activated, activated)  # tanh' = 1 - a², in one buffer
-        np.subtract(1.0, d_pre, out=d_pre)
-        d_pre *= d_hidden
-        grads[f"graph.l{layer}.bias"] += d_pre.reshape(-1, hid).sum(axis=0)
-        if layer == 0:
-            below, d_out = state.aggregated, d_pre
-        else:
-            below, d_out = state.activated[layer - 1], np.matmul(norm_t, d_pre)
+    readout = params["graph.readout"]
+    hid = cfg.hidden_dim
+    d_first = np.zeros((3, hid))
+    for start in range(0, d_desc.shape[0], GRAPH_BLOCK):
+        part = slice(start, start + GRAPH_BLOCK)
+        d_part = d_desc[part]
+        grads["graph.readout"] += np.einsum("nlh,nh->lh", state.activated[-1][part], d_part)
+        d_hidden = d_part[:, None, :] * readout
+        for layer in range(cfg.layers - 1, -1, -1):
+            activated = state.activated[layer][part]
+            d_pre = np.multiply(activated, activated)  # tanh' = 1 - a², in one buffer
+            np.subtract(1.0, d_pre, out=d_pre)
+            d_pre *= d_hidden
+            if layer == 0:
+                d_first += state.aggregated[part].reshape(-1, 3).T @ d_pre.reshape(-1, hid)
+                break
+            grads[f"graph.l{layer}.bias"] += d_pre.reshape(-1, hid).sum(axis=0)
+            d_out = np.matmul(norm_t, d_pre)
+            below = state.activated[layer - 1][part]
+            grads[f"graph.l{layer}.weight"] += below.reshape(-1, hid).T @ d_out.reshape(-1, hid)
             d_hidden = np.matmul(d_out, params[f"graph.l{layer}.weight"].T)
-        grads[f"graph.l{layer}.weight"] += (
-            below.reshape(-1, below.shape[2]).T @ d_out.reshape(-1, hid)
-        )
+    grads["graph.l0.weight"] += d_first[:2]
+    grads["graph.l0.bias"] += d_first[2]
 
 
 # -- forward / backward ------------------------------------------------------
@@ -562,6 +593,12 @@ def load_checkpoint(path: str | Path) -> EmbedderParams:
             f"header promises {header['param_count']} float64 values"
         )
     config = EmbedderConfig.from_dict(header["config"])
+    expected = sum(int(np.prod(shape)) for _, shape in _param_shapes(config))
+    if header["param_count"] != expected:
+        raise EmbedderError(
+            f"{path}: {header['param_count']} parameters where the model needs {expected} "
+            "(a graph checkpoint written before the per-node readout lacks graph.readout)"
+        )
     norm = (
         NormalizationParams.from_dict(header["normalization"])
         if header.get("normalization")

@@ -7,6 +7,7 @@ power loss."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import secrets
@@ -75,6 +76,21 @@ def read_csv(path: str | Path, header: list[str], error: type[Exception]
         if found != header:
             raise error(f"{path}: bad header {found!r}, expected {header!r}")
         yield from reader
+
+
+def csv_fields(values: Iterable[str]) -> list[str]:
+    """Each value as ``write_csv`` writes it within a row. QUOTE_MINIMAL
+    quotes each field on its own, so a row can be joined from these with
+    commas."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    fields = []
+    for value in values:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow([value, ""])  # a second field: a lone empty field is written ""
+        fields.append(buffer.getvalue()[:-2])
+    return fields
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence],

@@ -17,7 +17,6 @@ touch one trial at a time.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from array import array
 from collections import defaultdict
@@ -34,7 +33,7 @@ from .catalog import (
     Catalog,
     Dataset,
 )
-from .files import AtomicFile, read_csv, write_json
+from .files import AtomicFile, csv_fields, read_csv, write_json
 
 
 class ProtocolError(ValueError):
@@ -242,14 +241,23 @@ EXCLUDE_IDENTICAL = "exclude_identical"
 INCLUDE_IDENTICAL = "include_identical"
 CONVENTIONS = (EXCLUDE_IDENTICAL, INCLUDE_IDENTICAL)
 MAX_TRIALS = 99_999_999  # a trial id is "t" and eight digits
-_CHUNK = 1 << 16  # trials turned into Python objects at a time
+ROW_CHUNK = 1 << 16  # rows turned into Python objects at a time
 
 
-def _trial_ids(numbers: Iterable[int]) -> list[str]:
+def trial_ids(numbers: Iterable[int]) -> list[str]:
     return [f"t{n:08d}" for n in numbers]
 
 
-def _named(vocab: Sequence, *codes: np.ndarray) -> tuple[tuple, list[np.ndarray]]:
+def trial_number(trial_id: str) -> int:
+    """The number in a trial id of "t" and 8 ASCII digits; any other string
+    is a ValueError."""
+    digits = trial_id[1:]
+    if trial_id[:1] != "t" or len(digits) != 8 or not (digits.isascii() and digits.isdigit()):
+        raise ValueError(trial_id)
+    return int(digits)
+
+
+def named_codes(vocab: Sequence, *codes: np.ndarray) -> tuple[tuple, list[np.ndarray]]:
     """The entries of ``vocab`` that some code in ``codes`` names, sorted, and
     the codes renumbered to index them."""
     named = np.zeros(len(vocab), dtype=bool)
@@ -284,9 +292,9 @@ class TrialSet(Sequence[Trial]):
         the entries some trial names, sorted, and codes the columns by them."""
         self.number = np.asarray(number, dtype=np.int32)
         self.label = np.asarray(label, dtype=np.int8)
-        self.videos, (self.enroll, self.test) = _named(
+        self.videos, (self.enroll, self.test) = named_codes(
             videos, np.asarray(enroll, dtype=np.int32), np.asarray(test, dtype=np.int32))
-        self.conditions, (self.condition,) = _named(
+        self.conditions, (self.condition,) = named_codes(
             conditions, np.asarray(condition, dtype=np.int8))
 
     def _columns(self) -> tuple[np.ndarray, ...]:
@@ -308,7 +316,7 @@ class TrialSet(Sequence[Trial]):
         try:
             for row in rows:
                 trial_id, dataset, generator, enroll_video, test_video, row_label = row
-                digits = trial_id[1:]
+                digits = trial_id[1:]  # trial_number's check, inline in this hot loop
                 if trial_id[:1] != "t" or len(digits) != 8 or not (
                         digits.isascii() and digits.isdigit()):
                     raise ValueError(trial_id)
@@ -334,7 +342,7 @@ class TrialSet(Sequence[Trial]):
         if isinstance(key, (slice, np.ndarray)):
             return TrialSet(self.videos, self.conditions,
                             *(column[key] for column in self._columns()))
-        (trial_id,) = _trial_ids([int(self.number[key])])
+        (trial_id,) = trial_ids([int(self.number[key])])
         dataset, generator = self.conditions[self.condition[key]]
         return Trial(trial_id, dataset, generator, self.videos[self.enroll[key]],
                      self.videos[self.test[key]], int(self.label[key]))
@@ -342,9 +350,9 @@ class TrialSet(Sequence[Trial]):
     def _chunks(self) -> Iterator[tuple[list, ...]]:
         """The columns as lists, a bounded number of trials at a time: trial
         ids, condition codes, enroll and test video codes, labels."""
-        for start in range(0, len(self), _CHUNK):
-            part = slice(start, start + _CHUNK)
-            yield (_trial_ids(self.number[part].tolist()),
+        for start in range(0, len(self), ROW_CHUNK):
+            part = slice(start, start + ROW_CHUNK)
+            yield (trial_ids(self.number[part].tolist()),
                    *(column[part].tolist() for column in self._columns()[1:]))
 
     def __iter__(self) -> Iterator[Trial]:
@@ -455,21 +463,10 @@ TRIAL_HEADER = ["trial_id", "dataset", "generator", "enroll_video", "test_video"
 
 def save_trials(trials: TrialSet, path: str | Path) -> None:
     """``trials`` as CSV, byte for byte what ``csv.writer`` (lines ending in
-    a newline) writes for their rows. Each video id and condition is
-    formatted once by such a writer; QUOTE_MINIMAL quotes each field on its
-    own, so rows can be joined from the formatted fields."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-
-    def formatted(value: str) -> str:
-        # a second, empty field: a row of one empty field is written as ""
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerow([value, ""])
-        return buffer.getvalue()[:-2]
-
-    videos = [formatted(v) for v in trials.videos]
-    conditions = [f"{formatted(ds)},{formatted(gen)}" for ds, gen in trials.conditions]
+    a newline) writes for their rows, with each video id and condition
+    formatted once."""
+    videos = csv_fields(trials.videos)
+    conditions = [",".join(csv_fields(pair)) for pair in trials.conditions]
     with AtomicFile(path) as fh:
         csv.writer(fh, lineterminator="\n").writerow(TRIAL_HEADER)
         for chunk in trials._chunks():

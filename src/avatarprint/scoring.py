@@ -16,13 +16,22 @@ test columns. The set's video vocabulary is sorted by id, so the smaller
 code of a pair is score_pair's first operand and the two paths agree bit
 for bit. Multiple models fuse by averaging their per-trial scores,
 optionally z-scored per model first.
+
+The result is a ``ScoreTable`` of columns: the scored trials' numbers,
+video codes and labels, and one (models, trials) score array, NaN where a
+trial is unscorable. Its CSV writer formats each distinct field once and
+its reader parses rows straight into the columns; ``ScoreTable.rows``, the
+``ScoreRow`` view evaluation reads, is built on first use.
 """
 
 from __future__ import annotations
 
+import collections
+import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,8 +39,8 @@ import numpy as np
 
 from .embedder import EmbedderParams, forward_batch
 from .feature_store import FeatureStore
-from .files import read_csv, write_csv
-from .protocol import TrialSet
+from .files import AtomicFile, csv_fields, read_csv
+from .protocol import ROW_CHUNK, TrialSet, named_codes, trial_ids, trial_number
 
 
 class ScoringError(ValueError):
@@ -124,11 +133,62 @@ class ScoreRow:
     score: float | None
 
 
-@dataclass
 class ScoreTable:
-    rows: list[ScoreRow] = field(default_factory=list)
-    missing_videos: list[str] = field(default_factory=list)
-    unscorable_trials: list[str] = field(default_factory=list)
+    """Scores as columns: trial ``i``, with id ``f"t{number[i]:08d}"``, scores
+    ``videos[enroll[i]]`` against ``videos[test[i]]`` with ``label[i]``, and
+    ``scores[m, i]`` is model ``models[m]``'s score of it, NaN when the trial
+    is unscorable. ``videos`` is the sorted tuple of the video ids the trials
+    name; ``models`` is in table order, fusion last. ``missing_videos`` are
+    the videos whose trials were left out for lack of features."""
+
+    def __init__(self, videos: Sequence[str], models: Sequence[str], number: np.ndarray,
+                 enroll: np.ndarray, test: np.ndarray, label: np.ndarray, scores: np.ndarray,
+                 missing_videos: Sequence[str] = ()):
+        self.number = np.asarray(number, dtype=np.int32)
+        self.label = np.asarray(label, dtype=np.int8)
+        self.videos, (self.enroll, self.test) = named_codes(
+            videos, np.asarray(enroll, dtype=np.int32), np.asarray(test, dtype=np.int32))
+        self.models = tuple(models)
+        self.scores = np.asarray(scores, dtype=np.float64).reshape(len(self.models), len(self.number))
+        self.missing_videos = list(missing_videos)
+        self._rows: list[ScoreRow] | None = None
+
+    @property
+    def unscorable_trials(self) -> list[str]:
+        """Trials some model could not score (a video shorter than one window)."""
+        return trial_ids(self.number[np.isnan(self.scores).any(axis=0)].tolist())
+
+    @property
+    def rows(self) -> list[ScoreRow]:
+        """One ``ScoreRow`` per trial and model in table order (trials outer,
+        models inner; None for NaN), built on first use and kept. Equal
+        strings are one object."""
+        if self._rows is None:
+            self._rows = []
+            for start in range(0, len(self.number), ROW_CHUNK):
+                self._rows += self._row_chunk(slice(start, start + ROW_CHUNK))
+        return self._rows
+
+    def _row_chunk(self, part: slice) -> list[ScoreRow]:
+        m, videos = len(self.models), self.videos
+
+        def repeated(column: list) -> list:  # each entry once per model
+            return list(itertools.chain.from_iterable(zip(*[column] * m)))
+
+        scores = self.scores[:, part].T.ravel().tolist()
+        columns = (
+            repeated(trial_ids(self.number[part].tolist())),
+            repeated([videos[e] for e in self.enroll[part].tolist()]),
+            repeated([videos[t] for t in self.test[part].tolist()]),
+            repeated(self.label[part].tolist()),
+            list(self.models) * (len(scores) // m),
+            [None if s != s else s for s in scores],
+        )
+        # fill the slots directly: no Python-level __init__ call per row
+        rows = list(map(object.__new__, itertools.repeat(ScoreRow, len(scores))))
+        for name, column in zip(ScoreRow.__slots__, columns):
+            collections.deque(map(getattr(ScoreRow, name).__set__, rows, column), maxlen=0)
+        return rows
 
 
 FUSION_MODEL = "fusion"
@@ -155,9 +215,9 @@ def score_trials(
     """Score every trial with every model, in trial order.
 
     ``models`` maps a model id to its parameters and feature store. Trials
-    whose videos lack features are flagged in missing_videos and get no rows.
-    With more than one model a fused row (mean of per-model scores, optionally
-    z-scored per model first) is appended per trial under model "fusion".
+    whose videos lack features are flagged in missing_videos and left out.
+    With more than one model a fused score (mean of per-model scores,
+    optionally z-scored per model first) follows under model "fusion".
     """
     if not models:
         raise ScoringError("need at least one model")
@@ -175,42 +235,95 @@ def score_trials(
     for row, m in enumerate(model_ids):
         means = mean_embeddings(*models[m], kept.videos)
         scores[row] = _row_dots(means[first], means[second])
-
-    columns = list(model_ids)
-    stacked = scores
     if include_fusion and len(model_ids) > 1:
         fused = (_zscore(scores) if zscore_fusion else scores).mean(axis=0)
-        columns.append(FUSION_MODEL)
-        stacked = np.vstack([scores, fused])
-    values = [[None if math.isnan(s) else s for s in col] for col in stacked.tolist()]
-
-    table = ScoreTable(missing_videos=list(itertools.compress(trials.videos, lacking.tolist())))
-    for i, (trial_id, _, _, enroll, test, label) in enumerate(kept):
-        for model, col in zip(columns, values):
-            table.rows.append(ScoreRow(trial_id, enroll, test, label, model, col[i]))
-    table.unscorable_trials = [t.trial_id for t in kept[np.isnan(scores).any(axis=0)]]
-    return table
+        model_ids.append(FUSION_MODEL)
+        scores = np.vstack([scores, fused])
+    return ScoreTable(kept.videos, model_ids, kept.number, kept.enroll, kept.test, kept.label,
+                      scores, itertools.compress(trials.videos, lacking.tolist()))
 
 
 SCORE_HEADER = ["trial_id", "enroll_video", "test_video", "label", "model", "score"]
 
 
 def write_score_table(table: ScoreTable, path: str | Path) -> None:
-    write_csv(path, SCORE_HEADER, (
-        [row.trial_id, row.enroll_video, row.test_video, row.label, row.model,
-         "" if row.score is None else repr(row.score)]
-        for row in table.rows
-    ))
+    """``table`` as CSV, one row per trial and model (trials outer, models
+    inner), byte for byte what ``csv.writer`` (lines ending in a newline)
+    writes for ``table.rows``: a score is its ``repr``, NaN an empty field.
+    Each video id and model is formatted once."""
+    videos = csv_fields(table.videos)
+    models = [f"{model}," for model in csv_fields(table.models)]
+    with AtomicFile(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(SCORE_HEADER)
+        for start in range(0, len(table.number), ROW_CHUNK):
+            part = slice(start, start + ROW_CHUNK)
+            heads = [f"{trial_id},{videos[e]},{videos[t]},{label},"
+                     for trial_id, e, t, label in zip(
+                         trial_ids(table.number[part].tolist()), table.enroll[part].tolist(),
+                         table.test[part].tolist(), table.label[part].tolist())]
+            lines = []  # per model, one line per trial
+            for model, column in zip(models, table.scores[:, part]):
+                scores = list(map(repr, column.tolist()))
+                for i in np.flatnonzero(np.isnan(column)).tolist():
+                    scores[i] = ""
+                lines.append([f"{head}{model}{score}\n" for head, score in zip(heads, scores)])
+            fh.write("".join(itertools.chain.from_iterable(zip(*lines))))
 
 
 def read_score_table(path: str | Path) -> ScoreTable:
-    """The rows of a file written by ``write_score_table``, in file order.
-    The table keeps one string per distinct trial id, video id and model,
-    shared by every row that names it."""
-    share = {}.setdefault
-    return ScoreTable([
-        ScoreRow(share(trial_id, trial_id), share(enroll, enroll), share(test, test),
-                 int(label), share(model, model), None if score == "" else float(score))
-        for trial_id, enroll, test, label, model, score
-        in read_csv(path, SCORE_HEADER, ScoringError)
-    ])
+    """The table in a file written by ``write_score_table``, in file order.
+
+    The first trial's rows give the models and their order; every trial
+    then has one row per model, consecutive and in that order, all with its
+    videos and label. A row that breaks this layout, is not six fields, has
+    a trial id other than "t" and 8 ASCII digits, a label other than 0/1 or
+    a score that is neither empty nor a number, is a ``ScoringError`` naming
+    the file and row.
+    """
+    rows = read_csv(path, SCORE_HEADER, ScoringError)
+    first: list[list[str]] = []  # the first trial's rows
+    for row in rows:
+        if first and row[:1] != first[0][:1]:
+            rows = itertools.chain(first, [row], rows)
+            break
+        first.append(row)
+    else:
+        rows = iter(first)
+    models = [row[4] for row in first if len(row) == len(SCORE_HEADER)]
+    cycle = len(models)
+
+    number, label, enroll, test = array("i"), array("b"), array("i"), array("i")
+    scores = array("d")
+    videos: dict[str, int] = {}
+    video_code = videos.setdefault
+    labels = {"0": 0, "1": 1}
+    n, row, head = 0, None, None
+    try:
+        for n, model in enumerate(models):
+            if model in models[:n]:
+                row = first[n]
+                raise ValueError("a model repeats within a trial")
+        for n, row in enumerate(rows):
+            trial_id, enroll_video, test_video, row_label, model, score = row
+            k = n % cycle
+            if k == 0:
+                number.append(trial_number(trial_id))
+                label.append(labels[row_label])
+                enroll.append(video_code(enroll_video, len(videos)))
+                test.append(video_code(test_video, len(videos)))
+                head = row[:4]
+            elif row[:4] != head:
+                raise ValueError(f"each trial has {cycle} consecutive rows")
+            if model != models[k]:
+                raise ValueError(f"model {models[k]!r} expected, as in the first trial")
+            scores.append(float(score) if score else math.nan)
+        if cycle and len(scores) % cycle:
+            n, row = len(scores), None
+            raise ValueError(f"the last trial lacks model {models[len(scores) % cycle]!r}")
+    except (ValueError, KeyError, OverflowError) as exc:
+        raise ScoringError(
+            f"{path}: row {n + 1} is not in score table layout (trial id t and 8 digits, "
+            f"enroll video, test video, label 0 or 1, model, score or empty): {exc}; {row!r}"
+        ) from None
+    return ScoreTable(list(videos), models, number, enroll, test, label,
+                      np.frombuffer(scores).reshape(len(number), cycle).T)

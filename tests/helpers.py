@@ -252,7 +252,8 @@ def reference_forward_batch(params, windows):
             hidden = np.tanh(pre)
             state.aggregated.append(aggregated)
             state.activated.append(hidden)
-        attn_input = hidden.mean(axis=1).reshape(batch, frames, cfg.graph.hidden_dim)
+        desc = np.einsum("nkc,kc->nc", hidden, params["graph.readout"])
+        attn_input = desc.reshape(batch, frames, cfg.graph.hidden_dim)
     else:
         attn_input = windows
 
@@ -306,7 +307,8 @@ def reference_backward_batch(params, state, d_z) -> np.ndarray:
         nodes = params.graph.num_nodes
         norm = params.graph.norm_matrix()
         d_desc = d_input.reshape(batch * cfg.window_len, cfg.graph.hidden_dim)
-        d_hidden = np.repeat(d_desc[:, None, :], nodes, axis=1) / nodes
+        grads["graph.readout"] += np.einsum("nkc,nc->kc", state.activated[-1], d_desc)
+        d_hidden = np.repeat(d_desc[:, None, :], nodes, axis=1) * params["graph.readout"]
         for layer in range(cfg.graph.layers - 1, -1, -1):
             d_pre = d_hidden * (1.0 - state.activated[layer] ** 2)
             grads[f"graph.l{layer}.weight"] += np.einsum(

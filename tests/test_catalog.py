@@ -51,6 +51,15 @@ class TestRecords:
         with pytest.raises(CatalogError):
             AvatarVideo("v", Dataset.CREMA_D, Generator.GAGA, "a", "a", -1)
 
+    @pytest.mark.parametrize("bad", ["a\rb", "a\nb", "a\tb", "\x00"])
+    def test_control_characters_in_ids_rejected(self, bad):
+        # no CSV written with lines ending in "\n" round-trips a "\r"
+        with pytest.raises(CatalogError, match="control character"):
+            IdentityRecord(bad, Dataset.CREMA_D)
+        with pytest.raises(CatalogError, match="control character"):
+            AvatarVideo(bad, Dataset.CREMA_D, Generator.GAGA, "a", "a", 0)
+        assert IdentityRecord("a b-é", Dataset.CREMA_D).id == "a b-é"
+
 
 class TestCatalogInvariants:
     def test_duplicate_video_id(self):
@@ -235,3 +244,17 @@ class TestManifestIO:
         )
         with pytest.raises(ManifestError, match="source_clip"):
             load_manifest(ident, videos)
+
+    @pytest.mark.parametrize("which", ["identity", "video"])
+    def test_carriage_return_in_an_id_names_the_file(self, tmp_path, which):
+        # quoted, the "\r" survives the manifest's CSV and reaches the record
+        ident, videos = tmp_path / "identities.csv", tmp_path / "videos.csv"
+        ident_id, video_id = ('"a\rb"', "v") if which == "identity" else ("a", '"v\rw"')
+        ident.write_bytes(("id,dataset,gender,ethnicity,age_range\r\n"
+                           f"{ident_id},CREMA-D,female,asian,20-30\r\n").encode("utf-8"))
+        videos.write_bytes(("video_id,dataset,generator,target_id,driver_id,source_clip\r\n"
+                            f"{video_id},CREMA-D,GAGA,a,a,0\r\n").encode("utf-8"))
+        with pytest.raises(ManifestError, match="control character") as err:
+            load_manifest(ident, videos)
+        target = ident if which == "identity" else videos
+        assert err.value.path == str(target) and err.value.line == 2

@@ -352,6 +352,10 @@ class TestRun:
         cfg = write_config(tmp_path / "config.json", corpus_small,
                            experiments=[INTRA_GAGA, CROSS_TO_LIVE])
         assert main(["run", "--config", str(cfg), "--run-id", "clean"]) == EXIT_OK
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        reports_dir = tmp_path / "runs" / "testrun" / "reports"
+        live = "CREMA-D-GAGA_to_CREMA-D-LIVE"
+        assert [p for p in reports_dir.iterdir() if live in p.name]
         real_fairness = evaluation.fairness_report
 
         def failing_fairness(rows, catalog, *args):
@@ -368,6 +372,9 @@ class TestRun:
         conditions = {row.split(",")[0] for row in
                       (run_dir / "reports" / "report.csv").read_text().splitlines()[1:]}
         assert conditions == {"CREMA-D/GAGA->CREMA-D/GAGA"}
+        # the earlier run's reports of the failed job went with it
+        assert not [p for p in reports_dir.iterdir() if live in p.name]
+        assert (reports_dir / "fairness_CREMA-D-GAGA_to_CREMA-D-GAGA.csv").is_file()
         # the failed job's scores were kept, so a rerun only reports it
         monkeypatch.setattr(evaluation, "fairness_report", real_fairness)
         assert main(["run", "--config", str(cfg)]) == EXIT_OK

@@ -1,11 +1,13 @@
 """Embedder forward pass, graph encoder, parameters and checkpointing."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from avatarprint.embedder import (
+    GRAPH_BLOCK,
     AdjacencyGraph,
     EmbedderConfig,
     EmbedderError,
@@ -24,6 +26,7 @@ from avatarprint.embedder import (
 from avatarprint.feature_store import NormalizationParams
 
 from helpers import (
+    finite_difference_grad,
     max_relative_error,
     random_model,
     reference_backward_batch,
@@ -251,6 +254,33 @@ class TestGraphEncoder:
         assert state.attn_input.shape == (2, 4, cfg.graph.hidden_dim)
         np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
 
+    def test_readout_weights_each_node(self):
+        # two nodes, no edges: node n's activation tanh(x_n) is scaled by R[n]
+        graph = AdjacencyGraph(2, ())
+        cfg = EmbedderConfig(
+            input_dim=4, heads=1, attention_dim=2, projection_dim=1, window_len=2,
+            graph=GraphEncoderConfig(layers=1, hidden_dim=2), seed=0,
+        )
+        params = init_params(cfg, graph=graph)
+        np.testing.assert_array_equal(params["graph.readout"], 0.5)  # the node mean
+        params["graph.l0.weight"][:] = np.eye(2)
+        params["graph.l0.bias"][:] = 0.0
+        params["graph.readout"][:] = [[1.0, -2.0], [0.5, 3.0]]
+        frames = np.array([[[0.1, 0.2], [0.3, -0.4]]])
+        want = np.tanh([0.1, 0.2]) * [1.0, -2.0] + np.tanh([0.3, -0.4]) * [0.5, 3.0]
+        np.testing.assert_allclose(graph_encode(params, frames)[0], want, rtol=0, atol=1e-15)
+
+    def test_readout_draws_nothing_at_init(self):
+        cfg, graph = graph_setup(seed=6)
+        params = init_params(cfg, graph=graph)
+        names = [name for name, _ in params.shapes]
+        assert names.index("graph.readout") == names.index("graph.l1.bias") + 1
+        # the generator's draws after the graph layers are the attention query's
+        rng = np.random.default_rng(6)
+        rng.standard_normal((2, 5)), rng.standard_normal((5, 5))
+        np.testing.assert_array_equal(params["attn.query"], rng.standard_normal((2, 4)))
+        np.testing.assert_array_equal(params["graph.readout"], np.full((3, 5), 1 / 3))
+
     def test_shape_guard(self):
         cfg, graph = graph_setup()
         params = init_params(cfg, graph=graph)
@@ -282,6 +312,28 @@ class TestCollapsedAttention:
             assert max_relative_error(grad, reference_backward_batch(params, state_ref, d_z)) < 1e-10
 
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_blocks_and_remainder_match_reference_and_differences(self, layers):
+        # 300 frames: two full blocks of frames and a remainder
+        rng = np.random.default_rng(40 + layers)
+        params = random_model(rng, True, layers)
+        params["graph.readout"][:] = rng.normal(size=params["graph.readout"].shape)
+        cfg = params.config
+        windows = rng.normal(size=(300 // cfg.window_len, cfg.window_len, cfg.input_dim))
+        assert windows.shape[0] * windows.shape[1] == 300 > 2 * GRAPH_BLOCK
+        z, state = forward_batch(params, windows)
+        z_ref, state_ref = reference_forward_batch(params, windows)
+        np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(state.weights, state_ref.weights, rtol=0, atol=1e-12)
+
+        d_z = rng.normal(size=z.shape)
+        grad = backward_batch(params, state, d_z)
+        assert max_relative_error(grad, reference_backward_batch(params, state_ref, d_z)) < 1e-10
+        numeric = finite_difference_grad(
+            lambda: float(np.sum(forward_batch(params, windows)[0] * d_z)), params.flat)
+        assert max_relative_error(grad, numeric) < 1e-5
+
+
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         cfg, graph = graph_setup(seed=9)
@@ -311,6 +363,24 @@ class TestCheckpoint:
         old = cfg.to_dict()
         old["graph"]["adjacency"] = "/elsewhere/edges.csv"
         assert EmbedderConfig.from_dict(old) == cfg
+
+    def test_graph_checkpoint_without_readout_is_refused(self, tmp_path):
+        # as written before graph.readout existed: the same header, fewer values
+        cfg, graph = graph_setup(seed=4)
+        params = init_params(cfg, graph=graph)
+        save_checkpoint(params, tmp_path / "new.avck")
+        blob = (tmp_path / "new.avck").read_bytes()
+        hlen = int.from_bytes(blob[4:8], "little")
+        header = json.loads(blob[8 : 8 + hlen])
+        readout = params["graph.readout"].size
+        header["param_count"] -= readout
+        start = sum(params[name].size for name, _ in params.shapes[:4])  # l0, l1 weight+bias
+        old = np.delete(params.flat, np.s_[start : start + readout])
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+        (tmp_path / "old.avck").write_bytes(
+            b"AVCK" + len(head).to_bytes(4, "little") + head + old.astype("<f8").tobytes())
+        with pytest.raises(EmbedderError, match="graph.readout"):
+            load_checkpoint(tmp_path / "old.avck")
 
     def test_plain_model_round_trip(self, tmp_path):
         params = init_params(small_config(seed=11))

@@ -1,13 +1,15 @@
-"""The benchmark's use of trial sets: perfbench's own trial checks, and the
-corruptions its self-test feeds them, run here on small inputs, so an API
-change that breaks the benchmark fails the tests instead of a benchmark run.
-perfbench is imported from the checkout and never written to."""
+"""The benchmark's use of trial sets and score tables: perfbench's own
+checks, and the corruptions its self-test feeds them, run here on small
+inputs, so an API change that breaks the benchmark fails the tests instead
+of a benchmark run. perfbench is imported from the checkout and never
+written to."""
 
 import random
 from pathlib import Path
 
 import pytest
 
+from avatarprint.embedder import AdjacencyGraph, EmbedderConfig, GraphEncoderConfig, init_params
 from avatarprint.protocol import (
     Split,
     Trial,
@@ -49,3 +51,57 @@ def test_trial_counts_check(checks, benchmark_cat):
     checks.check_trial_counts(data)
     with pytest.raises(checks.CheckFailed):
         checks.check_trial_counts(checks.CORRUPTIONS["trial_counts"](data))
+
+
+@pytest.fixture
+def job_outputs(checks, corpus_small, tmp_path):
+    """The job workload's timed phase (score with z-scored fusion, write and
+    read the table, evaluate, ROC, fairness) on one small condition, with
+    two untrained models as the workload uses them."""
+    import workloads
+
+    trials = generate_trials(corpus_small.catalog, corpus_small.split).select("CREMA-D", "GAGA")
+    dim = corpus_small.store.dimension
+    shape = dict(input_dim=dim, heads=2, attention_dim=8, projection_dim=4, window_len=8)
+    nodes = dim // 2
+    graph = AdjacencyGraph(nodes, tuple((i, i + 1) for i in range(nodes - 1)))
+    models = {
+        "kinematic": (init_params(EmbedderConfig(**shape, seed=1)), corpus_small.store),
+        "graph": (init_params(EmbedderConfig(**shape, graph=GraphEncoderConfig(1, 8), seed=2),
+                              graph=graph), corpus_small.store),
+    }
+    inputs = workloads.JobInputs(corpus_small.catalog, trials, models, seed=3)
+    _, outputs = workloads.run_job(inputs, tmp_path, 0, None)
+    return inputs, outputs
+
+
+def _job_check_data(workloads, inputs, outputs) -> dict:
+    """Each job check's input, assembled as ``workloads.check_job`` does."""
+    table, loaded, reports, fair, work = outputs
+    by_key = {(r.trial_id, r.model): r.score for r in table.rows}
+    oracle = [
+        (params, store, t.enroll_video, t.test_video, by_key[(t.trial_id, name)])
+        for name, (params, store) in sorted(inputs.models.items())
+        for t in random.Random(4).sample(inputs.trials, 6)
+    ]
+    return {
+        "scores_oracle": oracle,
+        "fusion_zscore": table.rows,
+        "table_round_trip": (table.rows, loaded.rows),
+        "roc_shape": [(r.model, *workloads._read_roc(work / f"roc_{r.model}.csv"), r.auc)
+                      for r in reports],
+        "fairness_partition": (fair, sum(r.score is not None for r in table.rows)),
+    }
+
+
+@pytest.mark.parametrize("name", ["scores_oracle", "fusion_zscore", "table_round_trip",
+                                  "roc_shape", "fairness_partition"])
+def test_job_check_passes_and_its_corruption_fails(checks, job_outputs, name):
+    import workloads
+
+    inputs, outputs = job_outputs
+    assert {r.model for r in outputs[2]} == {"kinematic", "graph", "fusion"}
+    data = _job_check_data(workloads, inputs, outputs)[name]
+    checks.CHECKS[name](data)
+    with pytest.raises(checks.CheckFailed):
+        checks.CHECKS[name](checks.CORRUPTIONS[name](data))

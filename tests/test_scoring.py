@@ -1,6 +1,8 @@
 """Windowed cosine scoring: window grids, pair scores, mean embeddings and fusion."""
 
+import csv
 import dataclasses
+import io
 import itertools
 
 import numpy as np
@@ -13,6 +15,7 @@ from avatarprint.protocol import TrialSet
 from avatarprint.scoring import (
     FUSION_MODEL,
     ScoreRow,
+    ScoreTable,
     ScoringError,
     gather_windows,
     mean_embeddings,
@@ -280,12 +283,12 @@ class TestScoreTrials:
         assert back.rows == table.rows  # repr round trip keeps full precision
 
     def test_unscorable_round_trips_as_empty_field(self, tmp_path):
-        from avatarprint.scoring import ScoreTable
-
-        table = ScoreTable(rows=[ScoreRow("t1", "a", "b", 1, "m", None)])
+        table = ScoreTable(["a", "b"], ["m"], [1], [0], [1], [1], [[np.nan]])
         write_score_table(table, tmp_path / "scores.csv")
+        assert (tmp_path / "scores.csv").read_text().splitlines()[1] == "t00000001,a,b,1,m,"
         back = read_score_table(tmp_path / "scores.csv")
-        assert back.rows[0].score is None
+        assert back.rows[0].score is None and np.isnan(back.scores[0, 0])
+        assert back.unscorable_trials == ["t00000001"]
 
     def test_read_table_shares_repeated_strings(self, tmp_path):
         ids, store = _setup(tmp_path)
@@ -310,6 +313,74 @@ class TestScoreTrials:
         changed = dataclasses.replace(row, score=0.25)
         assert changed == ScoreRow("t1", "a", "b", 1, "m", 0.25)
         assert changed != row and row.score == 0.5
+
+    def test_columns_round_trip_and_rows_are_cached(self, tmp_path):
+        ids, store = _setup(tmp_path, n=6)
+        trials = trial_set((ids[i], ids[(i + 3) % 6], i % 2) for i in range(6))
+        models = {f"m{k}": (make_params(seed=k), store) for k in (1, 2)}
+        table = score_trials(models, trials, zscore_fusion=True)
+        assert table.models == ("m1", "m2", FUSION_MODEL) and table.scores.shape == (3, 6)
+        assert table.rows is table.rows
+        write_score_table(table, tmp_path / "scores.csv")
+        back = read_score_table(tmp_path / "scores.csv")
+        assert (back.videos, back.models) == (table.videos, table.models)
+        for name in ("number", "enroll", "test", "label", "scores"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(table, name))
+
+    def test_write_matches_a_csv_writer_of_the_rows(self, tmp_path):
+        # ids and a model that need quoting, and an unscorable trial
+        table = ScoreTable(['v,1', 'v"2', "v3"], ["a,b", FUSION_MODEL], [7, 8, 12],
+                           [0, 2, 1], [1, 0, 2], [1, 0, 0],
+                           [[0.1, np.nan, -1 / 3], [2.0, np.nan, 1e-300]])
+        write_score_table(table, tmp_path / "scores.csv")
+        reference = io.StringIO()
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(["trial_id", "enroll_video", "test_video", "label", "model", "score"])
+        writer.writerows([r.trial_id, r.enroll_video, r.test_video, r.label, r.model,
+                          "" if r.score is None else repr(r.score)] for r in table.rows)
+        assert (tmp_path / "scores.csv").read_text(encoding="utf-8") == reference.getvalue()
+        assert read_score_table(tmp_path / "scores.csv").rows == table.rows
+
+    GOOD_ROWS = ["t00000001,a,b,1,m1,0.5", "t00000001,a,b,1,m2,", "t00000002,a,c,0,m1,0.25",
+                 "t00000002,a,c,0,m2,-0.5"]
+
+    @pytest.mark.parametrize("row,line,bad", [
+        (1, "t1,a,b,1,m1,0.5", "trial-id"),
+        (3, "t0000000x,a,c,0,m1,0.25", "trial-id-digits"),
+        (3, "t00000002,a,c,2,m1,0.25", "label"),
+        (3, "t00000002,a,c,0,m1", "short"),
+        (3, "t00000002,a,c,0,m1,0.25,x", "long"),
+        (3, "t00000002,a,c,0,m1,zero", "score"),
+        (3, "t00000002,a,c,0,m2,0.25", "model-order"),
+        (4, "t00000003,a,c,0,m2,-0.5", "not-consecutive"),
+        (4, "t00000002,a,d,0,m2,-0.5", "other-video"),
+        (4, "t00000002,a,c,1,m2,-0.5", "other-label"),
+        (2, "t00000001,a,b,1,m1,", "repeated-model"),
+        (4, None, "last-trial-short"),
+    ])
+    def test_reader_rejects_rows_out_of_layout(self, tmp_path, row, line, bad):
+        rows = list(self.GOOD_ROWS)
+        if line is None:
+            rows.pop()
+        else:
+            rows[row - 1] = line
+        path = tmp_path / "scores.csv"
+        path.write_text("trial_id,enroll_video,test_video,label,model,score\n"
+                        + "".join(f"{r}\n" for r in rows))
+        with pytest.raises(ScoringError, match=f"{path}: row {row} ") as err:
+            read_score_table(path)
+        assert bad and str(err.value).count("\n") == 0
+
+    def test_reader_accepts_the_good_rows(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("trial_id,enroll_video,test_video,label,model,score\n"
+                        + "".join(f"{r}\n" for r in self.GOOD_ROWS))
+        table = read_score_table(path)
+        assert table.models == ("m1", "m2") and table.unscorable_trials == ["t00000001"]
+        assert [r.score for r in table.rows] == [0.5, None, 0.25, -0.5]
+        empty = tmp_path / "empty.csv"
+        empty.write_text("trial_id,enroll_video,test_video,label,model,score\n")
+        assert read_score_table(empty).rows == []
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "scores.csv"

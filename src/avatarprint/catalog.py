@@ -11,11 +11,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .files import read_csv, write_csv
+
+if TYPE_CHECKING:
+    from .protocol import Split
 
 
 class CatalogError(ValueError):
@@ -86,6 +89,11 @@ class IdentityRecord:
             raise CatalogError("identity id must be non-empty")
         if not self.id.isprintable():
             raise CatalogError(f"identity id {self.id!r} holds a control character")
+
+
+# the annotated fields of IdentityRecord: splits stratify on them and
+# fairness reports break trials down by them
+SOFT_BIOMETRICS = ("gender", "ethnicity", "age_range")
 
 
 @dataclass(frozen=True)
@@ -177,16 +185,11 @@ class Catalog:
             raise CatalogError(f"unknown video_id {video_id!r}") from None
 
     def videos(
-        self,
-        dataset: Dataset | None = None,
-        generator: Generator | None = None,
-        reenactment: str | None = None,
+        self, dataset: Dataset | None = None, reenactment: str | None = None
     ) -> Iterator[AvatarVideo]:
         """Iterate videos, optionally filtered; ``reenactment`` is self|cross."""
         for vid in self._videos.values():
             if dataset is not None and vid.dataset != dataset:
-                continue
-            if generator is not None and vid.generator != generator:
                 continue
             if reenactment is not None and vid.reenactment != reenactment:
                 continue
@@ -207,24 +210,18 @@ class Catalog:
         self,
         datasets: Sequence[Dataset] | None = None,
         generators: Sequence[Generator] | None = None,
-        identity_subset: Iterable[str] | None = None,
     ) -> "Catalog":
-        """Restricted view as a new Catalog (identities are kept in full
-        unless identity_subset is given; videos must still resolve)."""
+        """Restricted view as a new Catalog: the identities and videos of
+        ``datasets``, the videos only of ``generators``; None keeps all."""
         dsets = set(datasets) if datasets is not None else None
         gens = set(generators) if generators is not None else None
-        idents = set(identity_subset) if identity_subset is not None else None
         keep_videos = [
             v
             for v in self._videos.values()
-            if (dsets is None or v.dataset in dsets)
-            and (gens is None or v.generator in gens)
-            and (idents is None or (v.target in idents and v.driver in idents))
+            if (dsets is None or v.dataset in dsets) and (gens is None or v.generator in gens)
         ]
         keep_idents = [
-            rec
-            for rec in self._identities.values()
-            if (idents is None or rec.id in idents) and (dsets is None or rec.dataset in dsets)
+            rec for rec in self._identities.values() if dsets is None or rec.dataset in dsets
         ]
         return Catalog(keep_idents, keep_videos)
 
@@ -338,31 +335,24 @@ def cross_video_id(generator: Generator, target: str, driver: str, clip: int) ->
 
 def build_cross_assignments(
     catalog: Catalog,
+    split: Split,
     targets_per_driver: int = 8,
     clips_per_driver: int = 1,
     seed: int = 0,
-    split: "object | None" = None,
 ) -> Catalog:
     """Add cross-reenactment records to a self-only catalog.
 
     For every driver identity, samples ``targets_per_driver`` distinct target
-    identities from the driver's dataset (and from the driver's split side
-    when ``split`` is given) and ``clips_per_driver`` of the driver's clips
-    without replacement, then emits one cross video per (target, clip) for
-    every generator the driver's self videos were rendered with. Deterministic
-    given ``seed``.
+    identities from the driver's dataset and split side and
+    ``clips_per_driver`` of the driver's clips without replacement, then
+    emits one cross video per (target, clip) for every generator the driver's
+    self videos were rendered with. Every identity must be on a side of
+    ``split``. Deterministic given ``seed``.
     """
     if any(not v.is_self for v in catalog.videos()):
         raise CatalogError("build_cross_assignments requires a catalog without cross videos")
     if clips_per_driver < 0 or targets_per_driver < 1:
         raise CatalogError("targets_per_driver must be >= 1 and clips_per_driver >= 0")
-
-    side_of: dict[str, str] = {}
-    if split is not None:
-        for ident in getattr(split, "development"):
-            side_of[ident] = "dev"
-        for ident in getattr(split, "evaluation"):
-            side_of[ident] = "eval"
 
     rng = np.random.default_rng(seed)
     new_videos = list(catalog.videos())
@@ -376,9 +366,8 @@ def build_cross_assignments(
                 clips_of[vid.driver].append(vid.source_clip)
             gens_of[vid.driver].add(vid.generator)
         for driver in ids:
-            pool = [i for i in ids if i != driver]
-            if split is not None:
-                pool = [i for i in pool if side_of.get(i) == side_of.get(driver)]
+            side = split.side_of(driver)
+            pool = [i for i in ids if i != driver and split.side_of(i) == side]
             if len(pool) < targets_per_driver:
                 raise CatalogError(
                     f"driver {driver}: only {len(pool)} candidate targets, "

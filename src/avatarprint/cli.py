@@ -341,11 +341,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_trials(args: argparse.Namespace) -> int:
     catalog = cat.load_manifest(args.identities, args.videos)
-    if args.split:
-        split = proto.load_split(args.split)
-        split.validate(catalog)
-    else:
-        split = proto.make_split(catalog, eval_fraction=args.eval_fraction, seed=args.seed)
+    split = _resolve_split(catalog, args.split, args.eval_fraction, args.seed)
     trials = proto.generate_trials(catalog, split, args.convention)
     proto.save_trials(trials, args.out)
     if args.split_out:
@@ -410,7 +406,7 @@ def _score_job(
 def cmd_train(args: argparse.Namespace) -> int:
     config = RunConfig.from_file(args.config)
     catalog = cat.load_manifest(config.identities, config.videos)
-    split = _resolve_split(config, catalog)
+    split = _resolve_split(catalog, config.split, config.eval_fraction, config.seed)
     out_dir = Path(args.out_dir)
     chosen = [m for m in config.models if args.model in (None, m.name)]
     if not chosen:
@@ -503,12 +499,15 @@ def cmd_import_features(args: argparse.Namespace) -> int:
 # -- the end-to-end runner ----------------------------------------------------
 
 
-def _resolve_split(config: RunConfig, catalog: cat.Catalog) -> proto.Split:
-    if config.split is not None:
-        split = proto.load_split(config.split)
+def _resolve_split(catalog: cat.Catalog, path: str | Path | None, eval_fraction: float,
+                   seed: int) -> proto.Split:
+    """The split saved at ``path``, checked against ``catalog``; with no
+    path, the one ``make_split`` draws with ``eval_fraction`` and ``seed``."""
+    if path is not None:
+        split = proto.load_split(path)
         split.validate(catalog)
         return split
-    return proto.make_split(catalog, eval_fraction=config.eval_fraction, seed=config.seed)
+    return proto.make_split(catalog, eval_fraction=eval_fraction, seed=seed)
 
 
 def _job_models(job: proto.Job, config: RunConfig) -> list[str]:
@@ -551,7 +550,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     # everything that can reject the inputs runs before the run directory exists
     catalog = cat.load_manifest(config.identities, config.videos)
-    split = _resolve_split(config, catalog)
+    split = _resolve_split(catalog, config.split, config.eval_fraction, config.seed)
     jobs = proto.experiment_matrix(config.experiments, catalog)
     specs = {m.name: m for m in config.models}
     run_dir = _run_dir(config)

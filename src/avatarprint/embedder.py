@@ -84,9 +84,9 @@ class AdjacencyGraph:
         return cls(int(d["num_nodes"]), tuple((int(i), int(j)) for i, j in d["edges"]))
 
 
-def load_adjacency(path: str | Path, num_nodes: int | None = None) -> AdjacencyGraph:
-    """Read an edge-list CSV ("i,j" per line, 0-based). Node count defaults
-    to 1 + the largest index seen."""
+def load_adjacency(path: str | Path, num_nodes: int) -> AdjacencyGraph:
+    """The graph of ``num_nodes`` nodes whose edges an edge-list CSV ("i,j"
+    per line, 0-based) lists."""
     path = Path(path)
     edges: list[tuple[int, int]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -100,10 +100,6 @@ def load_adjacency(path: str | Path, num_nodes: int | None = None) -> AdjacencyG
             except ValueError:
                 raise EmbedderError(f"{path}:{lineno}: non-integer node index {row!r}") from None
             edges.append((i, j))
-    if num_nodes is None:
-        if not edges:
-            raise EmbedderError(f"{path}: empty edge list and no node count given")
-        num_nodes = 1 + max(max(e) for e in edges)
     return AdjacencyGraph(num_nodes, tuple(edges))
 
 

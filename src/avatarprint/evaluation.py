@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .catalog import Catalog
+from .catalog import SOFT_BIOMETRICS, Catalog
 from .files import read_csv, write_csv
 from .scoring import ScoreRow
 
@@ -165,7 +165,7 @@ def format_cell(row: DeltaRow) -> str:
 
 # -- fairness -------------------------------------------------------------------
 
-FAIRNESS_ATTRIBUTES = ("gender", "ethnicity", "age_range")
+FAIRNESS_ATTRIBUTES = SOFT_BIOMETRICS
 UNKNOWN_VALUE = "unknown"
 
 
@@ -189,12 +189,9 @@ class FairnessReport:
     excluded_unknown: dict[str, int] = field(default_factory=dict)  # attribute -> trials
 
 
-def fairness_report(
-    rows: Iterable[ScoreRow],
-    catalog: Catalog,
-    attributes: Sequence[str] = FAIRNESS_ATTRIBUTES,
-) -> FairnessReport:
-    """Subgroup AUCs with trials grouped by the enrollment video's identity.
+def fairness_report(rows: Iterable[ScoreRow], catalog: Catalog) -> FairnessReport:
+    """Subgroup AUCs per soft-biometric attribute, with trials grouped by the
+    enrollment video's identity.
 
     Enrollment videos are self-reenactments, so their target and driver
     coincide; that identity's annotation decides the subgroup. Trials whose
@@ -216,7 +213,7 @@ def fairness_report(
     scores = np.fromiter((r.score for r in rows), dtype=np.float64, count=len(rows))
 
     report = FairnessReport()
-    for attribute in attributes:
+    for attribute in FAIRNESS_ATTRIBUTES:
         values = [getattr(ident, attribute).value for ident in enroll_identities]
         subgroups = sorted(set(values) - {UNKNOWN_VALUE})
         code = {value: k for k, value in enumerate(subgroups)}

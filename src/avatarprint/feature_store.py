@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -81,8 +82,8 @@ class FeatureSequence:
             )
         if not self.video_id:
             raise FeatureStoreError("video_id must be non-empty")
-        if self.fps <= 0:
-            raise FeatureStoreError(f"{self.video_id}: fps must be positive")
+        if not 0 < self.fps < math.inf:
+            raise FeatureStoreError(f"{self.video_id}: fps must be positive and finite")
 
     @property
     def num_frames(self) -> int:
@@ -196,14 +197,26 @@ class FeatureStore:
         self._entries = self._read_index(index_offset)
 
     def _read_index(self, index_offset: int) -> dict[str, list]:
-        """id -> [offset, T, fps], each record checked to end before the index."""
+        """id -> [offset, T, fps]: an int offset past the header, an int T >= 1
+        and a finite number fps > 0, each record checked to end before the
+        index."""
         size = os.fstat(self._fd).st_size
         try:  # an offset past the end reads b"", which is no JSON either
             index = json.loads(os.pread(self._fd, max(size - index_offset, 0), index_offset))
         except ValueError:  # bad JSON or UTF-8
             raise FeatureStoreError(f"{self.path}: truncated or corrupt index") from None
-        for vid, (offset, t, _) in index.items():
-            if offset < _HEADER.size or offset + t * self.dimension * 4 > index_offset:
+        if type(index) is not dict:
+            raise FeatureStoreError(f"{self.path}: index is not a map of video ids")
+        for vid, record in index.items():
+            # type() rather than isinstance(): JSON true and false are bools
+            if not (type(record) is list and len(record) == 3
+                    and type(record[0]) is int and record[0] >= _HEADER.size
+                    and type(record[1]) is int and record[1] >= 1
+                    and type(record[2]) in (int, float) and 0 < record[2] < math.inf):
+                raise FeatureStoreError(
+                    f"{self.path}: index record {vid!r} is not [offset, frames, fps]: {record!r}")
+            offset, t, _ = record
+            if offset + t * self.dimension * 4 > index_offset:
                 raise FeatureStoreError(f"{self.path}: record {vid!r} runs past the index")
         return index
 

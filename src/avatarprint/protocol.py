@@ -30,6 +30,7 @@ import numpy as np
 from .catalog import (
     CANONICAL_EVAL_IDENTITIES,
     CANONICAL_IDENTITIES,
+    SOFT_BIOMETRICS,
     Catalog,
     Dataset,
 )
@@ -137,18 +138,12 @@ def _eval_quota(dataset: Dataset, n_ids: int, eval_fraction: float) -> int:
     return max(1, min(n_ids - 1, round(n_ids * eval_fraction)))
 
 
-def make_split(
-    catalog: Catalog,
-    eval_fraction: float = 0.3,
-    stratify_on: Sequence[str] = ("gender", "ethnicity", "age_range"),
-    seed: int = 0,
-    eval_counts: Mapping[Dataset, int] | None = None,
-) -> Split:
-    """Identity-disjoint development/evaluation split, stratified on
+def make_split(catalog: Catalog, eval_fraction: float = 0.3, seed: int = 0) -> Split:
+    """Identity-disjoint development/evaluation split, stratified on the
     soft-biometric attributes per dataset.
 
-    Evaluation counts default to the canonical benchmark sizes when the
-    catalog has the canonical identity counts, else to round(n * fraction).
+    Evaluation counts are the canonical benchmark sizes when the catalog has
+    the canonical identity counts, else round(n * fraction).
     When every co-occurrence component is a single identity the per-cell
     quotas are met exactly; larger components force best-effort assignment,
     reported through Split.imbalance.
@@ -162,18 +157,11 @@ def make_split(
         ids = catalog.identity_ids(dataset)
         if len(ids) < 2:
             raise ProtocolError(f"{dataset.value}: need >= 2 identities to split")
-        if eval_counts is not None:
-            quota = eval_counts[dataset]
-            if not (1 <= quota <= len(ids) - 1):
-                raise ProtocolError(
-                    f"{dataset.value}: evaluation quota {quota} out of range"
-                )
-        else:
-            quota = _eval_quota(dataset, len(ids), eval_fraction)
+        quota = _eval_quota(dataset, len(ids), eval_fraction)
 
         def cell_of(identity: str) -> tuple:
             rec = catalog.identities[identity]
-            return tuple(getattr(rec, attr).value for attr in stratify_on)
+            return tuple(getattr(rec, attr).value for attr in SOFT_BIOMETRICS)
 
         components = _components(catalog, ids)
         if all(len(c) == 1 for c in components):
@@ -563,25 +551,20 @@ class Job(NamedTuple):
         )
 
 
-def experiment_matrix(
-    specs: Sequence[ExperimentSpec], catalog: Catalog | None = None
-) -> list[Job]:
+def experiment_matrix(specs: Sequence[ExperimentSpec], catalog: Catalog) -> list[Job]:
     """Expand experiment rows into concrete jobs, deduplicated and in
-    canonical order. With a catalog, referenced datasets and generators must
-    exist in it."""
-    if catalog is not None:
-        have_ds = {d.value for d in catalog.datasets()}
-        have_gen = {g.value for g in catalog.generators()}
+    canonical order. Referenced datasets and generators must exist in the
+    catalog."""
+    have_ds = {d.value for d in catalog.datasets()}
+    have_gen = {g.value for g in catalog.generators()}
     jobs: dict[str, Job] = {}
     for spec in specs:
-        gens = {spec.train_generator} - {ALL_GENERATORS} | set(spec.eval_generators)
-        if catalog is not None:
-            for ds in (spec.train_dataset, spec.eval_dataset):
-                if ds not in have_ds:
-                    raise ProtocolError(f"experiment references unknown dataset {ds!r}")
-            for g in gens:
-                if g not in have_gen:
-                    raise ProtocolError(f"experiment references unknown generator {g!r}")
+        for ds in (spec.train_dataset, spec.eval_dataset):
+            if ds not in have_ds:
+                raise ProtocolError(f"experiment references unknown dataset {ds!r}")
+        for g in {spec.train_generator} - {ALL_GENERATORS} | set(spec.eval_generators):
+            if g not in have_gen:
+                raise ProtocolError(f"experiment references unknown generator {g!r}")
         for eval_gen in spec.eval_generators:
             job_id = (
                 f"{spec.train_dataset}-{spec.train_generator}"

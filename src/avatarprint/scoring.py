@@ -47,13 +47,14 @@ class ScoringError(ValueError):
     pass
 
 
-def window_starts(num_frames: int, window_len: int, stride: int) -> list[int]:
-    """Start indices 0, s, 2s, ... of complete windows; empty when the video
-    is shorter than one window."""
-    if window_len < 2 or stride < 1:
-        raise ScoringError("window_len must be >= 2 and stride >= 1")
+def window_starts(num_frames: int, window_len: int) -> list[int]:
+    """Start indices 0, s, 2s, ... of complete windows, at the stride s of
+    half a window; empty when the video is shorter than one window."""
+    if window_len < 2:
+        raise ScoringError("window_len must be >= 2")
     if num_frames < window_len:
         return []
+    stride = window_len // 2
     count = (num_frames - window_len) // stride + 1
     return [i * stride for i in range(count)]
 
@@ -75,7 +76,7 @@ def video_window_embeddings(
     if params.normalization is not None:
         frames = params.normalization.apply(frames)
     window_len = params.config.window_len
-    starts = window_starts(frames.shape[0], window_len, window_len // 2)
+    starts = window_starts(frames.shape[0], window_len)
     if not starts:
         return None
     z, _ = forward_batch(params, gather_windows(frames, starts, window_len))
@@ -277,8 +278,9 @@ def read_score_table(path: str | Path) -> ScoreTable:
     then has one row per model, consecutive and in that order, all with its
     videos and label. A row that breaks this layout, is not six fields, has
     a trial id other than "t" and 8 ASCII digits, a label other than 0/1 or
-    a score that is neither empty nor a number, is a ``ScoringError`` naming
-    the file and row.
+    a score that is neither empty nor a finite plain number (ASCII, with no
+    underscore or surrounding whitespace, not ``nan`` or ``inf``), is a
+    ``ScoringError`` naming the file and row.
     """
     rows = read_csv(path, SCORE_HEADER, ScoringError)
     first: list[list[str]] = []  # the first trial's rows
@@ -294,6 +296,7 @@ def read_score_table(path: str | Path) -> ScoreTable:
 
     number, label, enroll, test = array("i"), array("b"), array("i"), array("i")
     scores = array("d")
+    empty = array("i")  # the rows whose score field is empty
     videos: dict[str, int] = {}
     video_code = videos.setdefault
     labels = {"0": 0, "1": 1}
@@ -316,10 +319,25 @@ def read_score_table(path: str | Path) -> ScoreTable:
                 raise ValueError(f"each trial has {cycle} consecutive rows")
             if model != models[k]:
                 raise ValueError(f"model {models[k]!r} expected, as in the first trial")
-            scores.append(float(score) if score else math.nan)
+            # forms float() takes that the writer never writes; the rest of
+            # them (nan, inf) parse to a value the finiteness check rejects
+            if "_" in score or not score.isascii() or score.strip() != score:
+                raise ValueError(f"score {score!r} is not a plain number")
+            if score:
+                scores.append(float(score))
+            else:
+                empty.append(len(scores))
+                scores.append(math.nan)
         if cycle and len(scores) % cycle:
             n, row = len(scores), None
             raise ValueError(f"the last trial lacks model {models[len(scores) % cycle]!r}")
+        # an empty field is the one way to write NaN: any other non-finite
+        # value is text such as nan or inf, or a number that overflows
+        finite = np.isfinite(np.frombuffer(scores))
+        finite[np.frombuffer(empty, dtype=np.intc)] = True
+        if not finite.all():
+            n, row = int(np.argmin(finite)), None
+            raise ValueError(f"score {scores[n]} is not finite")
     except (ValueError, KeyError, OverflowError) as exc:
         raise ScoringError(
             f"{path}: row {n + 1} is not in score table layout (trial id t and 8 digits, "

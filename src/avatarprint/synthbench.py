@@ -15,7 +15,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -235,7 +235,6 @@ def synth_corpus(
     seed: int = 0,
     dataset: Dataset = Dataset.CREMA_D,
     generators: Sequence[Generator] = (Generator.GAGA,),
-    generator_transforms: Mapping[Generator, ShiftTransform] | None = None,
     noise_sigma: float = 0.05,
     targets_per_driver: int = 4,
     clips_per_driver: int = 2,
@@ -244,10 +243,11 @@ def synth_corpus(
     """Build a complete synthetic benchmark under ``out_dir``.
 
     Writes identities.csv, videos.csv, split.json and features.avfs. Each
-    generator renders the same underlying clips; per-generator transforms
-    (identity for the first generator by default) emulate rendering
-    differences. The split is computed before cross-reenactments are
-    assigned, so drivers only ever impersonate targets on their own side.
+    generator renders the same underlying clips; a per-generator transform
+    emulates rendering differences: the first generator leaves the clips
+    untouched, and each later one smooths them more and adds a larger style
+    bias. The split is computed before cross-reenactments are assigned, so
+    drivers only ever impersonate targets on their own side.
     """
     if n_identities < 2:
         raise SynthError("need at least 2 identities")
@@ -264,17 +264,11 @@ def synth_corpus(
 
     out_dir = Path(out_dir)
     generators = list(generators)
-    if generator_transforms is None:
-        generator_transforms = {}
-        for idx, gen in enumerate(generators):
-            if idx == 0:
-                generator_transforms[gen] = ShiftTransform()
-            else:
-                generator_transforms[gen] = ShiftTransform(
-                    smoothing_width=1 + 2 * idx,
-                    style_bias=0.2 * idx,
-                    style_seed=100 + idx,
-                )
+    # index 0 gives width 1 and bias 0: the default, untouched frames
+    transforms = {
+        gen: ShiftTransform(smoothing_width=1 + 2 * idx, style_bias=0.2 * idx, style_seed=100 + idx)
+        for idx, gen in enumerate(generators)
+    }
 
     prefix = _DATASET_PREFIX[dataset]
     identity_ids = [f"{prefix}{i:03d}" for i in range(n_identities)]
@@ -321,17 +315,17 @@ def synth_corpus(
     split = make_split(self_catalog, eval_fraction=eval_fraction, seed=seed)
     catalog = build_cross_assignments(
         self_catalog,
+        split,
         targets_per_driver=targets_per_driver,
         clips_per_driver=clips_per_driver,
         seed=seed,
-        split=split,
     )
 
     store_path = out_dir / "features.avfs"
     writer = FeatureStoreWriter(store_path, FeatureKind.EMBEDDING, dim)
     for video in sorted(catalog.videos(), key=lambda v: v.video_id):
         trajectory = base[(video.driver, video.source_clip)]
-        transform = generator_transforms[video.generator]
+        transform = transforms[video.generator]
         rng = _video_rng(seed, video.video_id, purpose=3)
         rendered = shift_frames(trajectory, transform, rng)
         if noise_sigma > 0.0:

@@ -118,23 +118,23 @@ class TrainingLog:
 class Adam:
     """Adaptive first-order optimizer with bias-corrected moments."""
 
-    def __init__(self, size: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, size: int, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = self.BETA1 * self.m + (1.0 - self.BETA1) * grad
+        self.v = self.BETA2 * self.v + (1.0 - self.BETA2) * grad * grad
+        m_hat = self.m / (1.0 - self.BETA1**self.t)
+        v_hat = self.v / (1.0 - self.BETA2**self.t)
+        flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def _collect_windows(
@@ -167,10 +167,9 @@ def _collect_windows(
     starts: list[int] = []
     labels: list[str] = []
     offset = 0
-    stride = config.window_len // 2
     for video in sorted(videos, key=lambda v: v.video_id):
         frames = normalization.apply(store.get(video.video_id).frames)
-        video_starts = window_starts(frames.shape[0], config.window_len, stride)
+        video_starts = window_starts(frames.shape[0], config.window_len)
         if not video_starts:
             continue
         chunks.append(frames)
@@ -286,13 +285,12 @@ def train(
     development_ids: Iterable[str],
     config: EmbedderConfig,
     hyper: TrainHyper = TrainHyper(),
-    normalization: NormalizationParams | None = None,
     graph: AdjacencyGraph | None = None,
 ) -> tuple[EmbedderParams, TrainingLog]:
     """Fit the embedder on development-split videos.
 
-    Feature normalization is fitted on the same videos when not supplied.
-    Raises NoValidTripletError with fewer than two driver identities and
+    Feature normalization is fitted on the same videos. Raises
+    NoValidTripletError with fewer than two driver identities and
     TrainingDiverged (carrying the last finite checkpoint) if the loss turns
     non-finite.
     """
@@ -302,10 +300,9 @@ def train(
         for v in catalog.videos()
         if v.driver in dev_ids and v.target in dev_ids
     )
-    if normalization is None:
-        if not dev_videos:
-            raise TrainingError("no development videos to fit normalization on")
-        normalization = normalize(store, [v for v in dev_videos if v in store])
+    if not dev_videos:
+        raise TrainingError("no development videos to fit normalization on")
+    normalization = normalize(store, [v for v in dev_videos if v in store])
 
     frames, starts, labels, names = _collect_windows(store, catalog, dev_ids, config, normalization)
     window_len = config.window_len

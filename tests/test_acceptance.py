@@ -189,7 +189,7 @@ def test_4_pair_scoring(tmp_path):
             stride = window // 2
             for frames in range(1, 65):
                 expected = 0 if frames < window else (frames - window) // stride + 1
-                assert len(window_starts(frames, window, stride)) == expected
+                assert len(window_starts(frames, window)) == expected
 
         # score_pair against a from-scratch double loop on every window-count
         # grid up to 5x5 (single-window forward, manual slicing, scalar maths)

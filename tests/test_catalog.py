@@ -91,9 +91,10 @@ class TestQueries:
         cat = tiny_catalog(n_ids=3, clips=2, cross_per_driver=1,
                            generators=(Generator.GAGA, Generator.HUNY))
         assert len(cat) == 3 * (2 + 1) * 2
-        self_gaga = list(cat.videos(generator=Generator.GAGA, reenactment="self"))
-        assert len(self_gaga) == 6
-        assert all(v.is_self and v.generator == Generator.GAGA for v in self_gaga)
+        self_videos = list(cat.videos(reenactment="self"))
+        assert len(self_videos) == 12
+        assert all(v.is_self for v in self_videos)
+        assert list(cat.videos(dataset=Dataset.RAVDESS)) == []
         assert cat.identity_ids() == ["id00", "id01", "id02"]
         assert cat.generators() == [Generator.GAGA, Generator.HUNY]
         assert "gaga_id00_id00_c000" in cat
@@ -104,11 +105,13 @@ class TestQueries:
     def test_filter_view(self):
         cat = tiny_catalog(n_ids=4, clips=2, cross_per_driver=1,
                            generators=(Generator.GAGA, Generator.HUNY))
-        sub = cat.filter(generators=[Generator.HUNY], identity_subset=["id00", "id01"])
-        assert sub.identity_ids() == ["id00", "id01"]
-        # id00 -> id01 cross survives; id01 -> id02 does not
+        sub = cat.filter(generators=[Generator.HUNY])
+        assert sub.identity_ids() == ["id00", "id01", "id02", "id03"]
         assert all(v.generator == Generator.HUNY for v in sub.videos())
-        assert {v.video_id for v in sub.videos(reenactment="cross")} == {"huny_id01_id00_c000"}
+        assert {v.video_id for v in sub.videos(reenactment="cross")} == {
+            "huny_id01_id00_c000", "huny_id02_id01_c000", "huny_id03_id02_c000",
+            "huny_id00_id03_c000"}
+        assert cat.filter(datasets=[Dataset.RAVDESS]).identity_ids() == []
 
 
 class TestPublishedCounts:
@@ -146,20 +149,30 @@ class TestCrossAssignmentBuilder:
     def _self_only(self, n=6, clips=3):
         return tiny_catalog(n_ids=n, clips=clips, cross_per_driver=0)
 
+    @staticmethod
+    def _one_side(catalog):
+        """A split with every identity on the development side."""
+        return Split(frozenset(catalog.identities), frozenset())
+
     def test_requires_self_only_catalog(self):
+        catalog = tiny_catalog(cross_per_driver=1)
         with pytest.raises(CatalogError, match="without cross videos"):
-            build_cross_assignments(tiny_catalog(cross_per_driver=1))
+            build_cross_assignments(catalog, self._one_side(catalog))
 
     def test_counts_and_determinism(self):
         base = self._self_only()
-        full_a = build_cross_assignments(base, targets_per_driver=2, clips_per_driver=2, seed=3)
-        full_b = build_cross_assignments(base, targets_per_driver=2, clips_per_driver=2, seed=3)
+        split = self._one_side(base)
+        full_a = build_cross_assignments(base, split, targets_per_driver=2, clips_per_driver=2,
+                                         seed=3)
+        full_b = build_cross_assignments(base, split, targets_per_driver=2, clips_per_driver=2,
+                                         seed=3)
         cross = list(full_a.videos(reenactment="cross"))
         assert len(cross) == 6 * 2 * 2
         assert {v.video_id for v in cross} == {
             v.video_id for v in full_b.videos(reenactment="cross")
         }
-        other = build_cross_assignments(base, targets_per_driver=2, clips_per_driver=2, seed=4)
+        other = build_cross_assignments(base, split, targets_per_driver=2, clips_per_driver=2,
+                                        seed=4)
         assert {v.video_id for v in other.videos(reenactment="cross")} != {
             v.video_id for v in cross
         }
@@ -170,16 +183,17 @@ class TestCrossAssignmentBuilder:
             development=frozenset(["id00", "id01", "id02"]),
             evaluation=frozenset(["id03", "id04", "id05"]),
         )
-        full = build_cross_assignments(base, targets_per_driver=2, seed=0, split=split)
+        full = build_cross_assignments(base, split, targets_per_driver=2, seed=0)
         for v in full.videos(reenactment="cross"):
             assert split.side_of(v.driver) == split.side_of(v.target)
 
     def test_pool_too_small(self):
         base = self._self_only(n=3)
+        split = self._one_side(base)
         with pytest.raises(CatalogError, match="candidate targets"):
-            build_cross_assignments(base, targets_per_driver=3)
+            build_cross_assignments(base, split, targets_per_driver=3)
         with pytest.raises(CatalogError, match="clips"):
-            build_cross_assignments(base, targets_per_driver=1, clips_per_driver=99)
+            build_cross_assignments(base, split, targets_per_driver=1, clips_per_driver=99)
 
 
 class TestManifestIO:

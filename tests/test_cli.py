@@ -579,15 +579,16 @@ class TestRun:
         assert "CREMA-D/All->CREMA-D/LIVE" in live and "CREMA-D/LIVE->CREMA-D/LIVE" in live
         assert "CREMA-D/GAGA->" not in live
 
-    @pytest.mark.parametrize("store", ["missing", "version-1", "unsealed"])
+    @pytest.mark.parametrize("store", ["missing", "version-1", "unsealed", "index-not-a-map"])
     def test_unreadable_store_fails_before_the_run_directory(self, corpus_small, tmp_path,
                                                              capsys, store):
         path = tmp_path / "bad.avfs"
-        if store != "missing":
-            # version 1 header (magic, version, kind, D, count), and a version 2
-            # header (magic, version, kind, D, index offset) whose index is unwritten
-            path.write_bytes(struct.pack("<4sIBII", b"AVFS", 1, 1, 12, 0) if store == "version-1"
-                             else struct.pack("<4sIBIQ", b"AVFS", 2, 1, 12, 0))
+        if store == "version-1":  # header: magic, version, kind, D, record count
+            path.write_bytes(struct.pack("<4sIBII", b"AVFS", 1, 1, 12, 0))
+        elif store == "unsealed":  # header: magic, version, kind, D, index offset 0
+            path.write_bytes(struct.pack("<4sIBIQ", b"AVFS", 2, 1, 12, 0))
+        elif store == "index-not-a-map":  # the index right after the header
+            path.write_bytes(struct.pack("<4sIBIQ", b"AVFS", 2, 1, 12, 21) + b"[1, 2]")
         payload = json.loads(
             write_config(tmp_path / "c.json", corpus_small, experiments=[INTRA_GAGA]).read_text()
         )

@@ -69,12 +69,12 @@ class TestAdjacency:
     def test_csv_loading(self, tmp_path):
         p = tmp_path / "edges.csv"
         p.write_text("0,1\n1,2\n", encoding="utf-8")
-        graph = load_adjacency(p)
+        graph = load_adjacency(p, num_nodes=3)
         assert graph.num_nodes == 3 and graph.edges == ((0, 1), (1, 2))
         assert load_adjacency(p, num_nodes=5).num_nodes == 5
         p.write_text("0,x\n", encoding="utf-8")
         with pytest.raises(EmbedderError, match="non-integer"):
-            load_adjacency(p)
+            load_adjacency(p, num_nodes=3)
 
     def test_dict_round_trip(self):
         graph = AdjacencyGraph(4, ((0, 1), (2, 3)))

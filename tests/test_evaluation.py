@@ -10,6 +10,7 @@ from avatarprint.evaluation import (
     DeltaTable,
     EvalReport,
     EvaluationError,
+    FAIRNESS_ATTRIBUTES,
     auc,
     delta_table,
     evaluate_rows,
@@ -269,13 +270,14 @@ class TestFairness:
 
     def test_partition_accounts_for_every_trial(self):
         catalog, rows = self._catalog_rows()
-        report = fairness_report(rows, catalog, attributes=("gender",))
-        total_in_cells = sum(c.trials_n for c in report.cells)
-        assert total_in_cells + report.excluded_unknown["gender"] == len(rows)
+        report = fairness_report(rows, catalog)
+        for attribute in FAIRNESS_ATTRIBUTES:
+            in_cells = sum(c.trials_n for c in report.cells if c.attribute == attribute)
+            assert in_cells + report.excluded_unknown[attribute] == len(rows)
 
     def test_subgroups_keyed_by_enrollment_identity(self):
         catalog, rows = self._catalog_rows()
-        report = fairness_report(rows, catalog, attributes=("gender",))
+        report = fairness_report(rows, catalog)
         by_group = {c.subgroup: c for c in report.cells}
         assert set(by_group) == {"female", "male"}
         # id00 enrolls 2 self videos with one genuine and one impostor row each
@@ -284,27 +286,27 @@ class TestFairness:
 
     def test_unknown_identities_excluded(self):
         catalog, rows = self._catalog_rows()
-        report = fairness_report(rows, catalog, attributes=("gender",))
+        report = fairness_report(rows, catalog)
         # id01 contributes 2 self videos x 2 rows
         assert report.excluded_unknown["gender"] == 4
 
     def test_identical_subgroups_get_identical_auc(self):
         catalog, rows = self._catalog_rows()
-        report = fairness_report(rows, catalog, attributes=("gender",))
+        report = fairness_report(rows, catalog)
         values = [c.auc for c in report.cells]
         assert values[0] == values[1] == 100.0
 
     def test_single_class_subgroup_has_no_auc(self):
         catalog, rows = self._catalog_rows()
         genuine_only = [r for r in rows if r.label == 1]
-        report = fairness_report(genuine_only, catalog, attributes=("gender",))
+        report = fairness_report(genuine_only, catalog)
         assert all(c.auc is None for c in report.cells)
         text = render_fairness_text(report)
         assert ABSENT_CELL in text
 
     def test_fairness_csv(self, tmp_path):
         catalog, rows = self._catalog_rows()
-        report = fairness_report(rows, catalog, attributes=("gender",))
+        report = fairness_report(rows, catalog)
         write_fairness_csv(report, "cond", tmp_path / "f.csv")
         lines = (tmp_path / "f.csv").read_text().splitlines()
         assert lines[0] == "condition,model,attribute,subgroup,auc,genuine_n,impostor_n"

@@ -40,8 +40,9 @@ class TestFeatureSequence:
             FeatureSequence("v", FeatureKind.EMBEDDING, [[np.nan, 1.0]])
         with pytest.raises(FeatureStoreError):
             FeatureSequence("", FeatureKind.EMBEDDING, [[1.0]])
-        with pytest.raises(FeatureStoreError):
-            FeatureSequence("v", FeatureKind.EMBEDDING, [[1.0]], fps=0.0)
+        for fps in (0.0, float("nan"), float("inf")):
+            with pytest.raises(FeatureStoreError, match="fps"):
+                FeatureSequence("v", FeatureKind.EMBEDDING, [[1.0]], fps=fps)
 
     def test_landmark_dimension_is_pinned(self):
         good = np.zeros((4, 2 * LANDMARK_POINTS))
@@ -161,6 +162,21 @@ class TestStoreRoundTrip:
             raw[index_offset:] = json.dumps(index).encode()
         path.write_bytes(bytes(raw))
         with pytest.raises(FeatureStoreError, match=message) as exc:
+            FeatureStore(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("trailer", [
+        '{"a": 5}', '[1, 2]', '{"a": ["x", 1, 30]}', '{"a": [21, -1, 30]}',
+        '{"a": [21, 1, Infinity]}',
+    ], ids=["record-not-a-list", "index-not-a-map", "offset-not-an-int", "no-frames",
+            "fps-not-finite"])
+    def test_malformed_index_is_refused(self, tmp_path, trailer):
+        path = tmp_path / "f.avfs"
+        random_store(path, ["a"], 4, np.random.default_rng(3), frames=6).close()
+        raw = path.read_bytes()
+        (index_offset,) = struct.unpack_from("<Q", raw, 13)
+        path.write_bytes(raw[:index_offset] + trailer.encode())
+        with pytest.raises(FeatureStoreError, match="index") as exc:
             FeatureStore(path)
         assert str(path) in str(exc.value)
 

@@ -1,14 +1,15 @@
-"""The benchmark's use of trial sets and score tables: perfbench's own
-checks, and the corruptions its self-test feeds them, run here on small
-inputs, so an API change that breaks the benchmark fails the tests instead
-of a benchmark run. perfbench is imported from the checkout and never
-written to."""
+"""The benchmark's use of the package: each workload's setup, perfbench's
+own checks, and the corruptions its self-test feeds them, run here (the
+checks on small inputs), so an API change that breaks the benchmark fails
+the tests instead of a benchmark run. perfbench is imported from the
+checkout and never written to."""
 
 import random
 from pathlib import Path
 
 import pytest
 
+from avatarprint.cli import RunConfig
 from avatarprint.embedder import AdjacencyGraph, EmbedderConfig, GraphEncoderConfig, init_params
 from avatarprint.protocol import (
     Split,
@@ -30,6 +31,25 @@ def checks(monkeypatch):
     import checks
 
     return checks
+
+
+def test_e2e_setup(checks, tmp_path):
+    import workloads
+
+    inputs = workloads.setup_e2e(1, tmp_path)
+    config = RunConfig.from_file(inputs.config)
+    assert [m.name for m in config.models] == ["kinematic", "graph"]
+    assert all(path.is_file() for path in (config.identities, config.videos, config.split,
+                                           config.models[0].store, config.models[1].adjacency))
+
+
+def test_job_setup(checks, tmp_path):
+    import workloads
+
+    inputs = workloads.setup_job(1, tmp_path)
+    assert len(inputs.trials) == 78_720
+    assert sorted(inputs.models) == ["graph", "kinematic"]
+    assert inputs.models["graph"][0].graph.num_nodes == workloads.DIM // 2
 
 
 def test_trials_round_trip_check(checks, tmp_path):

@@ -82,13 +82,6 @@ class TestMakeSplit:
         c = make_split(catalog, seed=6)
         c.validate(catalog)  # any seed yields a valid split
 
-    def test_explicit_eval_counts_override(self):
-        catalog = tiny_catalog(n_ids=6, cross_per_driver=0)
-        split = make_split(catalog, eval_counts={Dataset.CREMA_D: 2})
-        assert len(split.evaluation) == 2 and len(split.development) == 4
-        with pytest.raises(ProtocolError, match="out of range"):
-            make_split(catalog, eval_counts={Dataset.CREMA_D: 6})
-
     def test_two_identities_split_one_each(self):
         catalog = tiny_catalog(n_ids=2, cross_per_driver=0)
         split = make_split(catalog, eval_fraction=0.5)
@@ -443,12 +436,14 @@ class TestExperimentSpec:
 
 
 class TestExperimentMatrix:
+    CATALOG = tiny_catalog(generators=(Generator.GAGA, Generator.LIVE, Generator.HUNY))
+
     def test_expansion_and_ids(self):
         specs = [
             ExperimentSpec("cross_generator", "CREMA-D", "GAGA", "CREMA-D",
                            ("LIVE", "HUNY"), models=("graph",)),
         ]
-        jobs = experiment_matrix(specs)
+        jobs = experiment_matrix(specs, self.CATALOG)
         assert [j.job_id for j in jobs] == [
             "CREMA-D-GAGA_to_CREMA-D-HUNY",
             "CREMA-D-GAGA_to_CREMA-D-LIVE",
@@ -462,7 +457,7 @@ class TestExperimentMatrix:
             ExperimentSpec("intra", "CREMA-D", "GAGA", "CREMA-D", ("GAGA",),
                            models=("dinov2", "graph")),
         ]
-        jobs = experiment_matrix(specs)
+        jobs = experiment_matrix(specs, self.CATALOG)
         assert len(jobs) == 1
         assert jobs[0].models == ("graph", "dinov2")
 
@@ -484,6 +479,6 @@ class TestExperimentMatrix:
     def test_all_generators_train_key(self):
         spec = ExperimentSpec("cross_generator", "CREMA-D", ALL_GENERATORS,
                               "CREMA-D", ("GAGA",))
-        (job,) = experiment_matrix([spec])
+        (job,) = experiment_matrix([spec], self.CATALOG)
         assert (job.train_dataset, job.train_generator) == ("CREMA-D", "All")
         assert job.condition == "CREMA-D/All->CREMA-D/GAGA"

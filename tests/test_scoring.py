@@ -40,16 +40,16 @@ def make_params(dim=6, window_len=8, seed=0, normalization=None):
 
 class TestWindows:
     def test_start_grid(self):
-        assert window_starts(10, 4, 2) == [0, 2, 4, 6]
-        assert window_starts(4, 4, 2) == [0]
-        assert window_starts(3, 4, 2) == []
-        assert window_starts(11, 4, 2) == [0, 2, 4, 6]  # trailing frames dropped
+        assert window_starts(10, 4) == [0, 2, 4, 6]
+        assert window_starts(4, 4) == [0]
+        assert window_starts(3, 4) == []
+        assert window_starts(11, 4) == [0, 2, 4, 6]  # trailing frames dropped
 
     def test_count_formula(self):
         for window in range(2, 33, 2):
             stride = window // 2
             for frames in range(1, 65):
-                starts = window_starts(frames, window, stride)
+                starts = window_starts(frames, window)
                 expected = 0 if frames < window else (frames - window) // stride + 1
                 assert len(starts) == expected, (frames, window)
 
@@ -66,23 +66,21 @@ class TestWindows:
                                        rtol=0, atol=1e-15)
         assert video_window_embeddings(params, short, "v5") is None
 
-    def test_odd_window_needs_explicit_stride(self):
+    def test_odd_window_rounds_the_stride_down(self):
         with pytest.raises(EmbedderError, match="even"):
             make_params(window_len=7)
-        assert window_starts(20, 7, 3) == [0, 3, 6, 9, 12]
+        assert window_starts(20, 7) == [0, 3, 6, 9, 12]
 
     def test_bad_arguments(self):
         with pytest.raises(ScoringError):
-            window_starts(10, 1, 1)
-        with pytest.raises(ScoringError):
-            window_starts(10, 4, 0)
+            window_starts(10, 1)
 
     def test_gather_equals_slicing_at_window_starts(self):
         rng = np.random.default_rng(13)
         for window in (2, 4, 8, 16):
             for frames in range(1, 3 * window + 2):
                 x = rng.normal(size=(frames, 3))
-                starts = window_starts(frames, window, window // 2)
+                starts = window_starts(frames, window)
                 got = gather_windows(x, starts, window)
                 assert got.shape == (len(starts), window, 3)
                 assert got.flags.c_contiguous
@@ -351,6 +349,14 @@ class TestScoreTrials:
         (3, "t00000002,a,c,0,m1", "short"),
         (3, "t00000002,a,c,0,m1,0.25,x", "long"),
         (3, "t00000002,a,c,0,m1,zero", "score"),
+        (3, "t00000002,a,c,0,m1,nan", "score-nan"),
+        (3, "t00000002,a,c,0,m1,inf", "score-inf"),
+        (3, "t00000002,a,c,0,m1,-inf", "score-minus-inf"),
+        (3, "t00000002,a,c,0,m1,2_5", "score-underscore"),
+        (3, "t00000002,a,c,0,m1,\u0663", "score-non-ascii-digit"),
+        (3, "t00000002,a,c,0,m1, 0.25", "score-leading-space"),
+        (3, "t00000002,a,c,0,m1,0.25\t", "score-trailing-tab"),
+        (4, "t00000002,a,c,0,m2,-1e999", "score-overflow"),
         (3, "t00000002,a,c,0,m2,0.25", "model-order"),
         (4, "t00000003,a,c,0,m2,-0.5", "not-consecutive"),
         (4, "t00000002,a,d,0,m2,-0.5", "other-video"),

@@ -433,6 +433,8 @@ def cmd_score(args: argparse.Namespace) -> int:
             raise ConfigError(f"--checkpoint wants NAME=PATH, got {pair!r}")
         if name not in specs:
             raise ConfigError(f"no model named {name!r} in config")
+        if name in checkpoints:
+            raise ConfigError(f"--checkpoint names model {name!r} twice")
         checkpoints[name] = ckpt
     with ExitStack() as stack:
         stores = _open_stores(stack, [specs[name] for name in checkpoints])

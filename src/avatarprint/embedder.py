@@ -9,6 +9,15 @@ projection head. Gradients are derived analytically; no autodiff framework is
 involved, which keeps the arithmetic inspectable and lets tests compare every
 coordinate against finite differences.
 
+``forward_batch`` is ``attend`` over ``encode_frames``: the first gives each
+frame's input to attention (its graph descriptor, or the frame itself), and
+the second pools a window's encoded frames. An encoded row depends on its
+frame alone, so scoring encodes the frames of many videos in one call and
+cuts the windows afterwards, once per frame instead of once per window
+covering it. Attention runs on one video's windows at a time: its logits
+product over the batch's rows does not round the same in every batch
+size, and a pair scored alone must equal its row in a table.
+
 The per-head keys X·W_k[h] and values X·W_v[h] are never formed. With frames
 X (F, dim), head h's logits are X·(W_k[h] q[h])/√a and its pooled output is
 (w·X)·W_v[h], w being the softmax weights. Backward collapses the same way:
@@ -37,11 +46,13 @@ class EmbedderError(ValueError):
 
 
 class NonFiniteError(EmbedderError):
-    """A non-finite value appeared; carries the layer where it surfaced."""
+    """A non-finite value appeared; carries the layer where it surfaced and
+    what else is known of where."""
 
     def __init__(self, layer: str, detail: str = ""):
         super().__init__(f"non-finite value in {layer}" + (f": {detail}" if detail else ""))
         self.layer = layer
+        self.detail = detail
 
 
 # -- landmark adjacency ----------------------------------------------------
@@ -420,32 +431,36 @@ def _key_queries(params: EmbedderParams) -> np.ndarray:
     return np.matmul(params["attn.key"], params["attn.query"][:, :, None])[:, :, 0]
 
 
-def forward_batch(params: EmbedderParams, windows: np.ndarray) -> tuple[np.ndarray, _ForwardState]:
-    """Embed a batch of windows (B, F, input_dim) -> L2-normalized (B, d).
-
-    Returns the embeddings together with the cached intermediates needed by
-    backward_batch.
-    """
+def encode_frames(
+    params: EmbedderParams, frames: np.ndarray, state: _GraphState | None = None
+) -> np.ndarray:
+    """The per-frame input of attention for frames (N, input_dim): the graph
+    descriptors (N, hidden_dim), or the frames themselves for a model without
+    a graph encoder. ``state`` keeps what the graph backward needs. A row
+    depends on its own frame only, so frames may be encoded in any grouping
+    and windows cut from the result afterwards."""
     cfg = params.config
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[1] != cfg.window_len or windows.shape[2] != cfg.input_dim:
-        raise EmbedderError(
-            f"expected windows of shape (B, {cfg.window_len}, {cfg.input_dim}), "
-            f"got {windows.shape}"
-        )
-    _check_finite(windows, "input")
-    batch, frames = windows.shape[0], windows.shape[1]
+    frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 2 or frames.shape[1] != cfg.input_dim:
+        raise EmbedderError(f"expected frames of shape (N, {cfg.input_dim}), got {frames.shape}")
+    _check_finite(frames, "input")
+    if cfg.graph is None:
+        return frames
+    desc = graph_encode(params, frames.reshape(frames.shape[0], cfg.input_dim // 2, 2), state)
+    _check_finite(desc, "graph_encoder")
+    return desc
 
-    graph_state: _GraphState | None = None
-    if cfg.graph is not None:
-        graph_state = _GraphState()
-        landmarks = windows.reshape(batch * frames, cfg.input_dim // 2, 2)
-        desc = graph_encode(params, landmarks, graph_state)
-        attn_input = desc.reshape(batch, frames, cfg.graph.hidden_dim)
-        _check_finite(attn_input, "graph_encoder")
-    else:
-        attn_input = windows
-    dim = attn_input.shape[2]
+
+def attend(
+    params: EmbedderParams, encoded_windows: np.ndarray, state: _GraphState | None
+) -> tuple[np.ndarray, _ForwardState]:
+    """Attention pooling, the output map, the projection and the L2 norm over
+    windows of encoded frames (B, F, dim) -> (B, d). Returns the embeddings
+    together with the cached intermediates needed by backward_batch, which
+    also needs the graph encoder's ``state`` (None when nothing is trained)."""
+    cfg = params.config
+    attn_input = encoded_windows
+    batch, frames, dim = attn_input.shape
 
     # logit[b,h,f] = x[b,f] · W_k[h] q[h] / √a; overflow is reported just below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -470,11 +485,31 @@ def forward_batch(params: EmbedderParams, windows: np.ndarray) -> tuple[np.ndarr
         raise NonFiniteError("l2_normalize", "zero or non-finite embedding norm")
     z = z_raw / norms[:, None]
 
-    state = _ForwardState(
+    forward_state = _ForwardState(
         attn_input=attn_input, weights=weights, weighted=weighted,
-        pooled=pooled, zhat=zhat, z_raw=z_raw, norms=norms, z=z, graph=graph_state,
+        pooled=pooled, zhat=zhat, z_raw=z_raw, norms=norms, z=z, graph=state,
     )
-    return z, state
+    return z, forward_state
+
+
+def forward_batch(params: EmbedderParams, windows: np.ndarray) -> tuple[np.ndarray, _ForwardState]:
+    """Embed a batch of windows (B, F, input_dim) -> L2-normalized (B, d):
+    ``attend`` over the windows' frames as ``encode_frames`` gives them.
+
+    Returns the embeddings together with the cached intermediates needed by
+    backward_batch.
+    """
+    cfg = params.config
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 3 or windows.shape[1] != cfg.window_len or windows.shape[2] != cfg.input_dim:
+        raise EmbedderError(
+            f"expected windows of shape (B, {cfg.window_len}, {cfg.input_dim}), "
+            f"got {windows.shape}"
+        )
+    batch, frames = windows.shape[0], windows.shape[1]
+    graph_state = _GraphState() if cfg.graph is not None else None
+    encoded = encode_frames(params, windows.reshape(batch * frames, cfg.input_dim), graph_state)
+    return attend(params, encoded.reshape(batch, frames, encoded.shape[1]), graph_state)
 
 
 def forward(params: EmbedderParams, window: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .catalog import SOFT_BIOMETRICS, Catalog
-from .files import read_csv, write_csv
+from .files import AtomicFile, read_csv, write_csv
 from .scoring import ScoreRow
 
 
@@ -322,10 +322,18 @@ def render_fairness_text(report: FairnessReport) -> str:
 def write_roc_csv(
     genuine: np.ndarray, impostor: np.ndarray, path: str | Path
 ) -> None:
+    """The ROC points as CSV lines "fpr,tpr", each rate its ``repr``: the
+    bytes ``csv.writer`` writes for them. Each distinct rate is formatted
+    once."""
     fpr, tpr = roc_points(genuine, impostor)
-    write_csv(path, ["fpr", "tpr"], (
-        [repr(f_val), repr(t_val)] for f_val, t_val in zip(fpr.tolist(), tpr.tolist())
-    ))
+    columns = []
+    for rate in (fpr, tpr):
+        values, inverse = np.unique(rate, return_inverse=True)
+        texts = np.array([repr(value) for value in values.tolist()], dtype=object)
+        columns.append(texts[inverse].tolist())
+    with AtomicFile(path) as fh:
+        fh.write("fpr,tpr\n")
+        fh.write("".join(map("{},{}\n".format, *columns)))
 
 
 def write_roc_csvs(rows: Iterable[ScoreRow], paths: Mapping[str, str | Path]) -> None:

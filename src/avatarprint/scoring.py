@@ -17,6 +17,16 @@ code of a pair is score_pair's first operand and the two paths agree bit
 for bit. Multiple models fuse by averaging their per-trial scores,
 optionally z-scored per model first.
 
+Half-stride windows cover each frame twice, so ``mean_embeddings`` encodes
+frames, not windows: it normalizes and encodes the frames of consecutive
+videos, ``SCORE_FRAMES`` or a video more at a time, in one
+``encode_frames`` call, then cuts each video's windows from its encoded
+frames and attends over them (``video_window_embeddings``, the per-video
+step). Attention stays per video: an encoded row depends on its frame
+alone, but the attention logits' product over a batch does not round the
+same in every batch size, and a pair scored alone must equal its row in a
+table.
+
 The result is a ``ScoreTable`` of columns: the scored trials' numbers,
 video codes and labels, and one (models, trials) score array, NaN where a
 trial is unscorable. Its CSV writer formats each distinct field once and
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import gc
 import itertools
 import math
 from array import array
@@ -37,7 +48,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embedder import EmbedderParams, forward_batch
+from .embedder import EmbedderParams, NonFiniteError, attend, encode_frames
 from .feature_store import FeatureStore
 from .files import AtomicFile, csv_fields, read_csv
 from .protocol import ROW_CHUNK, TrialSet, named_codes, trial_ids, trial_number
@@ -65,35 +76,98 @@ def gather_windows(frames: np.ndarray, starts, window_len: int) -> np.ndarray:
     return frames[np.asarray(starts, dtype=np.intp)[:, None] + np.arange(window_len)]
 
 
+SCORE_FRAMES = 2048  # frames normalized and encoded at a time when scoring
+
+
 def video_window_embeddings(
-    params: EmbedderParams, store: FeatureStore, video_id: str
+    params: EmbedderParams, store: FeatureStore, video_id: str, encoded: np.ndarray | None = None
 ) -> np.ndarray | None:
     """All window embeddings of one video as an (X, d) matrix, or None when
-    the video is shorter than one window. Normalization parameters stored
-    with the model are applied to the frames first."""
-    seq = store.get(video_id)
-    frames = seq.frames
-    if params.normalization is not None:
-        frames = params.normalization.apply(frames)
+    the video is shorter than one window. ``encoded`` is the video's frames
+    as ``encode_frames`` gives them, up to the end of its last window, when
+    the caller has encoded them (``mean_embeddings`` encodes many videos at
+    once); otherwise the frames are read from ``store`` and normalized by
+    the parameters stored with the model, then encoded here."""
     window_len = params.config.window_len
-    starts = window_starts(frames.shape[0], window_len)
-    if not starts:
-        return None
-    z, _ = forward_batch(params, gather_windows(frames, starts, window_len))
+    if encoded is None:
+        frames = _windowed_frames(store.get(video_id).frames, window_len)
+        if frames is None:
+            return None
+        encoded = encode_frames(params, _normalized(params, frames))
+    starts = window_starts(encoded.shape[0], window_len)
+    z, _ = attend(params, gather_windows(encoded, starts, window_len), None)
     return z
+
+
+def _windowed_frames(frames: np.ndarray, window_len: int) -> np.ndarray | None:
+    """``frames`` up to the end of the last complete window (the trailing
+    frames no window covers are dropped), or None when there is no window."""
+    starts = window_starts(frames.shape[0], window_len)
+    return frames[: starts[-1] + window_len] if starts else None
+
+
+def _normalized(params: EmbedderParams, frames: np.ndarray) -> np.ndarray:
+    return frames if params.normalization is None else params.normalization.apply(frames)
+
+
+def _chunks(store: FeatureStore, video_ids: Sequence[str], window_len: int):
+    """Consecutive videos with a window, as lists of (position in
+    ``video_ids``, id, frames up to the end of the last window) holding at
+    least ``SCORE_FRAMES`` frames each, but the last."""
+    chunk: list[tuple[int, str, np.ndarray]] = []
+    held = 0
+    for row, vid in enumerate(video_ids):
+        frames = _windowed_frames(store.get(vid).frames, window_len)
+        if frames is None:
+            continue
+        chunk.append((row, vid, frames))
+        held += frames.shape[0]
+        if held >= SCORE_FRAMES:
+            yield chunk
+            chunk, held = [], 0
+    if chunk:
+        yield chunk
 
 
 def mean_embeddings(
     params: EmbedderParams, store: FeatureStore, video_ids: Sequence[str]
 ) -> np.ndarray:
     """(len(video_ids), d): each video's window embeddings scaled to unit
-    length and averaged, with a NaN row for a video shorter than one window."""
+    length and averaged, with a NaN row for a video shorter than one window.
+
+    The frames of consecutive videos are normalized and encoded together,
+    ``SCORE_FRAMES`` or a video more at a time, so each frame is encoded
+    once although two windows cover it. Then each video's windows are cut
+    from its encoded frames and attended apart from other videos'. A
+    non-finite value raises ``NonFiniteError`` naming the video (for the
+    encoded frames, the first video of the chunk that has one).
+    """
     means = np.full((len(video_ids), params.config.projection_dim), np.nan)
-    for i, vid in enumerate(video_ids):
-        z = video_window_embeddings(params, store, vid)
-        if z is not None:
-            means[i] = (z / np.linalg.norm(z, axis=1, keepdims=True)).mean(axis=0)
+    for chunk in _chunks(store, video_ids, params.config.window_len):
+        frames = _normalized(params, np.concatenate([part for _, _, part in chunk]))
+        bounds = np.cumsum([0] + [part.shape[0] for _, _, part in chunk]).tolist()
+        spans = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        try:
+            encoded = encode_frames(params, frames)
+        except NonFiniteError as exc:
+            for (_, vid, _), span in zip(chunk, spans):  # alone, to find the first at fault
+                try:
+                    encode_frames(params, frames[span])
+                except NonFiniteError:
+                    raise _located(exc, f"video {vid!r}") from None
+            raise
+        for (row, vid, _), span in zip(chunk, spans):
+            try:
+                z = video_window_embeddings(params, store, vid, encoded[span])
+            except NonFiniteError as exc:
+                raise _located(exc, f"video {vid!r}") from None
+            means[row] = (z / np.linalg.norm(z, axis=1, keepdims=True)).mean(axis=0)
     return means
+
+
+def _located(exc: NonFiniteError, where: str) -> NonFiniteError:
+    """``exc`` saying ``where`` it surfaced, before what it said already."""
+    return NonFiniteError(exc.layer, f"{where}, {exc.detail}" if exc.detail else where)
 
 
 def _row_dots(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -163,11 +237,20 @@ class ScoreTable:
     def rows(self) -> list[ScoreRow]:
         """One ``ScoreRow`` per trial and model in table order (trials outer,
         models inner; None for NaN), built on first use and kept. Equal
-        strings are one object."""
+        strings are one object. The cyclic garbage collector is paused
+        meanwhile: a row holds only strings and numbers, so the rows form no
+        cycle, and each collection would only rescan every row made so far."""
         if self._rows is None:
-            self._rows = []
-            for start in range(0, len(self.number), ROW_CHUNK):
-                self._rows += self._row_chunk(slice(start, start + ROW_CHUNK))
+            rows: list[ScoreRow] = []
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                for start in range(0, len(self.number), ROW_CHUNK):
+                    rows += self._row_chunk(slice(start, start + ROW_CHUNK))
+            finally:
+                if enabled:
+                    gc.enable()
+            self._rows = rows
         return self._rows
 
     def _row_chunk(self, part: slice) -> list[ScoreRow]:
@@ -234,7 +317,10 @@ def score_trials(
     # (models, trials); NaN marks a trial with a video shorter than one window
     scores = np.empty((len(model_ids), len(kept)))
     for row, m in enumerate(model_ids):
-        means = mean_embeddings(*models[m], kept.videos)
+        try:
+            means = mean_embeddings(*models[m], kept.videos)
+        except NonFiniteError as exc:
+            raise _located(exc, f"model {m!r}") from None
         scores[row] = _row_dots(means[first], means[second])
     if include_fusion and len(model_ids) > 1:
         fused = (_zscore(scores) if zscore_fusion else scores).mean(axis=0)

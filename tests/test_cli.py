@@ -283,6 +283,20 @@ class TestTrainScoreEvaluateChain:
         ])
         assert code == EXIT_USAGE
 
+    def test_checkpoint_names_each_model_once(self, corpus_small, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", corpus_small)
+        (tmp_path / "t.csv").write_text(
+            "trial_id,dataset,generator,enroll_video,test_video,label\n"
+        )
+        code = main([
+            "score", "--config", str(cfg), "--trials", str(tmp_path / "t.csv"),
+            "--checkpoint", "m=/a.avck", "--checkpoint", "m=/b.avck",
+            "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "'m' twice" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestImportFeatures:
     def test_round_trip(self, tmp_path):

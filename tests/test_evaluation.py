@@ -1,5 +1,8 @@
 """Exact AUC, condition deltas and fairness breakdowns."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,21 @@ class TestRoc:
             f"{float(f)!r},{float(t)!r}\n" for f, t in zip(fpr, tpr)
         )
         assert (tmp_path / "roc.csv").read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize("genuine, impostor", [
+        ([0.5, 0.5, 0.25, 0.75, 0.5], [0.25, 0.25, 0.5, 0.1, 0.1, 0.1]),  # ties within and across
+        ([0.3], [0.1, 0.3, 0.3, 0.9]),  # one genuine score
+        ([0.2, 0.2, 0.6], [0.2]),  # one impostor score
+        ([1.0], [1.0]),
+    ])
+    def test_roc_csv_equals_csv_writer_of_reprs(self, tmp_path, genuine, impostor):
+        write_roc_csv(np.array(genuine), np.array(impostor), tmp_path / "roc.csv")
+        fpr, tpr = roc_points(genuine, impostor)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["fpr", "tpr"])
+        writer.writerows([repr(f), repr(t)] for f, t in zip(fpr.tolist(), tpr.tolist()))
+        assert (tmp_path / "roc.csv").read_bytes() == want.getvalue().encode("utf-8")
 
 
 def _rows(model, scores, labels, prefix="v"):

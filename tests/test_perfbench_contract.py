@@ -74,10 +74,9 @@ def test_trial_counts_check(checks, benchmark_cat):
 
 
 @pytest.fixture
-def job_outputs(checks, corpus_small, tmp_path):
-    """The job workload's timed phase (score with z-scored fusion, write and
-    read the table, evaluate, ROC, fairness) on one small condition, with
-    two untrained models as the workload uses them."""
+def job_inputs(checks, corpus_small):
+    """The job workload's inputs on one small condition, with two untrained
+    models as the workload uses them."""
     import workloads
 
     trials = generate_trials(corpus_small.catalog, corpus_small.split).select("CREMA-D", "GAGA")
@@ -90,9 +89,47 @@ def job_outputs(checks, corpus_small, tmp_path):
         "graph": (init_params(EmbedderConfig(**shape, graph=GraphEncoderConfig(1, 8), seed=2),
                               graph=graph), corpus_small.store),
     }
-    inputs = workloads.JobInputs(corpus_small.catalog, trials, models, seed=3)
-    _, outputs = workloads.run_job(inputs, tmp_path, 0, None)
-    return inputs, outputs
+    return workloads.JobInputs(corpus_small.catalog, trials, models, seed=3)
+
+
+@pytest.fixture
+def job_outputs(checks, job_inputs, tmp_path):
+    """The job workload's timed phase (score with z-scored fusion, write and
+    read the table, evaluate, ROC, fairness) on ``job_inputs``."""
+    import workloads
+
+    _, outputs = workloads.run_job(job_inputs, tmp_path, 0, None)
+    return job_inputs, outputs
+
+
+def test_tracer_installs_and_restores_every_traced_name(checks):
+    import tracing
+
+    held = [(holder, attr, getattr(owner, attr))
+            for owner, attr, _, _ in tracing.TRACED
+            for holder in (owner, *tracing.MODULES)
+            if vars(holder).get(attr) is getattr(owner, attr)]
+    tracer = tracing.Tracer("contract")
+    with tracer.installed("pass0"):
+        assert all(getattr(holder, attr) is not fn for holder, attr, fn in held)
+    assert all(getattr(holder, attr) is fn for holder, attr, fn in held)
+
+
+def test_traced_job_embeds_each_scorable_video_once_per_model(checks, job_inputs, tmp_path):
+    import tracing
+    import workloads
+
+    tracer = tracing.Tracer("contract")
+    with tracer.installed("pass0"):
+        workloads.run_job(job_inputs, tmp_path, 0, tracer)
+    metrics = tracer.layer_metrics("pass0", 1.0)
+    models = job_inputs.models.values()
+    videos = job_inputs.trials.videos
+    scorable = sum(store.get(v).num_frames >= params.config.window_len
+                   for params, store in models for v in videos)
+    assert 0 < scorable == metrics["scoring.embed_computes"]
+    assert metrics["feature_store.get_calls"] == len(videos) * len(models)
+    assert metrics["scoring.trials_scored"] == len(job_inputs.trials)
 
 
 def _job_check_data(workloads, inputs, outputs) -> dict:

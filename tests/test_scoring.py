@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import itertools
 
@@ -9,8 +10,21 @@ import numpy as np
 import pytest
 
 from avatarprint import scoring
-from avatarprint.embedder import EmbedderConfig, EmbedderError, forward, init_params
-from avatarprint.feature_store import NormalizationParams
+from avatarprint.embedder import (
+    AdjacencyGraph,
+    EmbedderConfig,
+    EmbedderError,
+    GraphEncoderConfig,
+    NonFiniteError,
+    forward,
+    init_params,
+)
+from avatarprint.feature_store import (
+    FeatureKind,
+    FeatureSequence,
+    FeatureStoreWriter,
+    NormalizationParams,
+)
 from avatarprint.protocol import TrialSet
 from avatarprint.scoring import (
     FUSION_MODEL,
@@ -36,6 +50,19 @@ def make_params(dim=6, window_len=8, seed=0, normalization=None):
         window_len=window_len, seed=seed,
     )
     return init_params(cfg, normalization)
+
+
+def make_graph_params(nodes=3, window_len=8, seed=0, normalization=None):
+    """A one-layer graph model over a path of ``nodes`` landmarks, with a
+    random readout so that the nodes are not merely averaged."""
+    graph = AdjacencyGraph(nodes, tuple((i, i + 1) for i in range(nodes - 1)))
+    cfg = EmbedderConfig(
+        input_dim=2 * nodes, heads=2, attention_dim=8, projection_dim=4,
+        window_len=window_len, graph=GraphEncoderConfig(1, 6), seed=seed,
+    )
+    params = init_params(cfg, normalization, graph)
+    params["graph.readout"][:] = np.random.default_rng(seed).normal(size=(nodes, 6))
+    return params
 
 
 class TestWindows:
@@ -212,9 +239,9 @@ class TestScoreTrials:
         calls = []
         real = scoring.video_window_embeddings
 
-        def counting(params, store, video_id):
+        def counting(params, store, video_id, encoded):
             calls.append((params.config.seed, video_id))
-            return real(params, store, video_id)
+            return real(params, store, video_id, encoded)
 
         monkeypatch.setattr(scoring, "video_window_embeddings", counting)
         models = {f"m{k}": (make_params(seed=k), store) for k in (1, 2)}
@@ -393,3 +420,89 @@ class TestScoreTrials:
         path.write_text("nope\n")
         with pytest.raises(ScoringError, match="bad header"):
             read_score_table(path)
+
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_rows_leave_the_collector_as_found(self, monkeypatch, enabled):
+        def table():
+            return ScoreTable(["a", "b"], ["m"], [1, 2], [0, 1], [1, 0], [1, 0], [[0.5, np.nan]])
+
+        def broken(self, part):
+            raise RuntimeError("no rows")
+
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert [r.score for r in table().rows] == [0.5, None]
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(ScoreTable, "_row_chunk", broken)
+            with pytest.raises(RuntimeError):
+                table().rows
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+class TestChunks:
+    """``mean_embeddings`` encodes the frames of many videos at once, in
+    chunks of ``SCORE_FRAMES`` or a video more."""
+
+    @pytest.mark.parametrize("make", [make_params, make_graph_params], ids=["kinematic", "graph"])
+    def test_chunked_videos_equal_each_video_alone(self, tmp_path, make):
+        rng = np.random.default_rng(21)
+        ids = [f"v{i:02d}" for i in range(80)]
+        writer = FeatureStoreWriter(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 6)
+        for i, vid in enumerate(ids):  # every seventh video is shorter than a window
+            frames = rng.normal(size=(7 if i % 7 == 3 else int(rng.integers(8, 150)), 6))
+            writer.put(FeatureSequence(vid, FeatureKind.EMBEDDING, frames, 30.0))
+        store = writer.seal()
+        norm = NormalizationParams(mean=np.full(6, 0.25), std=np.full(6, 1.5),
+                                   floored_dims=(), n_frames=1)
+        params = make(normalization=norm)
+        windowed = [window_starts(store.get(v).num_frames, 8) for v in ids]
+        assert sum(s[-1] + 8 for s in windowed if s) > 2 * scoring.SCORE_FRAMES
+        assert not all(windowed)  # some videos have no window and stay NaN
+
+        means = mean_embeddings(params, store, ids)
+        for vid, row in zip(ids, means):
+            np.testing.assert_array_equal(row, mean_embeddings(params, store, [vid])[0])
+        pairs = rng.choice(ids, size=(80, 2))
+        table = score_trials({"m": (params, store)},
+                             trial_set((str(a), str(b), i % 2) for i, (a, b) in enumerate(pairs)))
+        assert table.scores.shape == (1, 80) and not np.isnan(table.scores).all()
+        for row in table.rows:
+            assert score_pair(params, store, row.enroll_video, row.test_video).score == row.score
+
+    def test_unencoded_video_equals_its_chunked_windows(self, tmp_path):
+        rng = np.random.default_rng(22)
+        store = random_store(tmp_path / "f.avfs", ["a", "b"], 6, rng, frames=(37, 37))
+        params = make_graph_params()
+        alone = video_window_embeddings(params, store, "b")
+        assert alone.shape == (8, 4)  # 37 frames: windows at 0, 4, ..., 28
+        z = alone / np.linalg.norm(alone, axis=1, keepdims=True)
+        np.testing.assert_array_equal(mean_embeddings(params, store, ["a", "b"])[1], z.mean(axis=0))
+
+    def test_non_finite_logits_name_the_model_and_video(self, tmp_path):
+        ids, store = _setup(tmp_path)
+        broken = make_params(seed=1)
+        broken["attn.query"][:] = 1e308
+        models = {"fine": (make_params(seed=2), store), "m": (broken, store)}
+        with pytest.raises(NonFiniteError,
+                           match=r"^non-finite value in attention_logits: model 'm', video 'v1'$"):
+            score_trials(models, trial_set([(ids[2], ids[1], 1)]))
+
+    def test_non_finite_descriptors_name_the_first_video_at_fault(self, tmp_path):
+        rng = np.random.default_rng(23)
+        writer = FeatureStoreWriter(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 6)
+        for vid in ("a", "b", "c", "d"):
+            frames = rng.uniform(-0.01, 0.01, size=(20, 6))
+            if vid in ("c", "d"):  # every node saturates tanh the same way
+                frames[7] = 50.0
+            writer.put(FeatureSequence(vid, FeatureKind.EMBEDDING, frames, 30.0))
+        store = writer.seal()
+        params = make_graph_params()
+        params["graph.readout"][:] = 1e308  # the sum over 3 saturated nodes overflows
+        trials = trial_set([("a", "b", 1), ("a", "d", 0), ("c", "b", 0)])
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match=r"^non-finite value in graph_encoder: model 'g', video 'c'$"):
+            score_trials({"g": (params, store)}, trials)

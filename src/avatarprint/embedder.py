@@ -327,7 +327,9 @@ def graph_encode(
     readout R (L, hidden) applied per node, Σₙ a[:, n, :] ⊙ R[n], so it
     keeps which landmark moved how; at initialization R is the node mean.
     Frames run in blocks of ``GRAPH_BLOCK``; layer 0's bias rides in its
-    weight product as a ones column of the aggregated landmarks.
+    weight product as a ones column of the aggregated landmarks. Only a
+    ``state`` keeps every frame's layer outputs; without one, each block
+    reuses the same block-sized buffers.
     """
     cfg = params.config.graph
     graph = params.graph
@@ -343,18 +345,21 @@ def graph_encode(
     norm = graph.norm_matrix()
     first = np.vstack([params["graph.l0.weight"], params["graph.l0.bias"]])
     readout = params["graph.readout"]
-    aggregated = np.empty((n, nodes, 3))
+    # a backward pass needs every frame's buffers; otherwise one block's are reused
+    rows = n if state is not None else min(n, GRAPH_BLOCK)
+    aggregated = np.empty((rows, nodes, 3))
     aggregated[:, :, 2] = 1.0
-    activated = [np.empty((n, nodes, cfg.hidden_dim)) for _ in range(cfg.layers)]
+    activated = [np.empty((rows, nodes, cfg.hidden_dim)) for _ in range(cfg.layers)]
     desc = np.empty((n, cfg.hidden_dim))
     for start in range(0, n, GRAPH_BLOCK):
         part = slice(start, start + GRAPH_BLOCK)
-        np.matmul(norm, frames_landmarks[part], out=aggregated[part, :, :2])
-        hidden = np.matmul(aggregated[part], first, out=activated[0][part])
+        held = part if state is not None else slice(0, min(GRAPH_BLOCK, n - start))
+        np.matmul(norm, frames_landmarks[part], out=aggregated[held, :, :2])
+        hidden = np.matmul(aggregated[held], first, out=activated[0][held])
         np.tanh(hidden, out=hidden)
         for layer in range(1, cfg.layers):
             hidden = np.matmul(np.matmul(norm, hidden), params[f"graph.l{layer}.weight"],
-                               out=activated[layer][part])
+                               out=activated[layer][held])
             hidden += params[f"graph.l{layer}.bias"]
             np.tanh(hidden, out=hidden)
         np.einsum("nlh,lh->nh", hidden, readout, out=desc[part])

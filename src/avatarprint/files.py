@@ -2,7 +2,15 @@
 temporary name in its directory, then moved over its final name, so a
 process that dies part way leaves the previous file or none there, never a
 partial one. Nothing is fsynced: this covers a process that dies, not a
-power loss."""
+power loss.
+
+CSV files are read two ways. ``read_csv`` gives the rows of any file the
+csv module parses. ``canonical_columns`` reads only the canonical form the
+trial and score writers produce (no quoting, ``\n`` line ends) and gives a
+bounded chunk of lines at a time as columns of strings, with no per-row
+Python; on any other file it raises ``NotCanonical``, and the caller reads
+the file again through ``read_csv``, whose row loop reports the errors.
+"""
 
 from __future__ import annotations
 
@@ -69,13 +77,77 @@ def write_json(path: str | Path, payload: object) -> None:
 def read_csv(path: str | Path, header: list[str], error: type[Exception]
              ) -> Iterator[list[str]]:
     """The rows of a UTF-8 CSV file after its header; a header other than
-    ``header`` raises ``error``."""
+    ``header``, or bytes that are not UTF-8, raise ``error`` (the latter
+    naming the line of the first bad byte)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise error(f"{path}: bad header {found!r}, expected {header!r}")
-        yield from reader
+        try:
+            found = next(reader, None)
+            if found != header:
+                raise error(f"{path}: bad header {found!r}, expected {header!r}")
+            yield from reader
+        except UnicodeDecodeError as exc:
+            # the reader decodes ahead of the rows it has given, so the row
+            # count says nothing here: find the line itself
+            raise error(f"{path}: line {_undecodable_line(path)} is not UTF-8: "
+                        f"{exc.reason}") from None
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """The 1-based number of the first line of ``path`` that is not UTF-8.
+    No UTF-8 sequence holds a newline byte, so each line decodes alone."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    raise AssertionError(f"{path} decodes as UTF-8")
+
+
+CHUNK_CHARS = 1 << 16  # read at a time by canonical_columns; more raises the peak
+
+
+class NotCanonical(Exception):
+    """A file is not in the form ``canonical_columns`` reads, or a chunk's
+    columns fail the caller's checks: read it through ``read_csv`` instead."""
+
+
+def canonical_columns(path: str | Path, header: Sequence[str]) -> Iterator[list[list[str]]]:
+    """The fields of a canonical CSV file after its header, one list per
+    column, for a chunk of whole lines at a time (about ``CHUNK_CHARS``
+    characters, or one line if longer).
+
+    Canonical: UTF-8, the header line exactly ``header`` joined by commas,
+    every line ``len(header)`` fields and ending in ``\n``, and no ``"`` or
+    ``\r`` anywhere, so that a line's fields are its text split at commas,
+    as the csv module reads them. Any other file raises ``NotCanonical``
+    when the chunk that shows it is read."""
+    width = len(header) + 1  # each line's fields and its newline
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if fh.readline() != ",".join(header) + "\n":
+                raise NotCanonical
+            carry = ""  # the part of a line read so far
+            while block := fh.read(CHUNK_CHARS):
+                cut = block.rfind("\n") + 1
+                if not cut:
+                    carry += block
+                    continue
+                chunk, carry = carry + block[:cut], block[cut:]
+                if '"' in chunk or "\r" in chunk:
+                    raise NotCanonical
+                lines = chunk.count("\n")
+                # each newline becomes a field of its own, at the end of its line
+                fields = chunk.replace("\n", ",\n,").split(",")
+                fields.pop()  # the empty field after the last newline
+                if len(fields) != width * lines or fields[width - 1::width].count("\n") != lines:
+                    raise NotCanonical
+                yield [fields[j::width] for j in range(width - 1)]
+            if carry:  # the last line has no newline
+                raise NotCanonical
+    except UnicodeDecodeError:
+        raise NotCanonical from None
 
 
 def csv_fields(values: Iterable[str]) -> list[str]:

@@ -10,13 +10,17 @@ A list of trials is a ``TrialSet``: NumPy columns of trial numbers (the id
 ``t%08d`` is derived from the number), (dataset, generator) condition codes,
 enroll and test video codes into a sorted video-id vocabulary, and labels.
 Generation builds each (dataset, generator, target) block as whole arrays,
-a job's trials are a condition mask, and only the CSV reader and writer
-touch one trial at a time.
+a job's trials are a condition mask, and only the CSV writer touches one
+trial at a time. ``load_trials`` reads a canonical file (as ``save_trials``
+writes it) a chunk of columns at a time; any other file falls back to the
+csv module and ``TrialSet.from_rows``, the one place a malformed row is
+reported.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from array import array
 from collections import defaultdict
@@ -34,7 +38,7 @@ from .catalog import (
     Catalog,
     Dataset,
 )
-from .files import AtomicFile, csv_fields, read_csv, write_json
+from .files import AtomicFile, NotCanonical, canonical_columns, csv_fields, read_csv, write_json
 
 
 class ProtocolError(ValueError):
@@ -229,7 +233,7 @@ EXCLUDE_IDENTICAL = "exclude_identical"
 INCLUDE_IDENTICAL = "include_identical"
 CONVENTIONS = (EXCLUDE_IDENTICAL, INCLUDE_IDENTICAL)
 MAX_TRIALS = 99_999_999  # a trial id is "t" and eight digits
-ROW_CHUNK = 1 << 16  # rows turned into Python objects at a time
+ROW_CHUNK = 1 << 16  # rows turned into Python objects, or codes renumbered, at a time
 
 
 def trial_ids(numbers: Iterable[int]) -> list[str]:
@@ -243,6 +247,62 @@ def trial_number(trial_id: str) -> int:
     if trial_id[:1] != "t" or len(digits) != 8 or not (digits.isascii() and digits.isdigit()):
         raise ValueError(trial_id)
     return int(digits)
+
+
+_POWERS = 10 ** np.arange(7, -1, -1, dtype=np.intc)
+
+
+def trial_numbers(ids: list[str]) -> np.ndarray:
+    """``trial_number`` of each id, as C ints (``array("i")`` items); an id
+    it rejects raises ``NotCanonical``."""
+    # A comma ends each id and no id holds one (fields are split at commas).
+    # In 10-byte rows whose first 9 bytes are "t" and digits, the commas
+    # can only be the 10th bytes, so every id is 9 bytes.
+    raw = np.frombuffer(",".join([*ids, ""]).encode(), dtype=np.uint8)
+    if raw.size != 10 * len(ids):
+        raise NotCanonical
+    raw = raw.reshape(-1, 10)
+    digits = raw[:, 1:9] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    if not ((raw[:, 0] == ord("t")).all() and (digits <= 9).all()):
+        raise NotCanonical
+    return digits.astype(np.intc) @ _POWERS
+
+
+_LABEL_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def label_values(labels: list[str]) -> bytes:
+    """The labels "0" and "1" as bytes 0 and 1; any other raises
+    ``NotCanonical``."""
+    if labels.count("0") + labels.count("1") != len(labels):
+        raise NotCanonical
+    return "".join(labels).encode().translate(_LABEL_BYTES)
+
+
+class FirstSeen:
+    """Strings coded in order of first appearance, a column at a time, by
+    one ``dict.setdefault`` per string and no Python per row. Until
+    ``renumber``, a string's code is the number of strings coded before it
+    first appeared, so codes ascend with first appearance but skip."""
+
+    def __init__(self) -> None:
+        self.codes: dict[str, int] = {}
+        self._count = itertools.count()
+
+    def extend(self, out: array, column: Sequence[str]) -> None:
+        out.extend(map(self.codes.setdefault, column, self._count))
+
+    def renumber(self, *columns: array) -> list[str]:
+        """The strings in order of first appearance, with ``columns`` (each
+        an ``array("i")`` filled by ``extend``) recoded in place to index
+        them."""
+        firsts = np.fromiter(self.codes.values(), dtype=np.int64, count=len(self.codes))
+        for column in columns:  # firsts ascend, so a code's position is a search
+            codes = np.frombuffer(column, dtype=np.intc)
+            for start in range(0, codes.size, ROW_CHUNK):
+                part = codes[start:start + ROW_CHUNK]
+                part[:] = np.searchsorted(firsts, part)
+        return list(self.codes)
 
 
 def named_codes(vocab: Sequence, *codes: np.ndarray) -> tuple[tuple, list[np.ndarray]]:
@@ -304,11 +364,7 @@ class TrialSet(Sequence[Trial]):
         try:
             for row in rows:
                 trial_id, dataset, generator, enroll_video, test_video, row_label = row
-                digits = trial_id[1:]  # trial_number's check, inline in this hot loop
-                if trial_id[:1] != "t" or len(digits) != 8 or not (
-                        digits.isascii() and digits.isdigit()):
-                    raise ValueError(trial_id)
-                number.append(int(digits))
+                number.append(trial_number(trial_id))
                 condition.append(condition_code((dataset, generator), len(conditions)))
                 enroll.append(video_code(enroll_video, len(videos)))
                 test.append(video_code(test_video, len(videos)))
@@ -466,8 +522,40 @@ def save_trials(trials: TrialSet, path: str | Path) -> None:
 
 def load_trials(path: str | Path) -> TrialSet:
     """The trials of a file written by ``save_trials``, in file order; a
-    malformed row is a ``ProtocolError`` naming the file."""
+    malformed row is a ``ProtocolError`` naming the file and the row.
+
+    A canonical file is read a chunk of columns at a time. Any other one
+    (quoted fields, ``\r``, a line of the wrong width, a final line with no
+    newline, a bad trial id or label, bytes that are not UTF-8) is read
+    again from the start through ``read_csv`` and ``TrialSet.from_rows``."""
+    try:
+        return _load_canonical_trials(path)
+    except NotCanonical:
+        pass  # out of the handler, so the partial columns are freed first
     return TrialSet.from_rows(read_csv(path, TRIAL_HEADER, ProtocolError), source=str(path))
+
+
+def _load_canonical_trials(path: str | Path) -> TrialSet:
+    number, condition, label = array("i"), array("b"), array("b")
+    enroll, test = array("i"), array("i")
+    videos = FirstSeen()
+    conditions: dict[tuple[str, str], int] = {}
+    for ids, datasets, generators, enrolls, tests, labels in canonical_columns(path, TRIAL_HEADER):
+        number.frombytes(trial_numbers(ids).tobytes())
+        if datasets.count(datasets[0]) == generators.count(generators[0]) == len(ids):
+            pair = (datasets[0], generators[0])
+            codes = [conditions.setdefault(pair, len(conditions))] * len(ids)
+        else:
+            codes = [conditions.setdefault(pair, len(conditions))
+                     for pair in zip(datasets, generators)]
+        if len(conditions) > 128:  # more than an int8 code; from_rows says where
+            raise NotCanonical
+        condition.extend(codes)
+        videos.extend(enroll, enrolls)
+        videos.extend(test, tests)
+        label.frombytes(label_values(labels))
+    return TrialSet(videos.renumber(enroll, test), list(conditions),
+                    number, condition, enroll, test, label)
 
 
 # -- experiment matrix -----------------------------------------------------------

@@ -29,9 +29,12 @@ table.
 
 The result is a ``ScoreTable`` of columns: the scored trials' numbers,
 video codes and labels, and one (models, trials) score array, NaN where a
-trial is unscorable. Its CSV writer formats each distinct field once and
-its reader parses rows straight into the columns; ``ScoreTable.rows``, the
-``ScoreRow`` view evaluation reads, is built on first use.
+trial is unscorable. Its CSV writer formats each distinct field once. Its
+reader parses a canonical file (as the writer leaves it) a chunk of whole
+trials at a time, straight into the columns, checking each column at once;
+any other file is read again through the csv module, row by row, which is
+where a malformed row is reported. ``ScoreTable.rows``, the ``ScoreRow``
+view evaluation reads, is built on first use.
 """
 
 from __future__ import annotations
@@ -50,8 +53,17 @@ import numpy as np
 
 from .embedder import EmbedderParams, NonFiniteError, attend, encode_frames
 from .feature_store import FeatureStore
-from .files import AtomicFile, csv_fields, read_csv
-from .protocol import ROW_CHUNK, TrialSet, named_codes, trial_ids, trial_number
+from .files import AtomicFile, NotCanonical, canonical_columns, csv_fields, read_csv
+from .protocol import (
+    ROW_CHUNK,
+    FirstSeen,
+    TrialSet,
+    label_values,
+    named_codes,
+    trial_ids,
+    trial_number,
+    trial_numbers,
+)
 
 
 class ScoringError(ValueError):
@@ -367,7 +379,15 @@ def read_score_table(path: str | Path) -> ScoreTable:
     a score that is neither empty nor a finite plain number (ASCII, with no
     underscore or surrounding whitespace, not ``nan`` or ``inf``), is a
     ``ScoringError`` naming the file and row.
+
+    A canonical file is read a chunk of whole trials at a time. Any other
+    one, or one that breaks the layout, is read again from the start row by
+    row through ``read_csv``, which gives the error.
     """
+    try:
+        return _read_canonical_table(path)
+    except NotCanonical:
+        pass  # out of the handler, so the partial columns are freed first
     rows = read_csv(path, SCORE_HEADER, ScoringError)
     first: list[list[str]] = []  # the first trial's rows
     for row in rows:
@@ -424,6 +444,8 @@ def read_score_table(path: str | Path) -> ScoreTable:
         if not finite.all():
             n, row = int(np.argmin(finite)), None
             raise ValueError(f"score {scores[n]} is not finite")
+    except ScoringError:  # raised by ``rows`` itself, such as bytes that are not UTF-8
+        raise
     except (ValueError, KeyError, OverflowError) as exc:
         raise ScoringError(
             f"{path}: row {n + 1} is not in score table layout (trial id t and 8 digits, "
@@ -431,3 +453,74 @@ def read_score_table(path: str | Path) -> ScoreTable:
         ) from None
     return ScoreTable(list(videos), models, number, enroll, test, label,
                       np.frombuffer(scores).reshape(len(number), cycle).T)
+
+
+# characters float() takes around or within a number but the writer never writes
+_NOT_PLAIN = "_" + "".join(c for c in map(chr, range(128)) if c.isspace())
+_EMPTY_AS_NAN = {"": "nan"}
+
+
+def _score_values(scores: list[str]) -> np.ndarray:
+    """The scores of a list of fields, NaN for an empty one; any field
+    ``read_score_table`` rejects raises ``NotCanonical``."""
+    text = ",".join(scores)
+    if not text.isascii() or any(c in text for c in _NOT_PLAIN):
+        raise NotCanonical
+    try:
+        values = np.fromiter(map(float, map(_EMPTY_AS_NAN.get, scores, scores)),
+                             dtype=np.float64, count=len(scores))
+    except ValueError:
+        raise NotCanonical from None
+    # every value finite but for the empty fields: text such as nan or inf,
+    # or a number that overflows, is not a score
+    finite = np.isfinite(values)
+    if not (finite.all()
+            or np.array_equal(finite, np.fromiter(map(bool, scores), bool, len(scores)))):
+        raise NotCanonical
+    return values
+
+
+def _read_canonical_table(path: str | Path) -> ScoreTable:
+    number, label, enroll, test = array("i"), array("b"), array("i"), array("i")
+    scores = array("d")
+    videos = FirstSeen()
+    models: list[str] = []
+
+    def add(columns: list[list[str]], rows: int) -> None:
+        """Append the first ``rows`` rows, whole trials, of ``columns``."""
+        cycle = len(models)
+        if len(set(models)) < cycle:  # a model repeats within a trial
+            raise NotCanonical
+        ids, enrolls, tests, labels, row_models, values = columns
+        for column in (ids, enrolls, tests, labels):  # one trial's rows agree
+            head = column[0:rows:cycle]
+            if any(column[k:rows:cycle] != head for k in range(1, cycle)):
+                raise NotCanonical
+        if row_models[:rows] != models * (rows // cycle):
+            raise NotCanonical
+        number.frombytes(trial_numbers(ids[0:rows:cycle]).tobytes())
+        label.frombytes(label_values(labels[0:rows:cycle]))
+        videos.extend(enroll, enrolls[0:rows:cycle])
+        videos.extend(test, tests[0:rows:cycle])
+        scores.frombytes(_score_values(values[:rows]).tobytes())
+
+    held: list[list[str]] = [[] for _ in SCORE_HEADER]  # the rows after the last whole trial
+    for chunk in canonical_columns(path, SCORE_HEADER):
+        columns = [a + b for a, b in zip(held, chunk)] if held[0] else chunk
+        if not models:  # the first trial ends where its trial id does
+            ids = columns[0]
+            cycle = next((k for k, trial_id in enumerate(ids) if trial_id != ids[0]), 0)
+            if not cycle:
+                held = columns
+                continue
+            models = columns[4][:cycle]
+        whole = len(columns[0]) - len(columns[0]) % len(models)
+        add(columns, whole)
+        held = [column[whole:] for column in columns]
+    if held[0]:
+        if models:  # the last trial lacks a model
+            raise NotCanonical
+        models = held[4]  # the file is one trial
+        add(held, len(models))
+    return ScoreTable(videos.renumber(enroll, test), models, number, enroll, test, label,
+                      np.frombuffer(scores).reshape(len(number), len(models)).T)

@@ -12,8 +12,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import benchmark_catalog  # noqa: E402
 
+from avatarprint import files  # noqa: E402
 from avatarprint.catalog import Generator  # noqa: E402
 from avatarprint.synthbench import SynthCorpus, synth_corpus  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def small_csv_chunks(monkeypatch):
+    """Canonical CSV files read a few lines at a time, so that every test
+    that loads trials or scores crosses chunk boundaries."""
+    monkeypatch.setattr(files, "CHUNK_CHARS", 300)
 
 
 @pytest.fixture(scope="session")

@@ -244,6 +244,16 @@ class TestManifestIO:
             f"{ident}:3: bad gender 'robot' (allowed: female, male, unknown)"
         )
 
+    def test_bytes_not_utf8_name_their_line(self, tmp_path):
+        ident, videos = tmp_path / "identities.csv", tmp_path / "videos.csv"
+        ident.write_text("id,dataset,gender,ethnicity,age_range\n"
+                         "a,CREMA-D,female,asian,20-30\n", encoding="utf-8")
+        videos.write_bytes(b"video_id,dataset,generator,target_id,driver_id,source_clip\n"
+                           b"v,CREMA-D,GAGA,a,a,0\n"
+                           b"w\xff,CREMA-D,GAGA,a,a,1\n")
+        with pytest.raises(ManifestError, match=f"{videos}: line 3 is not UTF-8"):
+            load_manifest(ident, videos)
+
     def test_bad_clip_index(self, tmp_path):
         ident = tmp_path / "identities.csv"
         videos = tmp_path / "videos.csv"

@@ -232,6 +232,14 @@ class TestTrainScoreEvaluateChain:
         assert str(trials) in err and repr(trial_id) in err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_evaluate_names_the_line_that_is_not_utf8(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b"trial_id,enroll_video,test_video,label,model,score\n"
+                           b"t00000001,a,b,1,m,0.5\n"
+                           b"t00000002,a,c\xe9,0,m,0.25\n")
+        assert main(["evaluate", "--scores", str(scores)]) == EXIT_FAIL
+        assert f"{scores}: line 3 is not UTF-8" in capsys.readouterr().err
+
     def test_fairness_on_a_table_without_scores_fails(self, corpus_small, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("trial_id,enroll_video,test_video,label,model,score\n"

@@ -14,6 +14,7 @@ from avatarprint.embedder import (
     EmbedderParams,
     GraphEncoderConfig,
     NonFiniteError,
+    _GraphState,
     backward_batch,
     forward,
     forward_batch,
@@ -235,6 +236,19 @@ class TestGraphEncoder:
         # nodes 0 and 1 see only zeros; node 2 sees itself
         manual = (np.tanh([0.0, 0.0]) + np.tanh([0.0, 0.0]) + np.tanh([0.5, -0.5])) / 3.0
         np.testing.assert_allclose(desc[0], manual, atol=1e-12)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_block_buffers_give_the_descriptors_state_keeps(self, layers):
+        # 300 frames: two full blocks and a remainder, through one block of buffers
+        rng = np.random.default_rng(60 + layers)
+        params = random_model(rng, True, layers)
+        params["graph.readout"][:] = rng.normal(size=params["graph.readout"].shape)
+        frames = rng.normal(size=(300, params.graph.num_nodes, 2))
+        assert frames.shape[0] > 2 * GRAPH_BLOCK and frames.shape[0] % GRAPH_BLOCK
+        state = _GraphState()
+        kept = graph_encode(params, frames, state)
+        assert state.aggregated.shape[0] == 300
+        assert np.array_equal(graph_encode(params, frames), kept)
 
     def test_zero_weights_collapse_to_bias(self):
         cfg, graph = graph_setup()

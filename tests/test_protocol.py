@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from avatarprint import files, protocol
 from avatarprint.catalog import AvatarVideo, Catalog, Dataset, Generator, IdentityRecord, cross_video_id
 from avatarprint.protocol import (
     ALL_GENERATORS,
@@ -316,6 +317,116 @@ class TestTrialIO:
         for t in loaded:
             for value in (t.dataset, t.generator, t.enroll_video, t.test_video):
                 assert seen.setdefault(value, value) is value
+
+
+def _random_trial_rows(n, seed=0):
+    """Trial rows as save_trials writes them: non-ASCII and repeated video
+    ids, conditions that change within a few rows, ids out of order."""
+    rng = random.Random(seed)
+    videos = [f"v{i}" for i in range(8)] + ["vidéo", "日本語", "x" * 90]
+    conditions = [("CREMA-D", "GAGA"), ("CREMA-D", "LIVE"), ("RAVDESS", "GAGA")]
+    rows = []
+    for i in range(n):
+        dataset, generator = conditions[i // 7 % 3]
+        rows.append([f"t{rng.randrange(1, 10**8):08d}", dataset, generator,
+                     rng.choice(videos), rng.choice(videos), rng.choice("01")])
+    return rows
+
+
+def _write_trial_rows(path, rows, tail=""):
+    path.write_text(",".join(TRIAL_HEADER) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+                    + tail, encoding="utf-8")
+    return path
+
+
+def _by_rows(monkeypatch, path):
+    """What load_trials gives through the csv module alone: the trials, or
+    the error type and message."""
+    def declined(*_):
+        raise files.NotCanonical
+        yield
+
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "canonical_columns", declined)
+        return _outcome(load_trials, path)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # noqa: BLE001 - compared whole
+        return type(exc), str(exc)
+
+
+class TestCanonicalTrials:
+    @pytest.mark.parametrize("chunk", [1, 100, 300, 1 << 16])
+    @pytest.mark.parametrize("n", [0, 1, 250])
+    def test_columns_equal_the_row_reader(self, tmp_path, monkeypatch, chunk, n):
+        rows = _random_trial_rows(n, seed=n)
+        path = _write_trial_rows(tmp_path / "trials.csv", rows)
+        expected = TrialSet.from_rows(rows)
+        assert _by_rows(monkeypatch, path) == expected
+        monkeypatch.setattr(files, "CHUNK_CHARS", chunk)
+        monkeypatch.setattr(protocol, "read_csv", None)  # no fallback
+        loaded = load_trials(path)
+        assert loaded == expected and _rows(loaded) == rows
+
+    @pytest.mark.parametrize("row", [
+        ["t1", "CREMA-D", "GAGA", "a", "b", "1"],
+        ["t+0000001", "CREMA-D", "GAGA", "a", "b", "1"],
+        ["t0000000x", "CREMA-D", "GAGA", "a", "b", "1"],
+        ["t\uff100000001", "CREMA-D", "GAGA", "a", "b", "1"],
+        ["T00000001", "CREMA-D", "GAGA", "a", "b", "1"],
+        ["t00000001", "CREMA-D", "GAGA", "a", "b", "2"],
+        ["t00000001", "CREMA-D", "GAGA", "a", "b", ""],
+        ["t00000001", "CREMA-D", "GAGA", "a", "b"],
+        ["t00000001", "CREMA-D", "GAGA", "a", "b", "1", "x"],
+        [],
+    ], ids=["short", "sign", "letter", "wide-digit", "capital", "label", "no-label", "fields",
+            "long", "blank"])
+    def test_late_malformed_row_gives_the_row_readers_error(self, tmp_path, monkeypatch, row):
+        rows = _random_trial_rows(300)
+        rows[260] = row
+        path = _write_trial_rows(tmp_path / "trials.csv", rows)
+        expected = _by_rows(monkeypatch, path)
+        assert expected[0] is ProtocolError and f"{path}: row 261 " in expected[1]
+        assert _outcome(load_trials, path) == expected
+
+    def test_more_than_128_conditions_gives_the_row_readers_error(self, tmp_path, monkeypatch):
+        rows = [[f"t{i:08d}", "CREMA-D", f"g{i}", "a", "b", "1"] for i in range(1, 131)]
+        path = _write_trial_rows(tmp_path / "trials.csv", rows)
+        expected = _by_rows(monkeypatch, path)
+        assert expected[0] is ProtocolError and "row 129 " in expected[1]
+        assert _outcome(load_trials, path) == expected
+
+    @pytest.mark.parametrize("change", ["quoted", "crlf", "no-final-newline", "blank-last"])
+    def test_other_files_fall_back_to_the_row_reader(self, tmp_path, monkeypatch, change):
+        rows = _random_trial_rows(200)
+        path = tmp_path / "trials.csv"
+        if change == "quoted":
+            rows[150][3] = 'say "hi", then'
+            save_trials(TrialSet.from_rows(rows), path)
+        else:
+            _write_trial_rows(path, rows)
+            text = path.read_bytes()
+            path.write_bytes({"crlf": text.replace(b"\n", b"\r\n"),
+                              "no-final-newline": text[:-1],
+                              "blank-last": text + b"\n"}[change])
+        expected = _by_rows(monkeypatch, path)
+        assert _outcome(load_trials, path) == expected
+        if change == "blank-last":
+            assert expected[0] is ProtocolError and "row 201 " in expected[1]
+        else:
+            assert expected == TrialSet.from_rows(rows)
+
+    def test_bytes_not_utf8_name_their_line(self, tmp_path):
+        rows = [[f"t{i:08d}", "CREMA-D", "GAGA", f"a{i}", "b", "1"] for i in range(1, 2001)]
+        path = _write_trial_rows(tmp_path / "trials.csv", rows)
+        text = path.read_bytes()
+        path.write_bytes(text.replace(b"a1500,", b"a\xff,"))
+        with pytest.raises(ProtocolError) as raised:
+            load_trials(path)
+        assert str(raised.value) == f"{path}: line 1501 is not UTF-8: invalid start byte"
 
 
 class TestTrialSet:

@@ -5,11 +5,12 @@ import dataclasses
 import gc
 import io
 import itertools
+import random
 
 import numpy as np
 import pytest
 
-from avatarprint import scoring
+from avatarprint import files, scoring
 from avatarprint.embedder import (
     AdjacencyGraph,
     EmbedderConfig,
@@ -369,7 +370,7 @@ class TestScoreTrials:
     GOOD_ROWS = ["t00000001,a,b,1,m1,0.5", "t00000001,a,b,1,m2,", "t00000002,a,c,0,m1,0.25",
                  "t00000002,a,c,0,m2,-0.5"]
 
-    @pytest.mark.parametrize("row,line,bad", [
+    BAD_ROWS = [
         (1, "t1,a,b,1,m1,0.5", "trial-id"),
         (3, "t0000000x,a,c,0,m1,0.25", "trial-id-digits"),
         (3, "t00000002,a,c,2,m1,0.25", "label"),
@@ -390,7 +391,9 @@ class TestScoreTrials:
         (4, "t00000002,a,c,1,m2,-0.5", "other-label"),
         (2, "t00000001,a,b,1,m1,", "repeated-model"),
         (4, None, "last-trial-short"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("row,line,bad", BAD_ROWS)
     def test_reader_rejects_rows_out_of_layout(self, tmp_path, row, line, bad):
         rows = list(self.GOOD_ROWS)
         if line is None:
@@ -441,6 +444,113 @@ class TestScoreTrials:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+
+SCORE_HEADER_LINE = "trial_id,enroll_video,test_video,label,model,score\n"
+
+
+def _random_score_lines(trials, models, seed=0):
+    """Lines as write_score_table writes them: non-ASCII video ids, an
+    unscorable trial now and then, repr'd scores of every size."""
+    rng = random.Random(seed)
+    videos = ["v1", "v2", "vidéo", "日本語", "w" * 70]
+    lines = []
+    for i in range(trials):
+        head = (f"t{rng.randrange(1, 10**8):08d},{rng.choice(videos)},{rng.choice(videos)},"
+                f"{rng.choice('01')},")
+        unscorable = rng.random() < 0.1
+        for model in models:
+            value = rng.uniform(-1, 1) * 10.0 ** rng.randrange(-300, 300)
+            score = "" if unscorable else repr(value)
+            lines.append(f"{head}{model},{score}\n")
+    return lines
+
+
+def _write_scores(path, lines):
+    path.write_text(SCORE_HEADER_LINE + "".join(lines), encoding="utf-8")
+    return path
+
+
+def _read_by_rows(monkeypatch, path):
+    """What read_score_table gives through the csv module alone: the
+    table's columns, or the error type and message."""
+    def declined(*_):
+        raise files.NotCanonical
+        yield
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scoring, "canonical_columns", declined)
+        return _read_outcome(path)
+
+
+def _read_outcome(path):
+    try:
+        table = read_score_table(path)
+    except Exception as exc:  # noqa: BLE001 - compared whole
+        return type(exc), str(exc)
+    return (table.videos, table.models, table.number.tolist(), table.enroll.tolist(),
+            table.test.tolist(), table.label.tolist(), table.scores.tobytes())
+
+
+class TestCanonicalTable:
+    @pytest.mark.parametrize("chunk", [1, 100, 300, 1 << 16])
+    @pytest.mark.parametrize("trials,models", [(0, ()), (1, ("m",)), (1, ("b", "a", "c")),
+                                               (150, ("m",)), (150, ("g", "k", FUSION_MODEL))])
+    def test_columns_equal_the_row_reader(self, tmp_path, monkeypatch, chunk, trials, models):
+        path = _write_scores(tmp_path / "scores.csv", _random_score_lines(trials, models, trials))
+        expected = _read_by_rows(monkeypatch, path)
+        assert isinstance(expected[0], tuple) and expected[1] == models
+        monkeypatch.setattr(files, "CHUNK_CHARS", chunk)
+        monkeypatch.setattr(scoring, "read_csv", None)  # no fallback
+        assert _read_outcome(path) == expected
+
+    @pytest.mark.parametrize("row,line,bad", TestScoreTrials.BAD_ROWS)
+    def test_late_bad_row_gives_the_row_readers_error(self, tmp_path, monkeypatch, row, line, bad):
+        rows = list(TestScoreTrials.GOOD_ROWS)
+        if line is None:
+            rows.pop()
+        else:
+            rows[row - 1] = line
+        prefix = _random_score_lines(150, ("m1", "m2"))
+        path = _write_scores(tmp_path / "scores.csv", prefix + [f"{r}\n" for r in rows])
+        expected = _read_by_rows(monkeypatch, path)
+        assert expected[0] is ScoringError and f"{path}: row {row + 300} " in expected[1]
+        assert _read_outcome(path) == expected
+
+    @pytest.mark.parametrize("change", ["quoted", "crlf", "no-final-newline", "blank-last"])
+    def test_other_files_fall_back_to_the_row_reader(self, tmp_path, monkeypatch, change):
+        lines = _random_score_lines(100, ("m1", "m2"))
+        if change == "quoted":
+            lines[150:152] = ['t00000009,"say ""hi""","a,b",1,m1,0.5\n',
+                              't00000009,"say ""hi""","a,b",1,m2,\n']
+        path = _write_scores(tmp_path / "scores.csv", lines)
+        text = path.read_bytes()
+        path.write_bytes({"quoted": text, "crlf": text.replace(b"\n", b"\r\n"),
+                          "no-final-newline": text[:-1], "blank-last": text + b"\n"}[change])
+        expected = _read_by_rows(monkeypatch, path)
+        assert _read_outcome(path) == expected
+        if change == "blank-last":
+            assert expected[0] is ScoringError and "row 201 " in expected[1]
+        else:
+            assert isinstance(expected[0], tuple)
+            if change == "quoted":
+                assert 'say "hi"' in expected[0]
+
+    def test_bytes_not_utf8_name_their_line(self, tmp_path):
+        lines = [f"t{i:08d},a{i},b,1,m,0.5\n" for i in range(1, 2001)]
+        path = _write_scores(tmp_path / "scores.csv", lines)
+        path.write_bytes(path.read_bytes().replace(b",a1500,", b",a\xff,"))
+        with pytest.raises(ScoringError) as raised:
+            read_score_table(path)
+        assert str(raised.value) == f"{path}: line 1501 is not UTF-8: invalid start byte"
+
+    def test_a_model_in_every_trial_twice_gives_the_row_readers_error(self, tmp_path,
+                                                                        monkeypatch):
+        lines = [f"t{i:08d},a,b,1,m,0.5\n" for i in (1, 1, 2, 2)]
+        path = _write_scores(tmp_path / "scores.csv", lines)
+        expected = _read_by_rows(monkeypatch, path)
+        assert expected[0] is ScoringError and "a model repeats" in expected[1]
+        assert _read_outcome(path) == expected
 
 
 class TestChunks:

@@ -16,6 +16,7 @@ I/O error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import shutil
@@ -233,14 +234,30 @@ class RunConfig:
 # -- helpers -------------------------------------------------------------------
 
 
-def _reuse_or_make(path: Path, make: Callable[[Path], T], load: Callable[[Path], T]) -> T:
-    """``load(path)`` when ``path`` and its ``.done`` marker exist; otherwise
-    ``make(path)``, which writes the artifact, and then the marker."""
+def _file_sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _reuse_or_make(path: Path, inputs: object, make: Callable[[Path], T],
+                   load: Callable[[Path], T]) -> T:
+    """``load(path)`` when ``path`` exists and its ``.done`` marker holds the
+    digest of ``inputs`` (JSON); otherwise ``make(path)``, which writes the
+    artifact, and then the marker. A marker of other inputs, or one that
+    holds none (older runs wrote ``done``), is stale."""
     done = path.with_name(path.name + ".done")
-    if path.exists() and done.exists():
+    digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode("utf-8")).hexdigest()
+    try:
+        marked = json.loads(done.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        marked = None
+    if path.exists() and isinstance(marked, dict) and marked.get("inputs") == digest:
         return load(path)
     made = make(path)
-    write_text(done, "done\n")
+    write_json(done, {"inputs": digest})
     return made
 
 
@@ -579,17 +596,32 @@ def cmd_run(args: argparse.Namespace) -> int:
             proto.save_trials(trials, path)
             return trials
 
-        trials = _reuse_or_make(run_dir / "trials" / "trials.csv", make_trials, proto.load_trials)
+        # the trial list's own inputs are not digested yet: its marker holds no inputs
+        trials_path = run_dir / "trials" / "trials.csv"
+        trials = _reuse_or_make(trials_path, {}, make_trials, proto.load_trials)
+        trials_sha256 = _file_sha256(trials_path)
         print(f"{len(trials):,d} trials")
 
         # one checkpoint per (model, training condition)
         def run_training(key: tuple[str, str, str]) -> str | None:
             name, ds, gen = key
+            spec = specs[name]
             out_path = train_tasks[key]
             try:
+                inputs = {
+                    "embedder": spec.embedder,
+                    "hyper": asdict(spec.hyper),
+                    # its content, not its path; only a graph encoder reads it
+                    "adjacency": (_file_sha256(spec.adjacency)
+                                  if spec.embedder.get("graph") else None),
+                    "seed": config.seed,
+                    "train": [ds, gen],
+                    "split": [sorted(split.development), sorted(split.evaluation)],
+                }
                 _reuse_or_make(
                     out_path,
-                    lambda path: _train_one(config, specs[name], stores[name], catalog, split,
+                    inputs,
+                    lambda path: _train_one(config, spec, stores[name], catalog, split,
                                             ds, gen, path),
                     lambda path: None,
                 )
@@ -621,8 +653,14 @@ def cmd_run(args: argparse.Namespace) -> int:
                     return f"score {job.job_id}: training failed for {name}", []
                 checkpoints[name] = train_tasks[key]
             try:
+                inputs = {
+                    "checkpoints": {m: _file_sha256(ckpt) for m, ckpt in checkpoints.items()},
+                    "trials": trials_sha256,
+                    "fusion": [config.fusion_enabled, config.fusion_zscore],
+                }
                 table = _reuse_or_make(
                     run_dir / "scores" / f"{stem}.csv",
+                    inputs,
                     lambda path: _score_job(config, checkpoints, stores,
                                             trials.select(job.eval_dataset, job.eval_generator),
                                             path, f"{job.eval_dataset}/{job.eval_generator}"),

@@ -24,6 +24,15 @@ X (F, dim), head h's logits are X·(W_k[h] q[h])/√a and its pooled output is
 with S[h] = Σ_bf ∂logit·x, ∂W_k[h] = S[h] ⊗ q[h] and ∂q[h] = W_k[h]ᵀ S[h],
 and ∂W_v[h] = Σ_b (w·X)[b,h] ⊗ ∂pooled[b,h]. The parameters keep the
 key/value layout, so checkpoints are unchanged.
+
+The graph encoder's last layer is collapsed too when it is also its first,
+as in every production config. With aggregated landmarks X (frames, nodes,
+3; the ones column carries the bias), activations a = tanh(X·[W₀; b₀]) and
+readout R, the gradient of [W₀; b₀] is Σ_frames ∂desc ⊙ M for
+M = XᵀR − Xᵀ(a ⊙ a ⊙ R), (frames, 3, hidden), which the training forward
+pass keeps; backward then forms no (frames, nodes, hidden) gradient.
+Embedding that trains nothing (scoring and the training probe) keeps no
+state, and the graph encoder reuses one block of buffers for it.
 """
 
 from __future__ import annotations
@@ -315,6 +324,8 @@ GRAPH_BLOCK = 128  # frames encoded at a time, so a block's (frames, nodes, hidd
 class _GraphState:
     aggregated: np.ndarray | None = None  # (N, L, 3): neighbor-averaged landmarks, ones
     activated: list[np.ndarray] = field(default_factory=list)  # per layer: (N, L, out)
+    # one layer only: (N, 3, hidden), M = aggregatedᵀR − aggregatedᵀ(a ⊙ a ⊙ R)
+    collapsed: np.ndarray | None = None
 
 
 def graph_encode(
@@ -329,7 +340,9 @@ def graph_encode(
     Frames run in blocks of ``GRAPH_BLOCK``; layer 0's bias rides in its
     weight product as a ones column of the aggregated landmarks. Only a
     ``state`` keeps every frame's layer outputs; without one, each block
-    reuses the same block-sized buffers.
+    reuses the same block-sized buffers. With one layer, a ``state`` also
+    keeps M = XᵀR − Xᵀ(a ⊙ a ⊙ R) per frame (X the aggregated landmarks),
+    the collapsed gradient ``_graph_backward`` needs.
     """
     cfg = params.config.graph
     graph = params.graph
@@ -351,6 +364,11 @@ def graph_encode(
     aggregated[:, :, 2] = 1.0
     activated = [np.empty((rows, nodes, cfg.hidden_dim)) for _ in range(cfg.layers)]
     desc = np.empty((n, cfg.hidden_dim))
+    collapse = state is not None and cfg.layers == 1
+    if collapse:  # M per frame; a ⊙ a ⊙ R and its product with the landmarks per block
+        collapsed = np.empty((n, 3, cfg.hidden_dim))
+        squares = np.empty((min(n, GRAPH_BLOCK), nodes, cfg.hidden_dim))
+        squares_below = np.empty((min(n, GRAPH_BLOCK), 3, cfg.hidden_dim))
     for start in range(0, n, GRAPH_BLOCK):
         part = slice(start, start + GRAPH_BLOCK)
         held = part if state is not None else slice(0, min(GRAPH_BLOCK, n - start))
@@ -363,23 +381,35 @@ def graph_encode(
             hidden += params[f"graph.l{layer}.bias"]
             np.tanh(hidden, out=hidden)
         np.einsum("nlh,lh->nh", hidden, readout, out=desc[part])
+        if collapse:
+            block = hidden.shape[0]
+            below = aggregated[held].transpose(0, 2, 1)
+            v = np.square(hidden, out=squares[:block])
+            v *= readout
+            np.matmul(below, readout, out=collapsed[part])
+            collapsed[part] -= np.matmul(below, v, out=squares_below[:block])
     if state is not None:
         state.aggregated, state.activated = aggregated, activated
+        state.collapsed = collapsed if collapse else None
     return desc
 
 
 def _graph_backward(
     params: EmbedderParams, state: _GraphState, d_desc: np.ndarray, grads: dict[str, np.ndarray]
 ) -> None:
-    """Accumulate graph-encoder gradients given d(loss)/d(descriptor), (N, hidden),
-    block by block as ``graph_encode`` ran.
+    """Accumulate graph-encoder gradients given d(loss)/d(descriptor), (N, hidden).
 
-    The readout gives ∂R = Σ_N a ⊙ ∂desc and ∂a = ∂desc ⊙ R for the last
-    layer's activations a. Above the first layer, G = normᵀ ∂pre gives both
-    the weight gradient Σ inputᵀ G and the gradient G Wᵀ reaching the
-    layer's input, so only the first layer's aggregated landmarks are kept
-    from the forward pass; their ones column yields the first bias's
-    gradient with its weight's. The landmarks themselves need no gradient.
+    The readout gives ∂R = Σ_N a ⊙ ∂desc for the last layer's activations a.
+    When that layer is also the first, its gradient is collapsed: with
+    aggregated landmarks X (N, L, 3) (the ones column carries the bias) and
+    tanh' = 1 − a², ∂[W₀; b₀] = Σ_N Xᵀ((1 − a²) ⊙ ∂desc ⊙ R) = Σ_N ∂desc ⊙ M
+    for the M = XᵀR − Xᵀ(a ⊙ a ⊙ R), (N, 3, hidden), that ``graph_encode``
+    keeps, so no (N, L, hidden) gradient is formed. With more layers,
+    ∂a = ∂desc ⊙ R runs down block by block as ``graph_encode`` ran: above
+    the first layer, G = normᵀ ∂pre gives both the weight gradient
+    Σ inputᵀ G and the gradient G Wᵀ reaching the layer's input, and the
+    first layer's aggregated landmarks give its weight and bias gradients.
+    The landmarks themselves need no gradient.
     """
     cfg = params.config.graph
     graph = params.graph
@@ -387,11 +417,16 @@ def _graph_backward(
     norm_t = graph.norm_matrix().T
     readout = params["graph.readout"]
     hid = cfg.hidden_dim
-    d_first = np.zeros((3, hid))
+    if state.collapsed is None:
+        d_first = np.zeros((3, hid))
+    else:
+        d_first = np.einsum("nkh,nh->kh", state.collapsed, d_desc)
     for start in range(0, d_desc.shape[0], GRAPH_BLOCK):
         part = slice(start, start + GRAPH_BLOCK)
         d_part = d_desc[part]
         grads["graph.readout"] += np.einsum("nlh,nh->lh", state.activated[-1][part], d_part)
+        if state.collapsed is not None:
+            continue
         d_hidden = d_part[:, None, :] * readout
         for layer in range(cfg.layers - 1, -1, -1):
             activated = state.activated[layer][part]

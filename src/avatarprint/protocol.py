@@ -314,8 +314,9 @@ def named_codes(vocab: Sequence, *codes: np.ndarray) -> tuple[tuple, list[np.nda
     order = sorted(np.flatnonzero(named).tolist(), key=vocab.__getitem__)
     renumber = np.zeros(len(vocab), dtype=np.int64)
     renumber[order] = np.arange(len(order))
+    # renumbered in each column's own dtype: no int64 temporary as long as the column
     return (tuple(vocab[i] for i in order),
-            [renumber[column].astype(column.dtype) for column in codes])
+            [renumber.astype(column.dtype)[column] for column in codes])
 
 
 class TrialSet(Sequence[Trial]):

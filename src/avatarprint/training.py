@@ -23,7 +23,9 @@ from .embedder import (
     EmbedderConfig,
     EmbedderParams,
     NonFiniteError,
+    attend,
     backward_batch,
+    encode_frames,
     forward_batch,
     init_params,
 )
@@ -271,9 +273,12 @@ def _make_probe(labels: np.ndarray, size: int, rng: np.random.Generator) -> np.n
 
 def probe_loss(params: EmbedderParams, probe: np.ndarray, margin: float) -> float:
     """Mean triplet loss of ``probe``: the anchor, positive and negative
-    windows of its triplets, stacked in that order."""
-    n = probe.shape[0] // 3
-    z, _ = forward_batch(params, probe)
+    windows of its triplets, stacked in that order. The windows are embedded
+    as scoring embeds them, keeping nothing for a backward pass."""
+    batch, frames, dim = probe.shape
+    n = batch // 3
+    encoded = encode_frames(params, probe.reshape(batch * frames, dim))
+    z, _ = attend(params, encoded.reshape(batch, frames, encoded.shape[1]), None)
     za, zp, zn = z[:n], z[n : 2 * n], z[2 * n :]
     terms = np.sum((za - zp) ** 2, axis=1) - np.sum((za - zn) ** 2, axis=1) + margin
     return float(np.maximum(terms, 0.0).mean())

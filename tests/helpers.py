@@ -418,6 +418,37 @@ def random_model(rng: np.random.Generator, with_graph: bool, graph_layers: int |
     return init_params(config, graph=graph)
 
 
+def training_shaped_graph_model(rng: np.random.Generator):
+    """A one-layer graph model of the training benchmark's shape: 16 chained
+    landmarks, hidden 32, 32-frame windows, 4 heads over 32 attention
+    dimensions, 16-dimensional embeddings, with a random readout."""
+    from avatarprint.embedder import (
+        AdjacencyGraph,
+        EmbedderConfig,
+        GraphEncoderConfig,
+        init_params,
+    )
+
+    graph = AdjacencyGraph(16, tuple((i, i + 1) for i in range(15)))
+    config = EmbedderConfig(input_dim=32, heads=4, attention_dim=32, projection_dim=16,
+                            window_len=32, graph=GraphEncoderConfig(1, 32), seed=5)
+    params = init_params(config, graph=graph)
+    params["graph.readout"][:] = rng.normal(size=params["graph.readout"].shape) / 4
+    return params
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated during ``fn(*args)``."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # Identities with three, three, two and one windows: anchors can share a
 # mined positive, and the single-window anchor is its own positive.
 SETUP_LABELS = np.array([0, 0, 0, 1, 1, 1, 2, 2, 3])

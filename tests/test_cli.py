@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avatarprint import evaluation, scoring
+from avatarprint import cli, evaluation, scoring
 from avatarprint.catalog import save_manifest
 from avatarprint.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from avatarprint.feature_store import FeatureStore
@@ -368,6 +368,67 @@ class TestRun:
             p.name for p in (run_dir / "scores").glob("*.csv"))
         assert len(reads) == 2
         assert tree_bytes(run_dir) == before
+
+    def test_changed_hyperparameters_retrain_and_rescore(self, corpus_small, tmp_path):
+        # the same run id with fewer epochs: the old checkpoint must not be reused
+        cfg = write_config(tmp_path / "config.json", corpus_small,
+                           experiments=[INTRA_GAGA], epochs=3)
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        run_dir = tmp_path / "runs" / "testrun"
+        checkpoint = run_dir / "models" / "m_CREMA-D_GAGA.avck"
+        log = checkpoint.with_suffix(".log.json")
+        three_epochs = checkpoint.read_bytes()
+        assert len(json.loads(log.read_text())["epochs"]) == 3
+        write_config(cfg, corpus_small, experiments=[INTRA_GAGA], epochs=1)
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert len(json.loads(log.read_text())["epochs"]) == 1
+        assert checkpoint.read_bytes() != three_epochs
+        # every artifact equals a first run of the changed config
+        assert main(["run", "--config", str(cfg), "--run-id", "first"]) == EXIT_OK
+        again, first = tree_bytes(run_dir), tree_bytes(tmp_path / "runs" / "first")
+        assert again.keys() == first.keys()
+        for p in first.keys() - {Path("config", "effective.json")}:
+            assert again[p] == first[p], p
+
+    def test_markers_without_input_digests_are_stale(self, corpus_small, tmp_path,
+                                                      monkeypatch):
+        cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        run_dir = tmp_path / "runs" / "testrun"
+        before = tree_bytes(run_dir)
+        trained, scored = [], []
+        real_train, real_score = cli.train, scoring.score_trials
+        monkeypatch.setattr(cli, "train", lambda *a, **k: trained.append(1) or real_train(*a, **k))
+        monkeypatch.setattr(scoring, "score_trials",
+                            lambda *a, **k: scored.append(1) or real_score(*a, **k))
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert (trained, scored) == ([], [])  # same inputs: every artifact reused
+        # a marker as older versions wrote it names no inputs
+        for marker in run_dir.rglob("*.done"):
+            marker.write_text("done\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert (trained, scored) == ([1], [1])
+        assert tree_bytes(run_dir) == before
+
+    def test_changed_adjacency_content_retrains(self, corpus_small, tmp_path):
+        graph_model = {
+            "name": "g",
+            "store": str(corpus_small.store_path),
+            "embedder": {"heads": 2, "attention_dim": 8, "projection_dim": 6,
+                         "window_len": 16, "graph": {"layers": 1, "hidden_dim": 8}},
+            "hyper": {"epochs": 1, "batch": 16, "windows_per_identity": 4},
+            "adjacency": "graph.csv",
+        }
+        adjacency = tmp_path / "graph.csv"
+        adjacency.write_text("".join(f"{i},{i + 1}\n" for i in range(5)), encoding="utf-8")
+        cfg = write_config(tmp_path / "config.json", corpus_small,
+                           experiments=[INTRA_GAGA], extra_models=[graph_model])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        checkpoint = tmp_path / "runs" / "testrun" / "models" / "g_CREMA-D_GAGA.avck"
+        chain = checkpoint.read_bytes()
+        adjacency.write_text("0,1\n0,2\n0,3\n0,4\n0,5\n", encoding="utf-8")  # a star
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert checkpoint.read_bytes() != chain
 
     def test_report_error_fails_only_that_job(self, corpus_small, tmp_path, monkeypatch,
                                               capsys):

@@ -32,6 +32,8 @@ from helpers import (
     random_model,
     reference_backward_batch,
     reference_forward_batch,
+    traced_peak,
+    training_shaped_graph_model,
 )
 
 
@@ -249,6 +251,18 @@ class TestGraphEncoder:
         kept = graph_encode(params, frames, state)
         assert state.aggregated.shape[0] == 300
         assert np.array_equal(graph_encode(params, frames), kept)
+
+    def test_one_layer_backward_forms_no_frame_node_array(self):
+        # the last layer's gradient is collapsed in the forward pass: backward
+        # allocates less than one (frames, nodes, hidden) array of the batch
+        rng = np.random.default_rng(70)
+        params = training_shaped_graph_model(rng)
+        windows = rng.normal(size=(64, 32, 32))
+        z, state = forward_batch(params, windows)
+        assert state.graph.collapsed.shape == (64 * 32, 3, 32)
+        d_z = rng.normal(size=z.shape)
+        frame_node_bytes = 8 * (64 * 32) * 16 * 32  # float64
+        assert traced_peak(backward_batch, params, state, d_z) < frame_node_bytes
 
     def test_zero_weights_collapse_to_bias(self):
         cfg, graph = graph_setup()

@@ -2,6 +2,7 @@
 
 import csv
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -26,12 +27,13 @@ from avatarprint.protocol import (
     load_split,
     load_trials,
     make_split,
+    named_codes,
     save_split,
     save_trials,
     trial_counts,
 )
 
-from helpers import benchmark_catalog, enumerate_trials_bruteforce, tiny_catalog
+from helpers import benchmark_catalog, enumerate_trials_bruteforce, tiny_catalog, traced_peak
 
 
 class TestSplit:
@@ -498,6 +500,20 @@ class TestTrialSet:
         with pytest.raises(ProtocolError, match="row 2") as raised:
             load_trials(path)
         assert str(path) in str(raised.value)
+
+
+class TestNamedCodes:
+    def test_renumbers_in_the_columns_dtype_with_no_wide_temporary(self):
+        # a million int32 codes into an unsorted vocabulary, every other entry unused
+        vocab = [f"video{i:06d}" for i in reversed(range(1000))]
+        column = 2 * np.random.default_rng(3).integers(0, 500, 1_000_000).astype(np.int32)
+        named, (codes,) = named_codes(vocab, column)
+        assert named == tuple(sorted(vocab[i] for i in range(0, 1000, 2)))
+        position = {name: i for i, name in enumerate(named)}
+        by_old_code = np.array([position.get(name, -1) for name in vocab])
+        assert codes.dtype == np.int32 and np.array_equal(codes, by_old_code[column])
+        vocab_bytes = sys.getsizeof(vocab) + sum(sys.getsizeof(v) for v in vocab)
+        assert traced_peak(named_codes, vocab, column) < 2 * column.nbytes + vocab_bytes
 
 
 class TestCheckLabels:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from avatarprint.embedder import EmbedderConfig
+from avatarprint.embedder import EmbedderConfig, forward_batch
 from avatarprint.feature_store import normalize
 from avatarprint.scoring import gather_windows, window_starts
 from avatarprint.training import (
@@ -16,10 +16,18 @@ from avatarprint.training import (
     _collect_windows,
     _make_probe,
     _mine,
+    probe_loss,
     train,
 )
 
-from helpers import random_store, reference_mine, tiny_catalog
+from helpers import (
+    random_model,
+    random_store,
+    reference_mine,
+    tiny_catalog,
+    traced_peak,
+    training_shaped_graph_model,
+)
 
 
 def small_config(seed=5):
@@ -173,6 +181,41 @@ class TestCollectWindows:
             gather_windows(frames, starts[triplets.ravel()], 16),
             np.concatenate([np.stack(w) for w in want]),
         )
+
+
+class TestProbeLoss:
+    @staticmethod
+    def forward_batch_loss(params, probe, margin):
+        """The probe loss from ``forward_batch`` embeddings, the stateful
+        path training steps take."""
+        z, _ = forward_batch(params, probe)
+        n = probe.shape[0] // 3
+        za, zp, zn = z[:n], z[n : 2 * n], z[2 * n :]
+        terms = np.sum((za - zp) ** 2, axis=1) - np.sum((za - zn) ** 2, axis=1) + margin
+        return float(np.maximum(terms, 0.0).mean())
+
+    @pytest.mark.parametrize("model", ["kinematic", "graph-1-layer", "graph-2-layers",
+                                       "graph-training-shaped"])
+    def test_equals_forward_batch_loss_bitwise(self, model):
+        rng = np.random.default_rng(80)
+        if model == "graph-training-shaped":
+            params = training_shaped_graph_model(rng)
+        else:
+            params = random_model(rng, model != "kinematic", 1 if model == "graph-1-layer" else 2)
+        cfg = params.config
+        # at least 480 frames: several graph blocks
+        probe = rng.normal(size=(3 * 40, cfg.window_len, cfg.input_dim))
+        for margin in (0.2, 5.0):
+            assert probe_loss(params, probe, margin) == self.forward_batch_loss(params, probe,
+                                                                                margin)
+
+    def test_keeps_no_backward_state(self):
+        # 192 windows of 32 frames: less than one (frames, nodes, hidden) array
+        rng = np.random.default_rng(81)
+        params = training_shaped_graph_model(rng)
+        probe = rng.normal(size=(192, 32, 32))
+        frame_node_bytes = 8 * (192 * 32) * 16 * 32  # float64
+        assert traced_peak(probe_loss, params, probe, 0.2) < frame_node_bytes
 
 
 class TestTrain:

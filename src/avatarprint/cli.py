@@ -596,9 +596,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             proto.save_trials(trials, path)
             return trials
 
-        # the trial list's own inputs are not digested yet: its marker holds no inputs
         trials_path = run_dir / "trials" / "trials.csv"
-        trials = _reuse_or_make(trials_path, {}, make_trials, proto.load_trials)
+        inputs = {
+            "convention": config.convention,
+            "split": [sorted(split.development), sorted(split.evaluation)],
+            "manifest": [_file_sha256(config.identities), _file_sha256(config.videos)],
+        }
+        trials = _reuse_or_make(trials_path, inputs, make_trials, proto.load_trials)
         trials_sha256 = _file_sha256(trials_path)
         print(f"{len(trials):,d} trials")
 

@@ -25,14 +25,14 @@ with S[h] = Σ_bf ∂logit·x, ∂W_k[h] = S[h] ⊗ q[h] and ∂q[h] = W_k[h]ᵀ
 and ∂W_v[h] = Σ_b (w·X)[b,h] ⊗ ∂pooled[b,h]. The parameters keep the
 key/value layout, so checkpoints are unchanged.
 
-The graph encoder's last layer is collapsed too when it is also its first,
-as in every production config. With aggregated landmarks X (frames, nodes,
-3; the ones column carries the bias), activations a = tanh(X·[W₀; b₀]) and
-readout R, the gradient of [W₀; b₀] is Σ_frames ∂desc ⊙ M for
-M = XᵀR − Xᵀ(a ⊙ a ⊙ R), (frames, 3, hidden), which the training forward
-pass keeps; backward then forms no (frames, nodes, hidden) gradient.
-Embedding that trains nothing (scoring and the training probe) keeps no
-state, and the graph encoder reuses one block of buffers for it.
+The graph encoder is one layer, and its gradient is collapsed too. With
+aggregated landmarks X (frames, nodes, 3; the ones column carries the
+bias), activations a = tanh(X·[W₀; b₀]) and readout R, the gradient of
+[W₀; b₀] is Σ_frames ∂desc ⊙ M for M = XᵀR − Xᵀ(a ⊙ a ⊙ R),
+(frames, 3, hidden), which the training forward pass keeps; backward then
+forms no (frames, nodes, hidden) gradient. Embedding that trains nothing
+(scoring and the training probe) keeps no state, and the graph encoder
+reuses one block of buffers for it.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ class AdjacencyGraph:
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
+    _norm: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
@@ -87,14 +88,18 @@ class AdjacencyGraph:
             if key in seen:
                 raise EmbedderError(f"duplicate edge ({i},{j})")
             seen.add(key)
-
-    def norm_matrix(self) -> np.ndarray:
-        """Row-normalized aggregation over each node plus its neighbors."""
         mat = np.eye(self.num_nodes)
         for i, j in self.edges:
             mat[i, j] = 1.0
             mat[j, i] = 1.0
-        return mat / mat.sum(axis=1, keepdims=True)
+        norm = mat / mat.sum(axis=1, keepdims=True)
+        norm.setflags(write=False)
+        object.__setattr__(self, "_norm", norm)
+
+    def norm_matrix(self) -> np.ndarray:
+        """Row-normalized aggregation over each node plus its neighbors,
+        computed once per graph and read-only."""
+        return self._norm
 
     def to_dict(self) -> dict:
         return {"num_nodes": self.num_nodes, "edges": [list(e) for e in self.edges]}
@@ -128,6 +133,8 @@ def load_adjacency(path: str | Path, num_nodes: int) -> AdjacencyGraph:
 
 @dataclass(frozen=True)
 class GraphEncoderConfig:
+    # Always 1: the encoder is one graph layer. The field stays because
+    # configs and checkpoint headers name it.
     layers: int = 1
     hidden_dim: int = 32
     # Path the graph was loaded from. Checkpoints do not record it (the edges
@@ -136,8 +143,10 @@ class GraphEncoderConfig:
     adjacency: str | None = None
 
     def __post_init__(self) -> None:
-        if self.layers < 1:
-            raise EmbedderError(f"graph encoder needs 'layers' >= 1, got {self.layers}")
+        if self.layers != 1:
+            raise EmbedderError(
+                f"graph encoder has one layer: 'layers' must be 1, got {self.layers}"
+            )
         if self.hidden_dim < 1:
             raise EmbedderError(f"graph encoder needs 'hidden_dim' >= 1, got {self.hidden_dim}")
 
@@ -222,12 +231,12 @@ def _param_shapes(config: EmbedderConfig) -> list[tuple[str, tuple[int, ...]]]:
     dim = config.attn_input_dim
     shapes: list[tuple[str, tuple[int, ...]]] = []
     if config.graph is not None:
-        in_dim = 2
-        for layer in range(config.graph.layers):
-            shapes.append((f"graph.l{layer}.weight", (in_dim, config.graph.hidden_dim)))
-            shapes.append((f"graph.l{layer}.bias", (config.graph.hidden_dim,)))
-            in_dim = config.graph.hidden_dim
-        shapes.append(("graph.readout", (config.input_dim // 2, config.graph.hidden_dim)))
+        hid = config.graph.hidden_dim
+        shapes += [
+            ("graph.l0.weight", (2, hid)),
+            ("graph.l0.bias", (hid,)),
+            ("graph.readout", (config.input_dim // 2, hid)),
+        ]
     shapes += [
         ("attn.query", (h, a)),
         ("attn.key", (h, dim, a)),
@@ -322,10 +331,8 @@ GRAPH_BLOCK = 128  # frames encoded at a time, so a block's (frames, nodes, hidd
 
 @dataclass
 class _GraphState:
-    aggregated: np.ndarray | None = None  # (N, L, 3): neighbor-averaged landmarks, ones
-    activated: list[np.ndarray] = field(default_factory=list)  # per layer: (N, L, out)
-    # one layer only: (N, 3, hidden), M = aggregatedᵀR − aggregatedᵀ(a ⊙ a ⊙ R)
-    collapsed: np.ndarray | None = None
+    activated: np.ndarray | None = None  # (N, L, hidden): a = tanh(X·[W₀; b₀])
+    collapsed: np.ndarray | None = None  # (N, 3, hidden): M = XᵀR − Xᵀ(a ⊙ a ⊙ R)
 
 
 def graph_encode(
@@ -333,16 +340,16 @@ def graph_encode(
 ) -> np.ndarray:
     """Encode frames of landmark points, (N, L, 2) -> (N, hidden_dim).
 
-    Each layer averages every node with its neighbors (degree-normalized),
-    applies a learned linear map and tanh. The frame descriptor is the
-    readout R (L, hidden) applied per node, Σₙ a[:, n, :] ⊙ R[n], so it
-    keeps which landmark moved how; at initialization R is the node mean.
-    Frames run in blocks of ``GRAPH_BLOCK``; layer 0's bias rides in its
-    weight product as a ones column of the aggregated landmarks. Only a
-    ``state`` keeps every frame's layer outputs; without one, each block
-    reuses the same block-sized buffers. With one layer, a ``state`` also
-    keeps M = XᵀR − Xᵀ(a ⊙ a ⊙ R) per frame (X the aggregated landmarks),
-    the collapsed gradient ``_graph_backward`` needs.
+    The one graph layer averages every node with its neighbors
+    (degree-normalized), applies a learned linear map and tanh. The frame
+    descriptor is the readout R (L, hidden) applied per node,
+    Σₙ a[:, n, :] ⊙ R[n], so it keeps which landmark moved how; at
+    initialization R is the node mean. Frames run in blocks of
+    ``GRAPH_BLOCK`` through one block of aggregated landmarks X, whose ones
+    column carries the bias. Only a ``state`` keeps every frame's
+    activations a and M = XᵀR − Xᵀ(a ⊙ a ⊙ R), the collapsed gradient
+    ``_graph_backward`` needs; without one, each block reuses the same
+    block-sized buffers.
     """
     cfg = params.config.graph
     graph = params.graph
@@ -355,42 +362,37 @@ def graph_encode(
             f"got {frames_landmarks.shape}"
         )
     n, nodes = frames_landmarks.shape[:2]
+    hid = cfg.hidden_dim
     norm = graph.norm_matrix()
     first = np.vstack([params["graph.l0.weight"], params["graph.l0.bias"]])
     readout = params["graph.readout"]
-    # a backward pass needs every frame's buffers; otherwise one block's are reused
-    rows = n if state is not None else min(n, GRAPH_BLOCK)
+    rows = min(n, GRAPH_BLOCK)
     aggregated = np.empty((rows, nodes, 3))
     aggregated[:, :, 2] = 1.0
-    activated = [np.empty((rows, nodes, cfg.hidden_dim)) for _ in range(cfg.layers)]
-    desc = np.empty((n, cfg.hidden_dim))
-    collapse = state is not None and cfg.layers == 1
-    if collapse:  # M per frame; a ⊙ a ⊙ R and its product with the landmarks per block
-        collapsed = np.empty((n, 3, cfg.hidden_dim))
-        squares = np.empty((min(n, GRAPH_BLOCK), nodes, cfg.hidden_dim))
-        squares_below = np.empty((min(n, GRAPH_BLOCK), 3, cfg.hidden_dim))
+    # a backward pass needs every frame's activations; otherwise one block's are reused
+    activated = np.empty((n if state is not None else rows, nodes, hid))
+    desc = np.empty((n, hid))
+    if state is not None:  # M per frame; a ⊙ a ⊙ R and its product with X per block
+        collapsed = np.empty((n, 3, hid))
+        squares = np.empty((rows, nodes, hid))
+        squares_below = np.empty((rows, 3, hid))
     for start in range(0, n, GRAPH_BLOCK):
         part = slice(start, start + GRAPH_BLOCK)
-        held = part if state is not None else slice(0, min(GRAPH_BLOCK, n - start))
-        np.matmul(norm, frames_landmarks[part], out=aggregated[held, :, :2])
-        hidden = np.matmul(aggregated[held], first, out=activated[0][held])
+        block = min(GRAPH_BLOCK, n - start)
+        held = part if state is not None else slice(block)
+        x = aggregated[:block]
+        np.matmul(norm, frames_landmarks[part], out=x[:, :, :2])
+        hidden = np.matmul(x, first, out=activated[held])
         np.tanh(hidden, out=hidden)
-        for layer in range(1, cfg.layers):
-            hidden = np.matmul(np.matmul(norm, hidden), params[f"graph.l{layer}.weight"],
-                               out=activated[layer][held])
-            hidden += params[f"graph.l{layer}.bias"]
-            np.tanh(hidden, out=hidden)
         np.einsum("nlh,lh->nh", hidden, readout, out=desc[part])
-        if collapse:
-            block = hidden.shape[0]
-            below = aggregated[held].transpose(0, 2, 1)
+        if state is not None:
+            below = x.transpose(0, 2, 1)
             v = np.square(hidden, out=squares[:block])
             v *= readout
             np.matmul(below, readout, out=collapsed[part])
             collapsed[part] -= np.matmul(below, v, out=squares_below[:block])
     if state is not None:
-        state.aggregated, state.activated = aggregated, activated
-        state.collapsed = collapsed if collapse else None
+        state.activated, state.collapsed = activated, collapsed
     return desc
 
 
@@ -399,48 +401,19 @@ def _graph_backward(
 ) -> None:
     """Accumulate graph-encoder gradients given d(loss)/d(descriptor), (N, hidden).
 
-    The readout gives ∂R = Σ_N a ⊙ ∂desc for the last layer's activations a.
-    When that layer is also the first, its gradient is collapsed: with
-    aggregated landmarks X (N, L, 3) (the ones column carries the bias) and
-    tanh' = 1 − a², ∂[W₀; b₀] = Σ_N Xᵀ((1 − a²) ⊙ ∂desc ⊙ R) = Σ_N ∂desc ⊙ M
-    for the M = XᵀR − Xᵀ(a ⊙ a ⊙ R), (N, 3, hidden), that ``graph_encode``
-    keeps, so no (N, L, hidden) gradient is formed. With more layers,
-    ∂a = ∂desc ⊙ R runs down block by block as ``graph_encode`` ran: above
-    the first layer, G = normᵀ ∂pre gives both the weight gradient
-    Σ inputᵀ G and the gradient G Wᵀ reaching the layer's input, and the
-    first layer's aggregated landmarks give its weight and bias gradients.
-    The landmarks themselves need no gradient.
+    The readout gives ∂R = Σ_N a ⊙ ∂desc, block by block as ``graph_encode``
+    ran. The layer's gradient is collapsed: with aggregated landmarks X
+    (N, L, 3) (the ones column carries the bias) and tanh' = 1 − a²,
+    ∂[W₀; b₀] = Σ_N Xᵀ((1 − a²) ⊙ ∂desc ⊙ R) = Σ_N ∂desc ⊙ M for the
+    M = XᵀR − Xᵀ(a ⊙ a ⊙ R), (N, 3, hidden), that ``graph_encode`` keeps, so
+    no (N, L, hidden) gradient is formed. The landmarks themselves need no
+    gradient.
     """
-    cfg = params.config.graph
-    graph = params.graph
-    assert cfg is not None and graph is not None and state.aggregated is not None
-    norm_t = graph.norm_matrix().T
-    readout = params["graph.readout"]
-    hid = cfg.hidden_dim
-    if state.collapsed is None:
-        d_first = np.zeros((3, hid))
-    else:
-        d_first = np.einsum("nkh,nh->kh", state.collapsed, d_desc)
+    assert state.activated is not None and state.collapsed is not None
     for start in range(0, d_desc.shape[0], GRAPH_BLOCK):
         part = slice(start, start + GRAPH_BLOCK)
-        d_part = d_desc[part]
-        grads["graph.readout"] += np.einsum("nlh,nh->lh", state.activated[-1][part], d_part)
-        if state.collapsed is not None:
-            continue
-        d_hidden = d_part[:, None, :] * readout
-        for layer in range(cfg.layers - 1, -1, -1):
-            activated = state.activated[layer][part]
-            d_pre = np.multiply(activated, activated)  # tanh' = 1 - a², in one buffer
-            np.subtract(1.0, d_pre, out=d_pre)
-            d_pre *= d_hidden
-            if layer == 0:
-                d_first += state.aggregated[part].reshape(-1, 3).T @ d_pre.reshape(-1, hid)
-                break
-            grads[f"graph.l{layer}.bias"] += d_pre.reshape(-1, hid).sum(axis=0)
-            d_out = np.matmul(norm_t, d_pre)
-            below = state.activated[layer - 1][part]
-            grads[f"graph.l{layer}.weight"] += below.reshape(-1, hid).T @ d_out.reshape(-1, hid)
-            d_hidden = np.matmul(d_out, params[f"graph.l{layer}.weight"].T)
+        grads["graph.readout"] += np.einsum("nlh,nh->lh", state.activated[part], d_desc[part])
+    d_first = np.einsum("nkh,nh->kh", state.collapsed, d_desc)
     grads["graph.l0.weight"] += d_first[:2]
     grads["graph.l0.bias"] += d_first[2]
 
@@ -552,15 +525,6 @@ def forward_batch(params: EmbedderParams, windows: np.ndarray) -> tuple[np.ndarr
     return attend(params, encoded.reshape(batch, frames, encoded.shape[1]), graph_state)
 
 
-def forward(params: EmbedderParams, window: np.ndarray) -> np.ndarray:
-    """Embed one window (F, input_dim) -> (d,)."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise EmbedderError(f"expected a 2-D window, got shape {window.shape}")
-    z, _ = forward_batch(params, window[None])
-    return z[0]
-
-
 def backward_batch(
     params: EmbedderParams, state: _ForwardState, d_z: np.ndarray
 ) -> np.ndarray:
@@ -641,6 +605,9 @@ def save_checkpoint(params: EmbedderParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> EmbedderParams:
+    """The model ``save_checkpoint`` wrote to ``path``. Any file it cannot
+    use, down to a header of the wrong shape or a config the model rejects,
+    is an ``EmbedderError`` that names ``path``."""
     path = Path(path)
     blob = path.read_bytes()
     magic = blob[:4]
@@ -658,23 +625,29 @@ def load_checkpoint(path: str | Path) -> EmbedderParams:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise EmbedderError(f"{path}: unreadable checkpoint header: {exc}") from None
     raw = blob[8 + hlen :]
-    if len(raw) != 8 * header["param_count"]:
-        raise EmbedderError(
-            f"{path}: parameter payload has {len(raw)} bytes, "
-            f"header promises {header['param_count']} float64 values"
+    try:
+        count = header["param_count"]
+        if len(raw) != 8 * count:
+            raise EmbedderError(
+                f"parameter payload has {len(raw)} bytes, "
+                f"header promises {count} float64 values"
+            )
+        config = EmbedderConfig.from_dict(header["config"])
+        expected = sum(int(np.prod(shape)) for _, shape in _param_shapes(config))
+        if count != expected:
+            raise EmbedderError(
+                f"{count} parameters where the model needs {expected} "
+                "(a graph checkpoint written before the per-node readout lacks graph.readout)"
+            )
+        norm = (
+            NormalizationParams.from_dict(header["normalization"])
+            if header.get("normalization")
+            else None
         )
-    config = EmbedderConfig.from_dict(header["config"])
-    expected = sum(int(np.prod(shape)) for _, shape in _param_shapes(config))
-    if header["param_count"] != expected:
-        raise EmbedderError(
-            f"{path}: {header['param_count']} parameters where the model needs {expected} "
-            "(a graph checkpoint written before the per-node readout lacks graph.readout)"
-        )
-    norm = (
-        NormalizationParams.from_dict(header["normalization"])
-        if header.get("normalization")
-        else None
-    )
-    graph = AdjacencyGraph.from_dict(header["graph"]) if header.get("graph") else None
-    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return EmbedderParams(config, flat, norm, graph)
+        graph = AdjacencyGraph.from_dict(header["graph"]) if header.get("graph") else None
+        flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        return EmbedderParams(config, flat, norm, graph)
+    except KeyError as exc:
+        raise EmbedderError(f"{path}: checkpoint header has no {exc} entry") from None
+    except (TypeError, AttributeError, ValueError) as exc:  # EmbedderError among them
+        raise EmbedderError(f"{path}: {exc}") from None

@@ -381,7 +381,7 @@ def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> flo
     return float(np.max(np.abs(a - b) / denom))
 
 
-def random_model(rng: np.random.Generator, with_graph: bool, graph_layers: int | None = None):
+def random_model(rng: np.random.Generator, with_graph: bool):
     """Small random model: a path-graph encoder over 3-5 landmarks when
     ``with_graph``, else attention over 4-8 raw input dimensions."""
     from avatarprint.embedder import (
@@ -397,8 +397,7 @@ def random_model(rng: np.random.Generator, with_graph: bool, graph_layers: int |
         order = [int(i) for i in rng.permutation(nodes)]
         edges = {tuple(sorted(p)) for p in zip(order[:-1], order[1:])}
         graph = AdjacencyGraph(nodes, tuple(sorted(edges)))
-        layers = graph_layers if graph_layers is not None else int(rng.integers(1, 3))
-        graph_cfg = GraphEncoderConfig(layers=layers, hidden_dim=int(rng.integers(4, 7)))
+        graph_cfg = GraphEncoderConfig(layers=1, hidden_dim=int(rng.integers(4, 7)))
     else:
         input_dim = int(rng.integers(4, 9))
         graph, graph_cfg = None, None

@@ -15,7 +15,7 @@ import pytest
 
 from avatarprint.catalog import Dataset, Generator
 from avatarprint.cli import EXIT_OK, main
-from avatarprint.embedder import EmbedderConfig, forward, forward_batch, init_params
+from avatarprint.embedder import EmbedderConfig, forward_batch, init_params
 from avatarprint.feature_store import FeatureKind, FeatureSequence, FeatureStoreWriter
 from avatarprint.evaluation import (
     EvalReport,
@@ -213,7 +213,7 @@ def test_4_pair_scoring(tmp_path):
             frames = store.get(vid).frames
             out = []
             for start in range(0, frames.shape[0] - 8 + 1, 4):
-                out.append(forward(params, frames[start : start + 8]))
+                out.append(forward_batch(params, frames[start : start + 8][None])[0][0])
             return out
 
         for x in range(1, 6):

@@ -266,19 +266,24 @@ class TestTrainScoreEvaluateChain:
         ])
         assert code == EXIT_USAGE
 
-    def test_truncated_checkpoint_fails_cleanly(self, corpus_small, tmp_path, capsys):
+    @pytest.mark.parametrize("blob, named", [
+        (b"AVCK\x10\x00", "truncated"),
+        (b"AVCK\x02\x00\x00\x00[]", "cut.avck"),
+    ], ids=["truncated", "list-header"])
+    def test_truncated_checkpoint_fails_cleanly(self, corpus_small, tmp_path, capsys,
+                                                blob, named):
         cfg = write_config(tmp_path / "config.json", corpus_small)
         (tmp_path / "t.csv").write_text(
             "trial_id,dataset,generator,enroll_video,test_video,label\n"
         )
-        (tmp_path / "cut.avck").write_bytes(b"AVCK\x10\x00")
+        (tmp_path / "cut.avck").write_bytes(blob)
         code = main([
             "score", "--config", str(cfg), "--trials", str(tmp_path / "t.csv"),
             "--checkpoint", f"m={tmp_path / 'cut.avck'}",
             "--out", str(tmp_path / "s.csv"),
         ])
         assert code == EXIT_FAIL
-        assert "truncated" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_checkpoint_wants_name_equals_path(self, corpus_small, tmp_path):
         cfg = write_config(tmp_path / "config.json", corpus_small)
@@ -389,6 +394,22 @@ class TestRun:
         assert again.keys() == first.keys()
         for p in first.keys() - {Path("config", "effective.json")}:
             assert again[p] == first[p], p
+
+    def test_changed_convention_remakes_the_trial_list(self, corpus_small, tmp_path):
+        # the same run id under the other convention: the old trial list must not be reused
+        cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        trials_path = tmp_path / "runs" / "testrun" / "trials" / "trials.csv"
+        excluded = len(load_trials(trials_path))
+        payload = json.loads(cfg.read_text())
+        payload["convention"] = "include_identical"
+        cfg.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        # the trial list equals a first run's of the changed config
+        assert main(["run", "--config", str(cfg), "--run-id", "first"]) == EXIT_OK
+        first = tmp_path / "runs" / "first" / "trials" / "trials.csv"
+        assert len(load_trials(trials_path)) == len(load_trials(first)) > excluded
+        assert trials_path.read_bytes() == first.read_bytes()
 
     def test_markers_without_input_digests_are_stale(self, corpus_small, tmp_path,
                                                       monkeypatch):
@@ -592,6 +613,7 @@ class TestRun:
         ("hyper", "mining", "bogus", "bogus"),
         ("experiment", "scenario", "zero_shot", "zero_shot"),
         ("embedder", "graph", {"layers": 0}, "layers"),
+        ("embedder", "graph", {"layers": 2}, "layers"),
         ("config", "fusoin", {}, "fusoin"),
         ("fusion", "z_score", True, "z_score"),
         ("fusion", "enabled", "false", "enabled"),
@@ -608,7 +630,8 @@ class TestRun:
         ("model", "adjacency", 7, "adjacency"),
     ], ids=["unknown-hyper", "unknown-embedder", "unknown-graph", "unknown-model",
             "missing-experiment", "unknown-experiment", "unknown-model-name",
-            "bad-mining", "bad-scenario", "bad-graph-layers", "unknown-top-level",
+            "bad-mining", "bad-scenario", "bad-graph-layers", "two-graph-layers",
+            "unknown-top-level",
             "unknown-fusion", "string-fusion-flag", "models-not-a-list", "string-seed",
             "eval-fraction-out-of-range", "bad-convention", "number-identities", "list-videos",
             "number-split", "null-output-root", "null-run-id", "number-store",

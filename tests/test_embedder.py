@@ -1,6 +1,7 @@
 """Embedder forward pass, graph encoder, parameters and checkpointing."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,6 @@ from avatarprint.embedder import (
     NonFiniteError,
     _GraphState,
     backward_batch,
-    forward,
     forward_batch,
     graph_encode,
     init_params,
@@ -47,9 +47,17 @@ def graph_setup(seed=2):
     graph = AdjacencyGraph(3, ((0, 1), (1, 2)))
     config = EmbedderConfig(
         input_dim=6, heads=2, attention_dim=8, projection_dim=3, window_len=4,
-        graph=GraphEncoderConfig(layers=2, hidden_dim=5), seed=seed,
+        graph=GraphEncoderConfig(layers=1, hidden_dim=5), seed=seed,
     )
     return config, graph
+
+
+def rewrite_header(path, edit):
+    """Replace the JSON header of the checkpoint at ``path`` by ``edit(header)``."""
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[4:8], "little")
+    head = json.dumps(edit(json.loads(blob[8 : 8 + hlen])), sort_keys=True).encode("utf-8")
+    path.write_bytes(b"AVCK" + len(head).to_bytes(4, "little") + head + blob[8 + hlen :])
 
 
 class TestAdjacency:
@@ -68,6 +76,11 @@ class TestAdjacency:
         # isolated node only aggregates itself
         mat3 = AdjacencyGraph(3, ((0, 1),)).norm_matrix()
         np.testing.assert_allclose(mat3[2], [0.0, 0.0, 1.0])
+
+    def test_norm_matrix_is_computed_once_and_read_only(self):
+        graph = AdjacencyGraph(3, ((0, 1), (1, 2)))
+        assert graph.norm_matrix() is graph.norm_matrix()
+        assert not graph.norm_matrix().flags.writeable
 
     def test_csv_loading(self, tmp_path):
         p = tmp_path / "edges.csv"
@@ -164,7 +177,8 @@ class TestForward:
         windows = np.random.default_rng(1).normal(size=(3, 8, 6))
         z_batch, _ = forward_batch(params, windows)
         for i in range(3):
-            np.testing.assert_allclose(forward(params, windows[i]), z_batch[i], atol=1e-12)
+            z, _ = forward_batch(params, windows[i][None])
+            np.testing.assert_allclose(z[0], z_batch[i], atol=1e-12)
 
     def test_constant_window_gets_uniform_attention(self):
         params = init_params(small_config())
@@ -178,16 +192,17 @@ class TestForward:
         params = init_params(small_config())
         rng = np.random.default_rng(3)
         window = rng.normal(size=(8, 6))
-        z = forward(params, window)
+        z, _ = forward_batch(params, window[None])
         for _ in range(3):
             perm = rng.permutation(8)
-            np.testing.assert_allclose(forward(params, window[perm]), z, atol=1e-12)
+            np.testing.assert_allclose(forward_batch(params, window[perm][None])[0], z,
+                                       atol=1e-12)
 
     def test_scaled_input_keeps_unit_norm(self):
         params = init_params(small_config())
         window = np.random.default_rng(4).normal(size=(8, 6))
-        z = forward(params, 1000.0 * window)
-        assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
+        z, _ = forward_batch(params, 1000.0 * window[None])
+        assert np.linalg.norm(z[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_shape_and_finiteness_guards(self):
         params = init_params(small_config())
@@ -203,7 +218,7 @@ class TestForward:
         # zero input with zero biases gives a zero pre-normalization vector
         params = init_params(small_config())
         with pytest.raises(NonFiniteError) as err:
-            forward(params, np.zeros((8, 6)))
+            forward_batch(params, np.zeros((1, 8, 6)))
         assert "l2_normalize" in str(err.value)
 
 
@@ -239,17 +254,18 @@ class TestGraphEncoder:
         manual = (np.tanh([0.0, 0.0]) + np.tanh([0.0, 0.0]) + np.tanh([0.5, -0.5])) / 3.0
         np.testing.assert_allclose(desc[0], manual, atol=1e-12)
 
-    @pytest.mark.parametrize("layers", [1, 2])
-    def test_block_buffers_give_the_descriptors_state_keeps(self, layers):
+    def test_block_buffers_give_the_descriptors_state_keeps(self):
         # 300 frames: two full blocks and a remainder, through one block of buffers
-        rng = np.random.default_rng(60 + layers)
-        params = random_model(rng, True, layers)
+        rng = np.random.default_rng(61)
+        params = random_model(rng, True)
         params["graph.readout"][:] = rng.normal(size=params["graph.readout"].shape)
         frames = rng.normal(size=(300, params.graph.num_nodes, 2))
         assert frames.shape[0] > 2 * GRAPH_BLOCK and frames.shape[0] % GRAPH_BLOCK
         state = _GraphState()
         kept = graph_encode(params, frames, state)
-        assert state.aggregated.shape[0] == 300
+        hid, nodes = params.config.graph.hidden_dim, params.graph.num_nodes
+        assert state.activated.shape == (300, nodes, hid)
+        assert state.collapsed.shape == (300, 3, hid)
         assert np.array_equal(graph_encode(params, frames), kept)
 
     def test_one_layer_backward_forms_no_frame_node_array(self):
@@ -267,9 +283,8 @@ class TestGraphEncoder:
     def test_zero_weights_collapse_to_bias(self):
         cfg, graph = graph_setup()
         params = init_params(cfg, graph=graph)
-        for layer in range(cfg.graph.layers):
-            params[f"graph.l{layer}.weight"][:] = 0.0
-            params[f"graph.l{layer}.bias"][:] = 0.25
+        params["graph.l0.weight"][:] = 0.0
+        params["graph.l0.bias"][:] = 0.25
         desc = graph_encode(params, np.random.default_rng(0).normal(size=(4, 3, 2)))
         np.testing.assert_allclose(desc, np.tanh(0.25), rtol=0, atol=1e-12)
 
@@ -302,10 +317,10 @@ class TestGraphEncoder:
         cfg, graph = graph_setup(seed=6)
         params = init_params(cfg, graph=graph)
         names = [name for name, _ in params.shapes]
-        assert names.index("graph.readout") == names.index("graph.l1.bias") + 1
-        # the generator's draws after the graph layers are the attention query's
+        assert names.index("graph.readout") == names.index("graph.l0.bias") + 1
+        # the generator's draw after the graph layer is the attention query's
         rng = np.random.default_rng(6)
-        rng.standard_normal((2, 5)), rng.standard_normal((5, 5))
+        rng.standard_normal((2, 5))
         np.testing.assert_array_equal(params["attn.query"], rng.standard_normal((2, 4)))
         np.testing.assert_array_equal(params["graph.readout"], np.full((3, 5), 1 / 3))
 
@@ -320,14 +335,11 @@ class TestCollapsedAttention:
     """The collapsed algebra against the materialized (B, H, F, a) keys and
     values it replaces."""
 
-    @pytest.mark.parametrize(
-        "with_graph,layers", [(False, None), (True, 1), (True, 2)],
-        ids=["kinematic", "graph-1-layer", "graph-2-layers"],
-    )
-    def test_matches_materialized_keys_and_values(self, with_graph, layers):
+    @pytest.mark.parametrize("with_graph", [False, True], ids=["kinematic", "graph-1-layer"])
+    def test_matches_materialized_keys_and_values(self, with_graph):
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            params = random_model(rng, with_graph, layers)
+            params = random_model(rng, with_graph)
             cfg = params.config
             windows = rng.normal(size=(5, cfg.window_len, cfg.input_dim))
             z, state = forward_batch(params, windows)
@@ -340,11 +352,10 @@ class TestCollapsedAttention:
             assert max_relative_error(grad, reference_backward_batch(params, state_ref, d_z)) < 1e-10
 
 
-    @pytest.mark.parametrize("layers", [1, 2])
-    def test_blocks_and_remainder_match_reference_and_differences(self, layers):
+    def test_blocks_and_remainder_match_reference_and_differences(self):
         # 300 frames: two full blocks of frames and a remainder
-        rng = np.random.default_rng(40 + layers)
-        params = random_model(rng, True, layers)
+        rng = np.random.default_rng(41)
+        params = random_model(rng, True)
         params["graph.readout"][:] = rng.normal(size=params["graph.readout"].shape)
         cfg = params.config
         windows = rng.normal(size=(300 // cfg.window_len, cfg.window_len, cfg.input_dim))
@@ -402,7 +413,7 @@ class TestCheckpoint:
         header = json.loads(blob[8 : 8 + hlen])
         readout = params["graph.readout"].size
         header["param_count"] -= readout
-        start = sum(params[name].size for name, _ in params.shapes[:4])  # l0, l1 weight+bias
+        start = sum(params[name].size for name, _ in params.shapes[:2])  # l0 weight+bias
         old = np.delete(params.flat, np.s_[start : start + readout])
         head = json.dumps(header, sort_keys=True).encode("utf-8")
         (tmp_path / "old.avck").write_bytes(
@@ -419,10 +430,25 @@ class TestCheckpoint:
         w = np.random.default_rng(0).normal(size=(3, 8, 6))
         np.testing.assert_array_equal(forward_batch(back, w)[0], forward_batch(params, w)[0])
 
-    def test_bad_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize("edit", [
+        None,
+        lambda h: [h],
+        lambda h: {k: v for k, v in h.items() if k != "param_count"},
+        lambda h: {**h, "config": {**h["config"], "heads": 3}},
+        lambda h: {**h, "config": {**h["config"], "graph": {"layers": 2, "hidden_dim": 5}}},
+        lambda h: {**h, "graph": None},
+    ], ids=["junk", "list-header", "no-param-count", "rejected-config", "two-layer-graph",
+            "no-topology"])
+    def test_bad_file_rejected(self, tmp_path, edit):
+        # every refusal is an EmbedderError that names the file
         p = tmp_path / "bad.avck"
-        p.write_bytes(b"JUNKJUNKJUNK")
-        with pytest.raises(EmbedderError):
+        if edit is None:
+            p.write_bytes(b"JUNKJUNKJUNK")
+        else:
+            cfg, graph = graph_setup(seed=4)
+            save_checkpoint(init_params(cfg, graph=graph), p)
+            rewrite_header(p, edit)
+        with pytest.raises(EmbedderError, match=re.escape(str(p))):
             load_checkpoint(p)
 
     @pytest.mark.parametrize("keep", [6, 40], ids=["length-field", "mid-header"])

@@ -17,7 +17,7 @@ from avatarprint.embedder import (
     EmbedderError,
     GraphEncoderConfig,
     NonFiniteError,
-    forward,
+    forward_batch,
     init_params,
 )
 from avatarprint.feature_store import (
@@ -90,8 +90,8 @@ class TestWindows:
         z = video_window_embeddings(params, store, "v20")
         assert z.shape == (4, 4)  # windows start at 0, 4, 8, 12
         for row, start in zip(z, (0, 4, 8, 12)):
-            np.testing.assert_allclose(row, forward(params, frames[start : start + 8]),
-                                       rtol=0, atol=1e-15)
+            z, _ = forward_batch(params, frames[start : start + 8][None])
+            np.testing.assert_allclose(row, z[0], rtol=0, atol=1e-15)
         assert video_window_embeddings(params, short, "v5") is None
 
     def test_odd_window_rounds_the_stride_down(self):

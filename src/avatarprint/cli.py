@@ -32,6 +32,7 @@ from . import evaluation as ev
 from . import protocol as proto
 from . import scoring as sc
 from .embedder import (
+    AdjacencyGraph,
     EmbedderConfig,
     EmbedderError,
     GraphEncoderConfig,
@@ -74,9 +75,6 @@ def _field_names(cls, *skip: str) -> frozenset[str]:
 
 
 MODEL_KEYS = frozenset({"name", "store", "embedder", "hyper", "adjacency"})
-EMBEDDER_KEYS = _field_names(EmbedderConfig, "input_dim", "seed")  # the store and run set these
-GRAPH_KEYS = _field_names(GraphEncoderConfig, "adjacency")  # the model's adjacency path
-HYPER_KEYS = _field_names(TrainHyper)
 EXPERIMENT_KEYS = _field_names(proto.ExperimentSpec)
 CONFIG_KEYS = frozenset({"seed", "run_id", "output_root", "identities", "videos", "split",
                          "eval_fraction", "convention", "models", "fusion", "experiments"})
@@ -97,6 +95,23 @@ def _check_keys(block: object, where: str, allowed: Iterable[str],
     return block
 
 
+# the JSON values an int, float or str field of a model block takes (a bool is no int)
+JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+              "str": ((str,), "a string")}
+
+
+def _check_fields(block: object, where: str, cls, *skip: str) -> Mapping:
+    """``block`` itself, once its keys are fields of the dataclass ``cls``
+    less ``skip`` and each int, float or str field holds a JSON value of its
+    type."""
+    _check_keys(block, where, _field_names(cls, *skip))
+    for f in fields(cls):
+        types, expected = JSON_TYPES.get(f.type, (None, ""))
+        if types and f.name in block and type(block[f.name]) not in types:
+            raise ConfigError(f"{where}: {f.name!r} must be {expected}, got {block[f.name]!r}")
+    return block
+
+
 def _checked(block: Mapping, where: str, key: str, default, valid: Callable[[object], bool],
              expected: str):
     """``block[key]``, or ``default`` when it is unset, once ``valid`` accepts it."""
@@ -107,10 +122,12 @@ def _checked(block: Mapping, where: str, key: str, default, valid: Callable[[obj
 
 
 def _build(make: Callable, where: str, /, *args, **kwargs):
-    """``make(*args, **kwargs)``; a value it rejects is a config error at ``where``."""
+    """``make(*args, **kwargs)``; a value it rejects, or a file it cannot
+    read, is a config error at ``where``."""
     try:
         return make(*args, **kwargs)
-    except (EmbedderError, proto.ProtocolError, TrainingError) as exc:
+    except (EmbedderError, FeatureStoreError, proto.ProtocolError, TrainingError, OSError,
+            UnicodeError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -156,13 +173,13 @@ class RunConfig:
         for i, m in enumerate(_checked(raw, "config", "models", None, is_list, "a list")):
             where = f"models[{i}]"
             _check_keys(m, where, MODEL_KEYS, required=("name", "store"))
-            embedder = _check_keys(m.get("embedder", {}), f"{where}.embedder", EMBEDDER_KEYS)
-            hyper = _check_keys(m.get("hyper", {}), f"{where}.hyper", HYPER_KEYS)
+            # the store sets input_dim and the run its seed; the model its adjacency path
+            embedder = _check_fields(m.get("embedder", {}), f"{where}.embedder", EmbedderConfig,
+                                     "input_dim", "seed")
             if embedder.get("graph"):
-                graph = _check_keys(embedder["graph"], f"{where}.embedder.graph", GRAPH_KEYS)
-                _build(GraphEncoderConfig, f"{where}.embedder.graph", **graph)
-                if m.get("adjacency") is None:
-                    raise ConfigError(f"{where}: graph encoder needs an adjacency file")
+                _check_fields(embedder["graph"], f"{where}.embedder.graph", GraphEncoderConfig,
+                              "adjacency")
+            hyper = _check_fields(m.get("hyper", {}), f"{where}.hyper", TrainHyper)
             models.append(
                 ModelSpec(
                     name=m["name"],
@@ -283,20 +300,46 @@ def _checkpoint_path(out_dir: Path, model: str, dataset: str, generator: str) ->
     return out_dir / f"{_sanitize(model)}_{_sanitize(dataset)}_{_sanitize(generator)}.avck"
 
 
-def _open_stores(stack: ExitStack, specs: Iterable[ModelSpec]) -> dict[str, FeatureStore]:
-    """An open store per model name, closed with ``stack``; models that name
-    the same path share one handle (reads are positional, so threads may too).
-    A store that cannot be read as one is a config error."""
-    by_path: dict[Path, FeatureStore] = {}
-    stores: dict[str, FeatureStore] = {}
+@dataclass(frozen=True)
+class Model:
+    """A configured model as ``train`` takes it: its open store, its shape
+    (``input_dim`` from the store, the seed from the run) and its graph."""
+
+    store: FeatureStore
+    config: EmbedderConfig
+    graph: AdjacencyGraph | None
+    hyper: TrainHyper
+
+
+def _store_header(store: FeatureStore) -> list:
+    """What an artifact's inputs record of a store: its kind, dimension and
+    size in bytes, not its contents."""
+    return [store.kind.value, store.dimension, store.size]
+
+
+def _open_models(stack: ExitStack, specs: Iterable[ModelSpec], seed: int) -> dict[str, Model]:
+    """Each model of ``specs``, built on its open store, which ``stack``
+    closes; models that name the same path share one handle (reads are
+    positional, so threads may too). A store that cannot be read as one, a
+    value the model rejects or an unreadable adjacency file is a config error."""
+    stores: dict[Path, FeatureStore] = {}
+    models: dict[str, Model] = {}
     for spec in specs:
-        if spec.store not in by_path:
-            try:
-                by_path[spec.store] = stack.enter_context(FeatureStore(spec.store))
-            except FeatureStoreError as exc:
-                raise ConfigError(f"model {spec.name!r}: {exc}") from None
-        stores[spec.name] = by_path[spec.store]
-    return stores
+        where = f"model {spec.name!r}"
+        if spec.store not in stores:
+            stores[spec.store] = stack.enter_context(_build(FeatureStore, where, spec.store))
+        store = stores[spec.store]
+        opts = dict(spec.embedder)
+        graph_cfg = graph = None
+        if graph_opts := opts.pop("graph", None):
+            graph_cfg = _build(GraphEncoderConfig, where, **graph_opts)
+            if spec.adjacency is None:
+                raise ConfigError(f"{where}: graph encoder needs an adjacency file")
+            graph = _build(load_adjacency, where, spec.adjacency, store.dimension // 2)
+        config = _build(EmbedderConfig, where, input_dim=store.dimension, **opts,
+                        graph=graph_cfg, seed=seed)
+        models[spec.name] = Model(store, config, graph, spec.hyper)
+    return models
 
 
 def _parse_generators(text: str) -> list[cat.Generator]:
@@ -370,32 +413,16 @@ def cmd_trials(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _train_one(
-    config: RunConfig,
-    spec: ModelSpec,
-    store: FeatureStore,
-    catalog: cat.Catalog,
-    split: proto.Split,
-    train_dataset: str,
-    train_generator: str,
-    out_path: Path,
-) -> None:
+def _train_one(model: Model, catalog: cat.Catalog, split: proto.Split, train_dataset: str,
+               train_generator: str, out_path: Path) -> None:
     generators = (
         None
         if train_generator == proto.ALL_GENERATORS
         else [cat.Generator(train_generator)]
     )
     view = catalog.filter(datasets=[cat.Dataset(train_dataset)], generators=generators)
-    opts = dict(spec.embedder)
-    graph_opts = opts.pop("graph", None)
-    graph = graph_cfg = None
-    if graph_opts:
-        graph = load_adjacency(spec.adjacency, num_nodes=store.dimension // 2)
-        graph_cfg = GraphEncoderConfig(**graph_opts)
-    emb_config = EmbedderConfig(
-        input_dim=store.dimension, **opts, graph=graph_cfg, seed=config.seed
-    )
-    params, log = train(store, view, split.development, emb_config, spec.hyper, graph=graph)
+    params, log = train(model.store, view, split.development, model.config, model.hyper,
+                        graph=model.graph)
     save_checkpoint(params, out_path)
     write_json(out_path.with_suffix(".log.json"), log.to_dict())
 
@@ -403,18 +430,19 @@ def _train_one(
 def _score_job(
     config: RunConfig,
     checkpoints: Mapping[str, str | Path],
-    stores: Mapping[str, FeatureStore],
+    models: Mapping[str, Model],
     trials: proto.TrialSet,
     out_path: str | Path,
     condition: str,
 ) -> sc.ScoreTable:
     """Score ``trials``, those of ``condition``, with each named model's
     checkpoint and write the table. No trials is an error, and writes nothing."""
-    models = {name: (load_checkpoint(ckpt), stores[name]) for name, ckpt in checkpoints.items()}
+    loaded = {name: (load_checkpoint(path), models[name].store)
+              for name, path in checkpoints.items()}
     if not trials:
         raise proto.ProtocolError(f"no trials for {condition}")
     table = sc.score_trials(
-        models, trials, include_fusion=config.fusion_enabled, zscore_fusion=config.fusion_zscore
+        loaded, trials, include_fusion=config.fusion_enabled, zscore_fusion=config.fusion_zscore
     )
     sc.write_score_table(table, out_path)
     return table
@@ -429,10 +457,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not chosen:
         raise ConfigError(f"no model named {args.model!r} in config")
     with ExitStack() as stack:
-        stores = _open_stores(stack, chosen)
+        models = _open_models(stack, chosen, config.seed)
         for spec in chosen:
             target = _checkpoint_path(out_dir, spec.name, args.train_dataset, args.train_generator)
-            _train_one(config, spec, stores[spec.name], catalog, split, args.train_dataset,
+            _train_one(models[spec.name], catalog, split, args.train_dataset,
                        args.train_generator, target)
             print(f"trained {spec.name} on {args.train_dataset}/{args.train_generator} "
                   f"-> {target}")
@@ -454,8 +482,8 @@ def cmd_score(args: argparse.Namespace) -> int:
             raise ConfigError(f"--checkpoint names model {name!r} twice")
         checkpoints[name] = ckpt
     with ExitStack() as stack:
-        stores = _open_stores(stack, [specs[name] for name in checkpoints])
-        table = _score_job(config, checkpoints, stores, trials, args.out,
+        models = _open_models(stack, [specs[name] for name in checkpoints], config.seed)
+        table = _score_job(config, checkpoints, models, trials, args.out,
                            f"{args.eval_dataset or '*'}/{args.eval_generator or '*'}")
     if table.missing_videos:
         print(f"missing features for {len(table.missing_videos)} videos", file=sys.stderr)
@@ -582,7 +610,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
     ordered_keys = sorted(train_tasks)
     with ExitStack() as stack:
-        stores = _open_stores(stack, [specs[name] for name in sorted({k[0] for k in train_tasks})])
+        models = _open_models(stack, [specs[name] for name in sorted({k[0] for k in train_tasks})],
+                              config.seed)
         if args.fresh:  # the inputs are good: drop every output of earlier invocations
             for sub in ("trials", "models", "scores", "reports"):
                 if (run_dir / sub).is_dir():
@@ -619,14 +648,14 @@ def cmd_run(args: argparse.Namespace) -> int:
                     "adjacency": (_file_sha256(spec.adjacency)
                                   if spec.embedder.get("graph") else None),
                     "seed": config.seed,
+                    "store": _store_header(models[name].store),
                     "train": [ds, gen],
                     "split": [sorted(split.development), sorted(split.evaluation)],
                 }
                 _reuse_or_make(
                     out_path,
                     inputs,
-                    lambda path: _train_one(config, spec, stores[name], catalog, split,
-                                            ds, gen, path),
+                    lambda path: _train_one(models[name], catalog, split, ds, gen, path),
                     lambda path: None,
                 )
                 return None
@@ -659,13 +688,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             try:
                 inputs = {
                     "checkpoints": {m: _file_sha256(ckpt) for m, ckpt in checkpoints.items()},
+                    "stores": {m: _store_header(models[m].store) for m in checkpoints},
                     "trials": trials_sha256,
                     "fusion": [config.fusion_enabled, config.fusion_zscore],
                 }
                 table = _reuse_or_make(
                     run_dir / "scores" / f"{stem}.csv",
                     inputs,
-                    lambda path: _score_job(config, checkpoints, stores,
+                    lambda path: _score_job(config, checkpoints, models,
                                             trials.select(job.eval_dataset, job.eval_generator),
                                             path, f"{job.eval_dataset}/{job.eval_generator}"),
                     sc.read_score_table,

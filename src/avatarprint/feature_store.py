@@ -23,7 +23,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -194,15 +194,15 @@ class FeatureStore:
             raise FeatureStoreError(f"{self.path}: unsealed store (its writer never finished)")
         self.kind = _CODE_KINDS[kind_code]
         self.dimension = int(dim)
+        self.size = os.fstat(self._fd).st_size  # bytes
         self._entries = self._read_index(index_offset)
 
     def _read_index(self, index_offset: int) -> dict[str, list]:
         """id -> [offset, T, fps]: an int offset past the header, an int T >= 1
         and a finite number fps > 0, each record checked to end before the
         index."""
-        size = os.fstat(self._fd).st_size
         try:  # an offset past the end reads b"", which is no JSON either
-            index = json.loads(os.pread(self._fd, max(size - index_offset, 0), index_offset))
+            index = json.loads(os.pread(self._fd, max(self.size - index_offset, 0), index_offset))
         except ValueError:  # bad JSON or UTF-8
             raise FeatureStoreError(f"{self.path}: truncated or corrupt index") from None
         if type(index) is not dict:
@@ -228,6 +228,9 @@ class FeatureStore:
 
     def ids(self) -> list[str]:
         return sorted(self._entries)
+
+    def num_frames(self, video_id: str) -> int:
+        return self._entries[video_id][1]  # as the index records it, without a read
 
     def get(self, video_id: str) -> FeatureSequence:
         try:
@@ -295,36 +298,39 @@ class NormalizationParams:
         )
 
 
-def normalize(store: FeatureStore, stats_source: Iterable[str]) -> NormalizationParams:
-    """Fit per-dimension mean/std over the frames of ``stats_source`` videos.
+def fit_normalization(dim: int, passes: Callable[[], Iterable[np.ndarray]]) -> NormalizationParams:
+    """Fit per-dimension mean/std over the frame matrices that ``passes()``
+    yields; it is called once for each of the two passes.
 
     Two-pass computation in float64. Dimensions whose variance falls below
     the floor are clamped and reported in ``floored_dims``.
     """
+    total = np.zeros(dim)
+    n = 0
+    for frames in passes():
+        total += frames.sum(axis=0)
+        n += frames.shape[0]
+    mean = total / n
+
+    ss = np.zeros(dim)
+    for frames in passes():
+        ss += ((frames - mean) ** 2).sum(axis=0)
+    var = ss / n
+    floored = tuple(int(i) for i in np.nonzero(var < VARIANCE_FLOOR)[0])
+    std = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
+    return NormalizationParams(mean=mean, std=std, floored_dims=floored, n_frames=n)
+
+
+def normalize(store: FeatureStore, stats_source: Iterable[str]) -> NormalizationParams:
+    """``fit_normalization`` over the frames of ``stats_source`` videos, which
+    reads each from ``store`` once per pass and keeps one at a time."""
     ids = sorted(set(stats_source))
     if not ids:
         raise FeatureStoreError("stats_source must be non-empty")
     missing = [i for i in ids if i not in store]
     if missing:
         raise MissingSequenceError(f"stats_source ids not in store: {missing[:5]}")
-
-    d = store.dimension
-    total = np.zeros(d)
-    n = 0
-    for vid in ids:
-        frames = store.get(vid).frames
-        total += frames.sum(axis=0)
-        n += frames.shape[0]
-    mean = total / n
-
-    ss = np.zeros(d)
-    for vid in ids:
-        frames = store.get(vid).frames
-        ss += ((frames - mean) ** 2).sum(axis=0)
-    var = ss / n
-    floored = tuple(int(i) for i in np.nonzero(var < VARIANCE_FLOOR)[0])
-    std = np.sqrt(np.maximum(var, VARIANCE_FLOOR))
-    return NormalizationParams(mean=mean, std=std, floored_dims=floored, n_frames=n)
+    return fit_normalization(store.dimension, lambda: (store.get(vid).frames for vid in ids))
 
 
 def import_frames_csv(path: str | Path) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Triplet training of the window embedder.
 
-Training keeps one normalized frame matrix of the development videos and a
-start index per half-stride window into it; each batch is cut from it with
+Training reads each development video from the store once, into one
+float64 frame matrix; it fits the feature normalization on that matrix and
+normalizes it in place. It keeps a start index per half-stride window into
+the matrix; each batch is cut from it with
 ``scoring.gather_windows``, the same gather that scoring uses, so no tensor
 of all windows is ever formed. Windows are labeled by the driver identity of
 their source video; batches sample a few identities with several windows
@@ -29,7 +31,7 @@ from .embedder import (
     forward_batch,
     init_params,
 )
-from .feature_store import FeatureStore, NormalizationParams, normalize
+from .feature_store import FeatureStore, NormalizationParams, fit_normalization
 from .scoring import gather_windows, window_starts
 
 
@@ -140,23 +142,17 @@ class Adam:
 
 
 def _collect_windows(
-    store: FeatureStore,
-    catalog: Catalog,
-    development_ids: set[str],
-    config: EmbedderConfig,
-    normalization: NormalizationParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """Every training window, as a start into one frame matrix.
+    store: FeatureStore, catalog: Catalog, dev_ids: set[str], window_len: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], NormalizationParams]:
+    """Every development video, read once, and every training window in it.
 
-    Returns (normalized frames (T, D) of the videos in id order, start of
-    each window in them (N,), label indices (N,), label names). Videos
-    shorter than one window are skipped.
+    Returns (the videos' frames (T, D) in id order, normalized in place by
+    the normalization fitted on them; the start of each window in them
+    (N,); label indices (N,); label names; that normalization). Videos
+    shorter than one window hold no window but count in the fit.
     """
-    videos = [
-        v
-        for v in catalog.videos()
-        if v.driver in development_ids and v.target in development_ids
-    ]
+    videos = sorted((v for v in catalog.videos() if v.driver in dev_ids and v.target in dev_ids),
+                    key=lambda v: v.video_id)
     if not videos:
         raise TrainingError("no videos whose driver and target are development identities")
     missing = [v.video_id for v in videos if v.video_id not in store]
@@ -165,19 +161,20 @@ def _collect_windows(
             f"{len(missing)} development videos lack stored features, "
             f"e.g. {missing[:3]}"
         )
-    chunks: list[np.ndarray] = []
+    bounds = np.cumsum([0] + [store.num_frames(v.video_id) for v in videos]).tolist()
+    spans = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    frames = np.empty((bounds[-1], store.dimension))
+    for video, span in zip(videos, spans):
+        frames[span] = store.get(video.video_id).frames
+    normalization = fit_normalization(store.dimension, lambda: (frames[s] for s in spans))
+    frames -= normalization.mean  # what normalization.apply does, in place
+    frames /= normalization.std
     starts: list[int] = []
     labels: list[str] = []
-    offset = 0
-    for video in sorted(videos, key=lambda v: v.video_id):
-        frames = normalization.apply(store.get(video.video_id).frames)
-        video_starts = window_starts(frames.shape[0], config.window_len)
-        if not video_starts:
-            continue
-        chunks.append(frames)
-        starts.extend(offset + s for s in video_starts)
+    for video, span in zip(videos, spans):
+        video_starts = window_starts(span.stop - span.start, window_len)
+        starts.extend(span.start + s for s in video_starts)
         labels.extend([video.driver] * len(video_starts))
-        offset += frames.shape[0]
     if not starts:
         raise TrainingError("every development video is shorter than one window")
     names = sorted(set(labels))
@@ -186,8 +183,8 @@ def _collect_windows(
             f"triplets need >= 2 driver identities with windows, got {len(names)}"
         )
     index = {name: i for i, name in enumerate(names)}
-    return (np.concatenate(chunks), np.array(starts, dtype=np.intp),
-            np.array([index[l] for l in labels]), names)
+    return (frames, np.array(starts, dtype=np.intp), np.array([index[l] for l in labels]),
+            names, normalization)
 
 
 def _squared_distances(z: np.ndarray) -> np.ndarray:
@@ -299,17 +296,8 @@ def train(
     TrainingDiverged (carrying the last finite checkpoint) if the loss turns
     non-finite.
     """
-    dev_ids = set(development_ids)
-    dev_videos = sorted(
-        v.video_id
-        for v in catalog.videos()
-        if v.driver in dev_ids and v.target in dev_ids
-    )
-    if not dev_videos:
-        raise TrainingError("no development videos to fit normalization on")
-    normalization = normalize(store, [v for v in dev_videos if v in store])
-
-    frames, starts, labels, names = _collect_windows(store, catalog, dev_ids, config, normalization)
+    frames, starts, labels, names, normalization = _collect_windows(
+        store, catalog, set(development_ids), config.window_len)
     window_len = config.window_len
 
     per_step_ids = hyper.batch // hyper.windows_per_identity

@@ -13,7 +13,7 @@ import pytest
 from avatarprint import cli, evaluation, scoring
 from avatarprint.catalog import save_manifest
 from avatarprint.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from avatarprint.feature_store import FeatureStore
+from avatarprint.feature_store import FeatureSequence, FeatureStore, FeatureStoreWriter
 from avatarprint.protocol import load_trials
 from avatarprint.scoring import read_score_table
 
@@ -196,6 +196,16 @@ class TestTrainScoreEvaluateChain:
             "--out", str(tmp_path / "fair.csv"),
         ]) == EXIT_OK
         assert (tmp_path / "fair.csv").exists()
+
+    def test_train_builds_every_model_before_it_writes(self, corpus_small, tmp_path, capsys):
+        bad = {"name": "bad", "store": str(corpus_small.store_path),  # 3 heads do not divide 8
+               "embedder": {"heads": 3, "attention_dim": 8, "projection_dim": 6,
+                            "window_len": 16}}
+        cfg = write_config(tmp_path / "config.json", corpus_small, extra_models=[bad])
+        assert main(["train", "--config", str(cfg), "--train-generator", "GAGA",
+                     "--out-dir", str(tmp_path / "ckpt")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("config error: model 'bad': heads (3)")
+        assert not (tmp_path / "ckpt").exists()
 
     def test_score_without_trials_fails(self, corpus_small, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json", corpus_small, epochs=1)
@@ -451,6 +461,40 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
         assert checkpoint.read_bytes() != chain
 
+    def test_rewritten_store_retrains_and_rescores(self, corpus_small, tmp_path, monkeypatch):
+        store_path = tmp_path / "features.avfs"
+        store_path.write_bytes(corpus_small.store_path.read_bytes())
+        payload = json.loads(
+            write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA],
+                         epochs=1).read_text())
+        payload["models"][0]["store"] = str(store_path)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        # the same ids at the same path, each video twice as long
+        with FeatureStore(store_path) as old:
+            sequences = [old.get(vid) for vid in old.ids()]
+            kind, dim = old.kind, old.dimension
+        store_path.unlink()
+        with FeatureStoreWriter(store_path, kind, dim) as writer:
+            for seq in sequences:
+                writer.put(FeatureSequence(seq.video_id, kind, np.vstack([seq.frames] * 2),
+                                           seq.fps))
+            writer.seal().close()
+        trained, scored = [], []
+        real_train, real_score = cli.train, scoring.score_trials
+        monkeypatch.setattr(cli, "train", lambda *a, **k: trained.append(1) or real_train(*a, **k))
+        monkeypatch.setattr(scoring, "score_trials",
+                            lambda *a, **k: scored.append(1) or real_score(*a, **k))
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert (trained, scored) == ([1], [1])
+        # every artifact equals a first run on the rewritten store
+        assert main(["run", "--config", str(cfg), "--run-id", "first"]) == EXIT_OK
+        again = tree_bytes(tmp_path / "runs" / "testrun")
+        first = tree_bytes(tmp_path / "runs" / "first")
+        for p in first.keys() - {Path("config", "effective.json")}:
+            assert again[p] == first[p], p
+
     def test_report_error_fails_only_that_job(self, corpus_small, tmp_path, monkeypatch,
                                               capsys):
         cfg = write_config(tmp_path / "config.json", corpus_small,
@@ -628,6 +672,12 @@ class TestRun:
         ("config", "run_id", None, "run_id"),
         ("model", "store", 5, "store"),
         ("model", "adjacency", 7, "adjacency"),
+        ("hyper", "epochs", "1", "epochs"),
+        ("hyper", "epochs", 1.5, "epochs"),
+        ("hyper", "epochs", True, "epochs"),
+        ("embedder", "heads", "2", "heads"),
+        ("embedder", "heads", 3, "m"),  # does not divide attention_dim 8
+        ("graph-model", "adjacency", "missing.csv", "m"),
     ], ids=["unknown-hyper", "unknown-embedder", "unknown-graph", "unknown-model",
             "missing-experiment", "unknown-experiment", "unknown-model-name",
             "bad-mining", "bad-scenario", "bad-graph-layers", "two-graph-layers",
@@ -635,13 +685,17 @@ class TestRun:
             "unknown-fusion", "string-fusion-flag", "models-not-a-list", "string-seed",
             "eval-fraction-out-of-range", "bad-convention", "number-identities", "list-videos",
             "number-split", "null-output-root", "null-run-id", "number-store",
-            "number-adjacency"])
+            "number-adjacency", "string-epochs", "float-epochs", "bool-epochs", "string-heads",
+            "heads-not-dividing", "missing-adjacency-file"])
     def test_bad_config_keys_are_usage_errors(self, corpus_small, tmp_path, capsys,
                                               block, key, value, named):
         payload = json.loads(
             write_config(tmp_path / "c.json", corpus_small, experiments=[INTRA_GAGA]).read_text()
         )
         model, experiment = payload["models"][0], payload["experiments"][0]
+        if block == "graph-model":  # the model, given a graph encoder first
+            model["embedder"]["graph"] = {"layers": 1, "hidden_dim": 8}
+            block = "model"
         target = {"hyper": model["hyper"], "embedder": model["embedder"],
                   "model": model, "experiment": experiment, "config": payload,
                   "fusion": payload.setdefault("fusion", {})}[block]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avatarprint.embedder import EmbedderConfig, forward_batch
-from avatarprint.feature_store import normalize
+from avatarprint.feature_store import FeatureStore, normalize
 from avatarprint.scoring import gather_windows, window_starts
 from avatarprint.training import (
     Adam,
@@ -152,7 +152,7 @@ class TestCollectWindows:
     def test_frames_and_starts_reproduce_stacked_slices(self, tmp_path):
         store, catalog, dev, norm = self._setup(tmp_path)
         assert any(store.get(v).num_frames < 16 for v in store.ids())
-        frames, starts, labels, names = _collect_windows(store, catalog, dev, small_config(), norm)
+        frames, starts, labels, names, _ = _collect_windows(store, catalog, dev, 16)
         want, drivers = stacked_windows(store, catalog, dev, 16, norm)
         got = gather_windows(frames, starts, 16)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -161,7 +161,7 @@ class TestCollectWindows:
 
     def test_probe_indices_draw_the_old_probe(self, tmp_path):
         store, catalog, dev, norm = self._setup(tmp_path)
-        frames, starts, labels, _ = _collect_windows(store, catalog, dev, small_config(), norm)
+        frames, starts, labels, _, _ = _collect_windows(store, catalog, dev, 16)
         windows = gather_windows(frames, starts, 16)
         # the probe as drawn from materialized windows, same calls on the rng
         rng = np.random.default_rng(21)
@@ -181,6 +181,14 @@ class TestCollectWindows:
             gather_windows(frames, starts[triplets.ravel()], 16),
             np.concatenate([np.stack(w) for w in want]),
         )
+
+    def test_normalization_equals_the_streaming_fit(self, tmp_path):
+        store, catalog, dev, norm = self._setup(tmp_path)
+        assert any(store.get(v).num_frames < 16 for v in store.ids())  # they count in the fit
+        *_, fitted = _collect_windows(store, catalog, dev, 16)
+        np.testing.assert_array_equal(fitted.mean, norm.mean)
+        np.testing.assert_array_equal(fitted.std, norm.std)
+        assert (fitted.floored_dims, fitted.n_frames) == (norm.floored_dims, norm.n_frames)
 
 
 class TestProbeLoss:
@@ -243,6 +251,18 @@ class TestTrain:
         p1, _ = train(*args, small_config(seed=9), small_hyper(epochs=1))
         p2, _ = train(*args, small_config(seed=10), small_hyper(epochs=1))
         assert not np.array_equal(p1.flat, p2.flat)
+
+    def test_reads_each_development_video_once(self, corpus_small, monkeypatch):
+        dev = self._dev_ids(corpus_small)
+        reads = []
+        real_get = FeatureStore.get
+        monkeypatch.setattr(FeatureStore, "get",
+                            lambda store, vid: reads.append(vid) or real_get(store, vid))
+        train(corpus_small.store, corpus_small.catalog, dev, small_config(),
+              small_hyper(epochs=1))
+        dev_videos = [v.video_id for v in corpus_small.catalog.videos()
+                      if v.driver in dev and v.target in dev]
+        assert sorted(reads) == sorted(dev_videos)
 
     def test_normalization_fitted_when_missing(self, corpus_small):
         params, _ = train(

@@ -5,9 +5,13 @@ list generation, training, scoring, evaluation, fairness breakdowns, and a
 config-driven end-to-end experiment runner. Every command is deterministic
 given its config and seed. The runner trains one checkpoint per (model,
 training condition), then runs each job as one task that scores, evaluates
-and reports it, so a failing job fails alone. It reuses or makes every
-artifact by one rule, ``_reuse_or_make``, so an interrupted run resumes
-without recomputing finished work.
+and reports it, so a failing job fails alone. It reuses only what is
+expensive to make, checkpoints and score tables, by one rule,
+``_reuse_or_make``, so an interrupted run resumes without retraining or
+rescoring finished work. Everything else is derived again on each
+invocation: the trial list (its file is rewritten only when its inputs
+change, and never read back) and every report. Files of checkpoints and
+score tables the config no longer names are deleted.
 
 Exit codes: 0 success, 1 validation or job failure, 2 usage/configuration or
 I/O error.
@@ -259,13 +263,17 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _marker(path: Path) -> Path:
+    return path.with_name(path.name + ".done")
+
+
 def _reuse_or_make(path: Path, inputs: object, make: Callable[[Path], T],
                    load: Callable[[Path], T]) -> T:
     """``load(path)`` when ``path`` exists and its ``.done`` marker holds the
     digest of ``inputs`` (JSON); otherwise ``make(path)``, which writes the
     artifact, and then the marker. A marker of other inputs, or one that
     holds none (older runs wrote ``done``), is stale."""
-    done = path.with_name(path.name + ".done")
+    done = _marker(path)
     digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode("utf-8")).hexdigest()
     try:
         marked = json.loads(done.read_text(encoding="utf-8"))
@@ -330,14 +338,15 @@ def _open_models(stack: ExitStack, specs: Iterable[ModelSpec], seed: int) -> dic
             stores[spec.store] = stack.enter_context(_build(FeatureStore, where, spec.store))
         store = stores[spec.store]
         opts = dict(spec.embedder)
-        graph_cfg = graph = None
-        if graph_opts := opts.pop("graph", None):
-            graph_cfg = _build(GraphEncoderConfig, where, **graph_opts)
-            if spec.adjacency is None:
-                raise ConfigError(f"{where}: graph encoder needs an adjacency file")
-            graph = _build(load_adjacency, where, spec.adjacency, store.dimension // 2)
+        graph_opts = opts.pop("graph", None)
+        graph_cfg = _build(GraphEncoderConfig, where, **graph_opts) if graph_opts else None
         config = _build(EmbedderConfig, where, input_dim=store.dimension, **opts,
                         graph=graph_cfg, seed=seed)
+        graph = None
+        if graph_cfg is not None:
+            if spec.adjacency is None:
+                raise ConfigError(f"{where}: graph encoder needs an adjacency file")
+            graph = _build(load_adjacency, where, spec.adjacency, config.input_dim // 2)
         models[spec.name] = Model(store, config, graph, spec.hyper)
     return models
 
@@ -609,30 +618,38 @@ def cmd_run(args: argparse.Namespace) -> int:
         for name in _job_models(job, config)
     }
     ordered_keys = sorted(train_tasks)
+    score_paths = {job.job_id: run_dir / "scores" / f"{_sanitize(job.job_id)}.csv" for job in jobs}
     with ExitStack() as stack:
         models = _open_models(stack, [specs[name] for name in sorted({k[0] for k in train_tasks})],
                               config.seed)
-        if args.fresh:  # the inputs are good: drop every output of earlier invocations
-            for sub in ("trials", "models", "scores", "reports"):
-                if (run_dir / sub).is_dir():
-                    shutil.rmtree(run_dir / sub)
+        # the inputs are good: reports are always rebuilt whole, and --fresh
+        # drops every other output of earlier invocations too
+        for sub in ("trials", "models", "scores", "reports") if args.fresh else ("reports",):
+            if (run_dir / sub).is_dir():
+                shutil.rmtree(run_dir / sub)
+        # a file under models/ or scores/ that a first run of this config
+        # would not write is left from an earlier config
+        keep = {q for p in train_tasks.values() for q in (
+            p, _marker(p), p.with_suffix(".log.json"), p.with_suffix(".diverged.avck"))}
+        keep.update(q for p in score_paths.values() for q in (p, _marker(p)))
+        for sub in ("models", "scores"):
+            for orphan in (run_dir / sub).glob("*"):
+                if orphan.is_file() and orphan not in keep:
+                    orphan.unlink()
 
         write_json(run_dir / "config" / "effective.json", config.effective())
         proto.save_split(split, run_dir / "split" / "split.json")
 
-        def make_trials(path: Path) -> proto.TrialSet:
-            trials = proto.generate_trials(catalog, split, config.convention)
-            proto.save_trials(trials, path)
-            return trials
-
-        trials_path = run_dir / "trials" / "trials.csv"
-        inputs = {
+        # the trial list is derived on every invocation and never read back;
+        # its file is rewritten only when its inputs change
+        trials = proto.generate_trials(catalog, split, config.convention)
+        trial_inputs = {
             "convention": config.convention,
             "split": [sorted(split.development), sorted(split.evaluation)],
             "manifest": [_file_sha256(config.identities), _file_sha256(config.videos)],
         }
-        trials = _reuse_or_make(trials_path, inputs, make_trials, proto.load_trials)
-        trials_sha256 = _file_sha256(trials_path)
+        _reuse_or_make(run_dir / "trials" / "trials.csv", trial_inputs,
+                       lambda path: proto.save_trials(trials, path), lambda path: None)
         print(f"{len(trials):,d} trials")
 
         # one checkpoint per (model, training condition)
@@ -674,11 +691,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         def run_job(job: proto.Job) -> tuple[str | None, list[ev.EvalReport]]:
             stem = _sanitize(job.job_id)
-            # an earlier invocation's reports of this job go first, so a job
-            # that fails below leaves none beside a report.csv that omits it
-            for old in [reports_dir / f"fairness_{stem}.csv",
-                        *reports_dir.glob(f"roc_{stem}_*.csv")]:
-                old.unlink(missing_ok=True)
             checkpoints = {}
             for name in _job_models(job, config):
                 key = (name, job.train_dataset, job.train_generator)
@@ -689,11 +701,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                 inputs = {
                     "checkpoints": {m: _file_sha256(ckpt) for m, ckpt in checkpoints.items()},
                     "stores": {m: _store_header(models[m].store) for m in checkpoints},
-                    "trials": trials_sha256,
+                    "trials": trial_inputs,
                     "fusion": [config.fusion_enabled, config.fusion_zscore],
                 }
                 table = _reuse_or_make(
-                    run_dir / "scores" / f"{stem}.csv",
+                    score_paths[job.job_id],
                     inputs,
                     lambda path: _score_job(config, checkpoints, models,
                                             trials.select(job.eval_dataset, job.eval_generator),
@@ -731,13 +743,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                 continue
             write_text(reports_dir / f"delta_{_sanitize(ref)}.txt", ev.render_delta_text(table))
 
-    summary = reports_dir / "failures.txt"
     if failures:
-        write_text(summary, "\n".join(failures) + "\n")
+        write_text(reports_dir / "failures.txt", "\n".join(failures) + "\n")
         for failure in failures:
             print(f"FAILED: {failure}", file=sys.stderr)
         return EXIT_FAIL
-    summary.unlink(missing_ok=True)  # left by an earlier, failed invocation
     print(f"reports in {reports_dir}")
     return EXIT_OK
 

@@ -171,6 +171,9 @@ class EmbedderConfig:
     def __post_init__(self) -> None:
         if self.input_dim < 1:
             raise EmbedderError("input_dim must be >= 1")
+        if self.graph is not None and self.input_dim % 2:
+            raise EmbedderError(f"input_dim {self.input_dim} is odd, but a graph model reads "
+                                f"each frame as (x, y) points")
         if self.heads < 1 or self.attention_dim % self.heads != 0:
             raise EmbedderError(
                 f"heads ({self.heads}) must divide attention_dim ({self.attention_dim})"

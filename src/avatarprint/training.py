@@ -309,16 +309,19 @@ def train(
     sample_seq, probe_seq = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(sample_seq)
     triplets = _make_probe(labels, hyper.batch, np.random.default_rng(probe_seq))
-    probe = gather_windows(frames, starts[triplets.ravel()], window_len)
+    probe_starts = starts[triplets.ravel()]
 
     params = init_params(config, normalization, graph)
     adam = Adam(params.size, hyper.lr)
+
+    def probe() -> float:  # the windows are gathered per probe, not held between epochs
+        return probe_loss(params, gather_windows(frames, probe_starts, window_len), hyper.margin)
 
     log = TrainingLog(
         steps_per_epoch=steps_per_epoch,
         num_windows=int(starts.size),
         num_identities=len(names),
-        initial_probe_loss=probe_loss(params, probe, hyper.margin),
+        initial_probe_loss=probe(),
     )
     last_good = params.copy()
 
@@ -360,7 +363,7 @@ def train(
                 epoch=epoch,
                 mean_loss=float(np.mean(losses)),
                 active_fraction=float(np.mean(actives)),
-                probe_loss=probe_loss(params, probe, hyper.margin),
+                probe_loss=probe(),
             )
         )
         last_good = params.copy()

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avatarprint import cli, evaluation, scoring
+from avatarprint import cli, evaluation, protocol, scoring
 from avatarprint.catalog import save_manifest
 from avatarprint.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from avatarprint.feature_store import FeatureSequence, FeatureStore, FeatureStoreWriter
@@ -557,6 +557,72 @@ class TestRun:
         for p in clean.keys() - {Path("config", "effective.json")}:
             assert left[p] == clean[p], p
 
+    def test_rerun_removes_outputs_of_dropped_jobs(self, corpus_small, tmp_path):
+        # the --fresh case above, without --fresh: a training condition and two jobs go
+        cfg = write_config(tmp_path / "config.json", corpus_small,
+                           experiments=[INTRA_GAGA, CROSS_TO_LIVE, INTRA_LIVE])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        run_dir = tmp_path / "runs" / "testrun"
+        assert (run_dir / "models" / "m_CREMA-D_LIVE.log.json").is_file()
+        assert len([p for p in (run_dir / "scores").iterdir() if "LIVE" in p.name]) == 4
+        write_config(cfg, corpus_small, experiments=[INTRA_GAGA])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert not [p for p in run_dir.rglob("*") if "LIVE" in p.name]
+        assert main(["run", "--config", str(cfg), "--run-id", "clean"]) == EXIT_OK
+        left, clean = tree_bytes(run_dir), tree_bytes(tmp_path / "runs" / "clean")
+        assert left.keys() == clean.keys()
+        for p in clean.keys() - {Path("config", "effective.json")}:
+            assert left[p] == clean[p], p
+
+    def test_rerun_where_every_job_fails_leaves_only_its_failures(self, corpus_small, tmp_path,
+                                                                  capsys):
+        cfg = write_config(tmp_path / "config.json", corpus_small,
+                           experiments=[INTRA_GAGA, CROSS_TO_LIVE])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        payload = json.loads(cfg.read_text())
+        payload["models"][0]["hyper"]["lr"] = 1e300  # training diverges
+        cfg.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg)]) == EXIT_FAIL
+        assert "0/2 jobs scored" in capsys.readouterr().out
+        reports = tmp_path / "runs" / "testrun" / "reports"
+        assert [p.name for p in reports.iterdir()] == ["failures.txt"]
+
+    def test_rerun_whose_reference_job_fails_leaves_no_delta_for_it(self, corpus_small,
+                                                                     tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "config.json", corpus_small,
+                           experiments=[INTRA_GAGA, CROSS_TO_LIVE])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        reports = tmp_path / "runs" / "testrun" / "reports"
+        assert [p.name for p in reports.glob("delta_*.txt")] == [
+            "delta_CREMA-D-GAGA--CREMA-D-GAGA.txt"]
+        real_fairness = evaluation.fairness_report
+
+        def failing_fairness(rows, catalog, *args):
+            if catalog.video(rows[0].enroll_video).generator.value == "GAGA":
+                raise evaluation.EvaluationError("injected report failure")
+            return real_fairness(rows, catalog, *args)
+
+        monkeypatch.setattr(evaluation, "fairness_report", failing_fairness)
+        assert main(["run", "--config", str(cfg)]) == EXIT_FAIL
+        assert not list(reports.glob("delta_*.txt"))
+        conditions = {row.split(",")[0] for row in
+                      (reports / "report.csv").read_text().splitlines()[1:]}
+        assert conditions == {"CREMA-D/GAGA->CREMA-D/LIVE"}
+
+    def test_resume_derives_the_trial_list_without_reading_it(self, corpus_small, tmp_path,
+                                                              monkeypatch):
+        cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        run_dir = tmp_path / "runs" / "testrun"
+        before = tree_bytes(run_dir)
+
+        def no_load(path):
+            raise AssertionError(f"load_trials({path})")
+
+        monkeypatch.setattr(protocol, "load_trials", no_load)
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert tree_bytes(run_dir) == before
+
     def test_fresh_with_bad_inputs_keeps_the_outputs(self, corpus_small, tmp_path):
         cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA])
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
@@ -678,6 +744,7 @@ class TestRun:
         ("embedder", "heads", "2", "heads"),
         ("embedder", "heads", 3, "m"),  # does not divide attention_dim 8
         ("graph-model", "adjacency", "missing.csv", "m"),
+        ("graph-model", "store", "odd.avfs", "m"),  # 13 values a frame: not (x, y) points
     ], ids=["unknown-hyper", "unknown-embedder", "unknown-graph", "unknown-model",
             "missing-experiment", "unknown-experiment", "unknown-model-name",
             "bad-mining", "bad-scenario", "bad-graph-layers", "two-graph-layers",
@@ -686,7 +753,7 @@ class TestRun:
             "eval-fraction-out-of-range", "bad-convention", "number-identities", "list-videos",
             "number-split", "null-output-root", "null-run-id", "number-store",
             "number-adjacency", "string-epochs", "float-epochs", "bool-epochs", "string-heads",
-            "heads-not-dividing", "missing-adjacency-file"])
+            "heads-not-dividing", "missing-adjacency-file", "odd-graph-store"])
     def test_bad_config_keys_are_usage_errors(self, corpus_small, tmp_path, capsys,
                                               block, key, value, named):
         payload = json.loads(
@@ -695,6 +762,14 @@ class TestRun:
         model, experiment = payload["models"][0], payload["experiments"][0]
         if block == "graph-model":  # the model, given a graph encoder first
             model["embedder"]["graph"] = {"layers": 1, "hidden_dim": 8}
+            model["adjacency"] = "chain.csv"
+            (tmp_path / "chain.csv").write_text("".join(f"{i},{i + 1}\n" for i in range(5)))
+            with FeatureStore(corpus_small.store_path) as even, FeatureStoreWriter(
+                    tmp_path / "odd.avfs", even.kind, even.dimension + 1) as writer:
+                for seq in map(even.get, even.ids()):
+                    writer.put(FeatureSequence(seq.video_id, seq.kind,
+                                               np.pad(seq.frames, ((0, 0), (0, 1))), seq.fps))
+                writer.seal().close()
             block = "model"
         target = {"hyper": model["hyper"], "embedder": model["embedder"],
                   "model": model, "experiment": experiment, "config": payload,

@@ -430,16 +430,17 @@ class TestCheckpoint:
         w = np.random.default_rng(0).normal(size=(3, 8, 6))
         np.testing.assert_array_equal(forward_batch(back, w)[0], forward_batch(params, w)[0])
 
-    @pytest.mark.parametrize("edit", [
-        None,
-        lambda h: [h],
-        lambda h: {k: v for k, v in h.items() if k != "param_count"},
-        lambda h: {**h, "config": {**h["config"], "heads": 3}},
-        lambda h: {**h, "config": {**h["config"], "graph": {"layers": 2, "hidden_dim": 5}}},
-        lambda h: {**h, "graph": None},
+    @pytest.mark.parametrize("edit, named", [
+        (None, ""),
+        (lambda h: [h], ""),
+        (lambda h: {k: v for k, v in h.items() if k != "param_count"}, ""),
+        (lambda h: {**h, "config": {**h["config"], "heads": 3}}, ""),
+        (lambda h: {**h, "config": {**h["config"], "graph": {"layers": 2, "hidden_dim": 5}}}, ""),
+        (lambda h: {**h, "graph": None}, ""),
+        (lambda h: {**h, "config": {**h["config"], "input_dim": 7}}, "input_dim 7 is odd"),
     ], ids=["junk", "list-header", "no-param-count", "rejected-config", "two-layer-graph",
-            "no-topology"])
-    def test_bad_file_rejected(self, tmp_path, edit):
+            "no-topology", "odd-graph-input-dim"])
+    def test_bad_file_rejected(self, tmp_path, edit, named):
         # every refusal is an EmbedderError that names the file
         p = tmp_path / "bad.avck"
         if edit is None:
@@ -448,8 +449,9 @@ class TestCheckpoint:
             cfg, graph = graph_setup(seed=4)
             save_checkpoint(init_params(cfg, graph=graph), p)
             rewrite_header(p, edit)
-        with pytest.raises(EmbedderError, match=re.escape(str(p))):
+        with pytest.raises(EmbedderError, match=re.escape(str(p))) as exc:
             load_checkpoint(p)
+        assert named in str(exc.value)
 
     @pytest.mark.parametrize("keep", [6, 40], ids=["length-field", "mid-header"])
     def test_truncated_file_rejected(self, tmp_path, keep):

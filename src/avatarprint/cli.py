@@ -186,7 +186,7 @@ class RunConfig:
             hyper = _check_fields(m.get("hyper", {}), f"{where}.hyper", TrainHyper)
             models.append(
                 ModelSpec(
-                    name=m["name"],
+                    name=_checked(m, where, "name", None, is_str, "a string"),
                     store=resolve(_checked(m, where, "store", None, is_str, "a string")),
                     embedder=dict(embedder),
                     hyper=_build(TrainHyper, f"{where}.hyper", **hyper),
@@ -195,8 +195,15 @@ class RunConfig:
                 )
             )
         names = [m.name for m in models]
-        if len(set(names)) != len(names):
-            raise ConfigError("model names must be unique")
+        # a model's name, sanitized, names its files; the fused scores are a model too
+        stems = [_sanitize(name) for name in names]
+        for i, stem in enumerate(stems):
+            if stem == sc.FUSION_MODEL:
+                raise ConfigError(f"model name {names[i]!r} names the fused scores")
+            if stem in stems[:i]:
+                first = names[stems.index(stem)]
+                raise ConfigError(f"model names must be unique as file names: {first!r} and "
+                                  f"{names[i]!r} are both {stem!r}")
         experiments = []
         for i, e in enumerate(_checked(raw, "config", "experiments", [], is_list, "a list")):
             where = f"experiments[{i}]"
@@ -675,6 +682,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     lambda path: _train_one(models[name], catalog, split, ds, gen, path),
                     lambda path: None,
                 )
+                # the checkpoint is current: one that diverged before is stale
+                out_path.with_suffix(".diverged.avck").unlink(missing_ok=True)
                 return None
             except TrainingDiverged as exc:
                 save_checkpoint(exc.params, out_path.with_suffix(".diverged.avck"))

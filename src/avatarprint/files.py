@@ -4,23 +4,25 @@ process that dies part way leaves the previous file or none there, never a
 partial one. Nothing is fsynced: this covers a process that dies, not a
 power loss.
 
-CSV files are read two ways. ``read_csv`` gives the rows of any file the
-csv module parses. ``canonical_columns`` reads only the canonical form the
-trial and score writers produce (no quoting, ``\n`` line ends) and gives a
-bounded chunk of lines at a time as columns of strings, with no per-row
-Python; on any other file it raises ``NotCanonical``, and the caller reads
-the file again through ``read_csv``, whose row loop reports the errors.
+CSV files are read as the csv module splits them. ``read_csv`` gives the
+rows of a file. ``csv_columns`` gives a bounded chunk of rows at a time as
+columns of strings: it splits the canonical form the trial and score
+writers produce (no quoting, ``\n`` line ends) at its commas, with no
+per-row Python, and reads the rest of any other file through ``read_csv``.
+A reader checks a chunk's columns at once through ``checked``, which finds
+the first row its check rejects and raises ``BadRow`` for it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import secrets
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 
 class AtomicFile:
@@ -105,49 +107,98 @@ def _undecodable_line(path: str | Path) -> int:
     raise AssertionError(f"{path} decodes as UTF-8")
 
 
-CHUNK_CHARS = 1 << 16  # read at a time by canonical_columns; more raises the peak
+CHUNK_CHARS = 1 << 16  # read at a time by csv_columns; more raises the peak
 
 
-class NotCanonical(Exception):
-    """A file is not in the form ``canonical_columns`` reads, or a chunk's
-    columns fail the caller's checks: read it through ``read_csv`` instead."""
+class BadRow(Exception):
+    """Row ``row`` of a CSV file (1-based, after the header) is rejected for
+    ``reason``; ``fields`` are its fields, None for a row past the last."""
+
+    def __init__(self, row: int, fields: list[str] | None, reason: str):
+        super().__init__(row, fields, reason)
+        self.row, self.fields, self.reason = row, fields, reason
 
 
-def canonical_columns(path: str | Path, header: Sequence[str]) -> Iterator[list[list[str]]]:
-    """The fields of a canonical CSV file after its header, one list per
-    column, for a chunk of whole lines at a time (about ``CHUNK_CHARS``
-    characters, or one line if longer).
+def csv_columns(path: str | Path, header: Sequence[str], error: type[Exception]
+                ) -> Iterator[list[list[str]]]:
+    """The fields of a UTF-8 CSV file after its header, as the csv module
+    splits them, one list per column, for a chunk of about ``CHUNK_CHARS``
+    characters of whole rows at a time (or one row if longer). A header
+    other than ``header``, or bytes that are not UTF-8, raise ``error`` as
+    ``read_csv`` does; a row of other than ``len(header)`` fields raises
+    ``BadRow`` once the rows before it have been given.
 
-    Canonical: UTF-8, the header line exactly ``header`` joined by commas,
-    every line ``len(header)`` fields and ending in ``\n``, and no ``"`` or
-    ``\r`` anywhere, so that a line's fields are its text split at commas,
-    as the csv module reads them. Any other file raises ``NotCanonical``
-    when the chunk that shows it is read."""
+    While the file is canonical (the header line exactly ``header`` joined
+    by commas, every line ``len(header)`` fields and ending in ``\n``, and
+    no ``"`` or ``\r`` anywhere) a chunk's lines are split at their commas.
+    From the first chunk that is not, the rest of the file is read through
+    ``read_csv``."""
     width = len(header) + 1  # each line's fields and its newline
+    given = 0  # rows given so far
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            if fh.readline() != ",".join(header) + "\n":
-                raise NotCanonical
-            carry = ""  # the part of a line read so far
-            while block := fh.read(CHUNK_CHARS):
-                cut = block.rfind("\n") + 1
-                if not cut:
-                    carry += block
-                    continue
-                chunk, carry = carry + block[:cut], block[cut:]
-                if '"' in chunk or "\r" in chunk:
-                    raise NotCanonical
-                lines = chunk.count("\n")
-                # each newline becomes a field of its own, at the end of its line
-                fields = chunk.replace("\n", ",\n,").split(",")
-                fields.pop()  # the empty field after the last newline
-                if len(fields) != width * lines or fields[width - 1::width].count("\n") != lines:
-                    raise NotCanonical
-                yield [fields[j::width] for j in range(width - 1)]
-            if carry:  # the last line has no newline
-                raise NotCanonical
+            if fh.readline() == ",".join(header) + "\n":
+                carry = ""  # the part of a line read so far
+                while block := fh.read(CHUNK_CHARS):
+                    cut = block.rfind("\n") + 1
+                    if not cut:
+                        carry += block
+                        continue
+                    chunk, carry = carry + block[:cut], block[cut:]
+                    if '"' in chunk or "\r" in chunk:
+                        break
+                    lines = chunk.count("\n")
+                    # each newline becomes a field of its own, at the end of its line
+                    fields = chunk.replace("\n", ",\n,").split(",")
+                    fields.pop()  # the empty field after the last newline
+                    if (len(fields) != width * lines
+                            or fields[width - 1::width].count("\n") != lines):
+                        break
+                    yield [fields[j::width] for j in range(width - 1)]
+                    given += lines
+                else:  # every chunk was canonical
+                    if not carry:  # else the last line has no newline
+                        return
     except UnicodeDecodeError:
-        raise NotCanonical from None
+        pass
+    rows: list[list[str]] = []
+    chars = 0
+    for row, fields in enumerate(itertools.islice(read_csv(path, header, error), given, None),
+                                 given + 1):
+        if len(fields) != len(header):
+            if rows:
+                yield [list(column) for column in zip(*rows)]
+            raise BadRow(row, fields, f"{len(fields)} fields, not {len(header)}")
+        rows.append(fields)
+        chars += len(fields) + sum(map(len, fields))
+        if chars >= CHUNK_CHARS:
+            yield [list(column) for column in zip(*rows)]
+            rows, chars = [], 0
+    if rows:
+        yield [list(column) for column in zip(*rows)]
+
+
+def checked(check: Callable[[list[list[str]]], tuple], columns: list[list[str]],
+            first_row: int) -> tuple:
+    """``check(columns)``, for columns that hold the rows of a CSV file from
+    row ``first_row`` on. If the check raises ``ValueError``, it is run on
+    prefixes of the columns, halving the range each time, to find the first
+    row it rejects, and ``BadRow`` is raised for that row with the check's
+    message as the reason. ``check`` must accept every prefix of columns it
+    accepts."""
+    try:
+        return check(columns)
+    except ValueError as exc:
+        reason = str(exc)
+    good, bad = 0, len(columns[0])  # a prefix of ``good`` rows passes, of ``bad`` fails
+    while bad - good > 1:
+        middle = (good + bad) // 2
+        try:
+            check([column[:middle] for column in columns])
+            good = middle
+        except ValueError as exc:
+            bad, reason = middle, str(exc)
+    raise BadRow(first_row + good, [column[good] for column in columns], reason)
 
 
 def csv_fields(values: Iterable[str]) -> list[str]:

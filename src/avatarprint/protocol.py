@@ -11,10 +11,9 @@ A list of trials is a ``TrialSet``: NumPy columns of trial numbers (the id
 enroll and test video codes into a sorted video-id vocabulary, and labels.
 Generation builds each (dataset, generator, target) block as whole arrays,
 a job's trials are a condition mask, and only the CSV writer touches one
-trial at a time. ``load_trials`` reads a canonical file (as ``save_trials``
-writes it) a chunk of columns at a time; any other file falls back to the
-csv module and ``TrialSet.from_rows``, the one place a malformed row is
-reported.
+trial at a time. ``load_trials`` reads a file a chunk of columns at a time
+and checks each chunk at once; a chunk that fails its check is searched for
+the first malformed row, which is reported.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .catalog import (
     Catalog,
     Dataset,
 )
-from .files import AtomicFile, NotCanonical, canonical_columns, csv_fields, read_csv, write_json
+from .files import AtomicFile, BadRow, checked, csv_columns, csv_fields, write_json
 
 
 class ProtocolError(ValueError):
@@ -240,31 +239,25 @@ def trial_ids(numbers: Iterable[int]) -> list[str]:
     return [f"t{n:08d}" for n in numbers]
 
 
-def trial_number(trial_id: str) -> int:
-    """The number in a trial id of "t" and 8 ASCII digits; any other string
-    is a ValueError."""
-    digits = trial_id[1:]
-    if trial_id[:1] != "t" or len(digits) != 8 or not (digits.isascii() and digits.isdigit()):
-        raise ValueError(trial_id)
-    return int(digits)
-
-
 _POWERS = 10 ** np.arange(7, -1, -1, dtype=np.intc)
 
 
 def trial_numbers(ids: list[str]) -> np.ndarray:
-    """``trial_number`` of each id, as C ints (``array("i")`` items); an id
-    it rejects raises ``NotCanonical``."""
-    # A comma ends each id and no id holds one (fields are split at commas).
-    # In 10-byte rows whose first 9 bytes are "t" and digits, the commas
-    # can only be the 10th bytes, so every id is 9 bytes.
+    """The number in each trial id, as C ints (``array("i")`` items); an id
+    other than "t" and 8 ASCII digits raises ``ValueError``."""
+    # The ids are joined with a comma after each, in 10-byte rows. Where the
+    # first 9 bytes of every row are "t" and digits, no comma can be among
+    # them (a comma is below "0"), so the commas are the 10th bytes: one per
+    # row, as many as there are ids. The comma after each id is one of them,
+    # so no id holds a comma, and every id is 9 bytes.
     raw = np.frombuffer(",".join([*ids, ""]).encode(), dtype=np.uint8)
+    reason = "the trial id is not t and 8 ASCII digits"
     if raw.size != 10 * len(ids):
-        raise NotCanonical
+        raise ValueError(reason)
     raw = raw.reshape(-1, 10)
     digits = raw[:, 1:9] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
     if not ((raw[:, 0] == ord("t")).all() and (digits <= 9).all()):
-        raise NotCanonical
+        raise ValueError(reason)
     return digits.astype(np.intc) @ _POWERS
 
 
@@ -273,9 +266,9 @@ _LABEL_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 def label_values(labels: list[str]) -> bytes:
     """The labels "0" and "1" as bytes 0 and 1; any other raises
-    ``NotCanonical``."""
+    ``ValueError``."""
     if labels.count("0") + labels.count("1") != len(labels):
-        raise NotCanonical
+        raise ValueError("the label is not 0 or 1")
     return "".join(labels).encode().translate(_LABEL_BYTES)
 
 
@@ -348,37 +341,6 @@ class TrialSet(Sequence[Trial]):
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return self.number, self.condition, self.enroll, self.test, self.label
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[str]], source: str = "trials") -> "TrialSet":
-        """The trials of (trial_id, dataset, generator, enroll_video,
-        test_video, label) string rows, in row order. A row that is not six
-        fields, with a trial id of "t" and eight ASCII digits and a label of
-        0 or 1, is a ``ProtocolError`` naming ``source`` and the row."""
-        number, condition, label = array("i"), array("b"), array("b")
-        enroll, test = array("i"), array("i")
-        videos: dict[str, int] = {}
-        conditions: dict[tuple[str, str], int] = {}
-        video_code, condition_code = videos.setdefault, conditions.setdefault
-        labels = {"0": 0, "1": 1}
-        row = None
-        try:
-            for row in rows:
-                trial_id, dataset, generator, enroll_video, test_video, row_label = row
-                number.append(trial_number(trial_id))
-                condition.append(condition_code((dataset, generator), len(conditions)))
-                enroll.append(video_code(enroll_video, len(videos)))
-                test.append(video_code(test_video, len(videos)))
-                label.append(labels[row_label])
-        except ProtocolError:  # raised by ``rows`` itself, such as a bad header
-            raise
-        except (ValueError, KeyError, OverflowError):
-            raise ProtocolError(
-                f"{source}: row {len(label) + 1} is not a trial (id t and 8 digits, dataset, "
-                f"generator, enroll video, test video, label 0 or 1): {row!r}"
-            ) from None
-        # the codes number the strings in order of first appearance
-        return cls(list(videos), list(conditions), number, condition, enroll, test, label)
 
     def __len__(self) -> int:
         return len(self.number)
@@ -522,39 +484,43 @@ def save_trials(trials: TrialSet, path: str | Path) -> None:
 
 
 def load_trials(path: str | Path) -> TrialSet:
-    """The trials of a file written by ``save_trials``, in file order; a
-    malformed row is a ``ProtocolError`` naming the file and the row.
-
-    A canonical file is read a chunk of columns at a time. Any other one
-    (quoted fields, ``\r``, a line of the wrong width, a final line with no
-    newline, a bad trial id or label, bytes that are not UTF-8) is read
-    again from the start through ``read_csv`` and ``TrialSet.from_rows``."""
-    try:
-        return _load_canonical_trials(path)
-    except NotCanonical:
-        pass  # out of the handler, so the partial columns are freed first
-    return TrialSet.from_rows(read_csv(path, TRIAL_HEADER, ProtocolError), source=str(path))
-
-
-def _load_canonical_trials(path: str | Path) -> TrialSet:
+    """The trials of a file written by ``save_trials``, in file order. A row
+    that is not six fields, with a trial id of "t" and eight ASCII digits
+    and a label of 0 or 1, or that brings the (dataset, generator) pairs
+    past 128, is a ``ProtocolError`` naming the file, the row and why."""
     number, condition, label = array("i"), array("b"), array("b")
     enroll, test = array("i"), array("i")
     videos = FirstSeen()
     conditions: dict[tuple[str, str], int] = {}
-    for ids, datasets, generators, enrolls, tests, labels in canonical_columns(path, TRIAL_HEADER):
-        number.frombytes(trial_numbers(ids).tobytes())
+
+    def check(columns: list[list[str]]) -> tuple:
+        """The chunk's trial numbers, labels and condition codes, and the
+        conditions with the chunk's added."""
+        ids, datasets, generators, _, _, labels = columns
+        seen = dict(conditions)
         if datasets.count(datasets[0]) == generators.count(generators[0]) == len(ids):
-            pair = (datasets[0], generators[0])
-            codes = [conditions.setdefault(pair, len(conditions))] * len(ids)
+            codes = [seen.setdefault((datasets[0], generators[0]), len(seen))] * len(ids)
         else:
-            codes = [conditions.setdefault(pair, len(conditions))
-                     for pair in zip(datasets, generators)]
-        if len(conditions) > 128:  # more than an int8 code; from_rows says where
-            raise NotCanonical
-        condition.extend(codes)
-        videos.extend(enroll, enrolls)
-        videos.extend(test, tests)
-        label.frombytes(label_values(labels))
+            codes = [seen.setdefault(pair, len(seen)) for pair in zip(datasets, generators)]
+        if len(seen) > 128:  # more than an int8 code
+            raise ValueError("more than 128 (dataset, generator) pairs")
+        return trial_numbers(ids), label_values(labels), codes, seen
+
+    row = 1  # the chunk's first
+    try:
+        for columns in csv_columns(path, TRIAL_HEADER, ProtocolError):
+            numbers, labels, codes, conditions = checked(check, columns, row)
+            number.frombytes(numbers.tobytes())
+            label.frombytes(labels)
+            condition.extend(codes)
+            videos.extend(enroll, columns[3])
+            videos.extend(test, columns[4])
+            row += len(labels)
+    except BadRow as bad:
+        raise ProtocolError(
+            f"{path}: row {bad.row} is not a trial (id t and 8 digits, dataset, generator, "
+            f"enroll video, test video, label 0 or 1): {bad.reason}; {bad.fields!r}"
+        ) from None
     return TrialSet(videos.renumber(enroll, test), list(conditions),
                     number, condition, enroll, test, label)
 

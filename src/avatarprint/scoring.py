@@ -30,11 +30,10 @@ table.
 The result is a ``ScoreTable`` of columns: the scored trials' numbers,
 video codes and labels, and one (models, trials) score array, NaN where a
 trial is unscorable. Its CSV writer formats each distinct field once. Its
-reader parses a canonical file (as the writer leaves it) a chunk of whole
-trials at a time, straight into the columns, checking each column at once;
-any other file is read again through the csv module, row by row, which is
-where a malformed row is reported. ``ScoreTable.rows``, the ``ScoreRow``
-view evaluation reads, is built on first use.
+reader takes a chunk of rows at a time, straight into the columns, checking
+each column at once; a chunk that fails its check is searched for the first
+malformed row, which is reported. ``ScoreTable.rows``, the ``ScoreRow`` view
+evaluation reads, is built on first use.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import numpy as np
 
 from .embedder import EmbedderParams, NonFiniteError, attend, encode_frames
 from .feature_store import FeatureStore
-from .files import AtomicFile, NotCanonical, canonical_columns, csv_fields, read_csv
+from .files import AtomicFile, BadRow, checked, csv_columns, csv_fields
 from .protocol import (
     ROW_CHUNK,
     FirstSeen,
@@ -61,7 +60,6 @@ from .protocol import (
     label_values,
     named_codes,
     trial_ids,
-    trial_number,
     trial_numbers,
 )
 
@@ -378,81 +376,71 @@ def read_score_table(path: str | Path) -> ScoreTable:
     a trial id other than "t" and 8 ASCII digits, a label other than 0/1 or
     a score that is neither empty nor a finite plain number (ASCII, with no
     underscore or surrounding whitespace, not ``nan`` or ``inf``), is a
-    ``ScoringError`` naming the file and row.
-
-    A canonical file is read a chunk of whole trials at a time. Any other
-    one, or one that breaks the layout, is read again from the start row by
-    row through ``read_csv``, which gives the error.
+    ``ScoringError`` naming the file, the row and why.
     """
-    try:
-        return _read_canonical_table(path)
-    except NotCanonical:
-        pass  # out of the handler, so the partial columns are freed first
-    rows = read_csv(path, SCORE_HEADER, ScoringError)
-    first: list[list[str]] = []  # the first trial's rows
-    for row in rows:
-        if first and row[:1] != first[0][:1]:
-            rows = itertools.chain(first, [row], rows)
-            break
-        first.append(row)
-    else:
-        rows = iter(first)
-    models = [row[4] for row in first if len(row) == len(SCORE_HEADER)]
-    cycle = len(models)
-
     number, label, enroll, test = array("i"), array("b"), array("i"), array("i")
     scores = array("d")
-    empty = array("i")  # the rows whose score field is empty
-    videos: dict[str, int] = {}
-    video_code = videos.setdefault
-    labels = {"0": 0, "1": 1}
-    n, row, head = 0, None, None
+    videos = FirstSeen()
+    models: list[str] = []  # once the first trial has ended
+
+    def check(columns: list[list[str]]) -> tuple:
+        """The models, and the trial numbers, labels and scores of rows that
+        begin at a trial's first, the last trial perhaps cut short."""
+        ids, enrolls, tests, labels, row_models, values = columns
+        # until it is known to have ended, the first trial is every row of its id
+        names = models or row_models[:next(
+            (k for k, trial_id in enumerate(ids) if trial_id != ids[0]), len(ids))]
+        cycle = len(names)
+        if len(set(names)) < cycle:
+            raise ValueError("a model repeats within a trial")
+        for column in (ids, enrolls, tests, labels):  # one trial's rows agree
+            head = column[::cycle]
+            for k in range(1, cycle):
+                rest = column[k::cycle]
+                if rest != head[:len(rest)]:
+                    raise ValueError(f"each trial has {cycle} consecutive rows")
+        if row_models != (names * (len(ids) // cycle + 1))[:len(ids)]:
+            raise ValueError(f"each trial has the models {names}, in order")
+        return (names, trial_numbers(ids[::cycle]), label_values(labels[::cycle]),
+                _score_values(values))
+
+    def take(columns: list[list[str]], whole: int, numbers, trial_labels, values) -> None:
+        """Append the first ``whole`` rows of checked columns: whole trials."""
+        cycle = len(models)
+        number.frombytes(numbers[:whole // cycle].tobytes())
+        label.frombytes(trial_labels[:whole // cycle])
+        videos.extend(enroll, columns[1][0:whole:cycle])
+        videos.extend(test, columns[2][0:whole:cycle])
+        scores.frombytes(values[:whole].tobytes())
+
+    held: list[list[str]] = [[] for _ in SCORE_HEADER]  # the rows after the last whole trial
+    row = 1  # the first held row's
     try:
-        for n, model in enumerate(models):
-            if model in models[:n]:
-                row = first[n]
-                raise ValueError("a model repeats within a trial")
-        for n, row in enumerate(rows):
-            trial_id, enroll_video, test_video, row_label, model, score = row
-            k = n % cycle
-            if k == 0:
-                number.append(trial_number(trial_id))
-                label.append(labels[row_label])
-                enroll.append(video_code(enroll_video, len(videos)))
-                test.append(video_code(test_video, len(videos)))
-                head = row[:4]
-            elif row[:4] != head:
-                raise ValueError(f"each trial has {cycle} consecutive rows")
-            if model != models[k]:
-                raise ValueError(f"model {models[k]!r} expected, as in the first trial")
-            # forms float() takes that the writer never writes; the rest of
-            # them (nan, inf) parse to a value the finiteness check rejects
-            if "_" in score or not score.isascii() or score.strip() != score:
-                raise ValueError(f"score {score!r} is not a plain number")
-            if score:
-                scores.append(float(score))
+        for chunk in csv_columns(path, SCORE_HEADER, ScoringError):
+            columns = [a + b for a, b in zip(held, chunk)] if held[0] else chunk
+            names, *results = checked(check, columns, row)
+            if models or len(names) < len(columns[0]):  # the first trial has ended
+                models = names
+                whole = len(columns[0]) - len(columns[0]) % len(models)
+                take(columns, whole, *results)
+                held = [column[whole:] for column in columns]
+                row += whole
             else:
-                empty.append(len(scores))
-                scores.append(math.nan)
-        if cycle and len(scores) % cycle:
-            n, row = len(scores), None
-            raise ValueError(f"the last trial lacks model {models[len(scores) % cycle]!r}")
-        # an empty field is the one way to write NaN: any other non-finite
-        # value is text such as nan or inf, or a number that overflows
-        finite = np.isfinite(np.frombuffer(scores))
-        finite[np.frombuffer(empty, dtype=np.intc)] = True
-        if not finite.all():
-            n, row = int(np.argmin(finite)), None
-            raise ValueError(f"score {scores[n]} is not finite")
-    except ScoringError:  # raised by ``rows`` itself, such as bytes that are not UTF-8
-        raise
-    except (ValueError, KeyError, OverflowError) as exc:
+                held = columns
+        if held[0]:
+            if models:
+                raise BadRow(row + len(held[0]), None,
+                             f"the last trial lacks model {models[len(held[0])]!r}")
+            models = names  # the file is one trial
+            take(held, len(models), *results)
+    except BadRow as bad:
         raise ScoringError(
-            f"{path}: row {n + 1} is not in score table layout (trial id t and 8 digits, "
-            f"enroll video, test video, label 0 or 1, model, score or empty): {exc}; {row!r}"
+            f"{path}: row {bad.row} is not in score table layout (trial id t and 8 digits, "
+            f"enroll video, test video, label 0 or 1, model, score or empty): "
+            f"{bad.reason}; {bad.fields!r}"
         ) from None
-    return ScoreTable(list(videos), models, number, enroll, test, label,
-                      np.frombuffer(scores).reshape(len(number), cycle).T)
+    return ScoreTable(videos.renumber(enroll, test), models, number, enroll, test, label,
+                      np.frombuffer(scores).reshape(len(number), len(models)).T)
 
 
 # characters float() takes around or within a number but the writer never writes
@@ -462,65 +450,19 @@ _EMPTY_AS_NAN = {"": "nan"}
 
 def _score_values(scores: list[str]) -> np.ndarray:
     """The scores of a list of fields, NaN for an empty one; any field
-    ``read_score_table`` rejects raises ``NotCanonical``."""
+    ``read_score_table`` rejects raises ``ValueError``."""
     text = ",".join(scores)
     if not text.isascii() or any(c in text for c in _NOT_PLAIN):
-        raise NotCanonical
+        raise ValueError("the score is not a plain number")
     try:
         values = np.fromiter(map(float, map(_EMPTY_AS_NAN.get, scores, scores)),
                              dtype=np.float64, count=len(scores))
     except ValueError:
-        raise NotCanonical from None
+        raise ValueError("the score is not a plain number") from None
     # every value finite but for the empty fields: text such as nan or inf,
     # or a number that overflows, is not a score
     finite = np.isfinite(values)
     if not (finite.all()
             or np.array_equal(finite, np.fromiter(map(bool, scores), bool, len(scores)))):
-        raise NotCanonical
+        raise ValueError("the score is not finite")
     return values
-
-
-def _read_canonical_table(path: str | Path) -> ScoreTable:
-    number, label, enroll, test = array("i"), array("b"), array("i"), array("i")
-    scores = array("d")
-    videos = FirstSeen()
-    models: list[str] = []
-
-    def add(columns: list[list[str]], rows: int) -> None:
-        """Append the first ``rows`` rows, whole trials, of ``columns``."""
-        cycle = len(models)
-        if len(set(models)) < cycle:  # a model repeats within a trial
-            raise NotCanonical
-        ids, enrolls, tests, labels, row_models, values = columns
-        for column in (ids, enrolls, tests, labels):  # one trial's rows agree
-            head = column[0:rows:cycle]
-            if any(column[k:rows:cycle] != head for k in range(1, cycle)):
-                raise NotCanonical
-        if row_models[:rows] != models * (rows // cycle):
-            raise NotCanonical
-        number.frombytes(trial_numbers(ids[0:rows:cycle]).tobytes())
-        label.frombytes(label_values(labels[0:rows:cycle]))
-        videos.extend(enroll, enrolls[0:rows:cycle])
-        videos.extend(test, tests[0:rows:cycle])
-        scores.frombytes(_score_values(values[:rows]).tobytes())
-
-    held: list[list[str]] = [[] for _ in SCORE_HEADER]  # the rows after the last whole trial
-    for chunk in canonical_columns(path, SCORE_HEADER):
-        columns = [a + b for a, b in zip(held, chunk)] if held[0] else chunk
-        if not models:  # the first trial ends where its trial id does
-            ids = columns[0]
-            cycle = next((k for k, trial_id in enumerate(ids) if trial_id != ids[0]), 0)
-            if not cycle:
-                held = columns
-                continue
-            models = columns[4][:cycle]
-        whole = len(columns[0]) - len(columns[0]) % len(models)
-        add(columns, whole)
-        held = [column[whole:] for column in columns]
-    if held[0]:
-        if models:  # the last trial lacks a model
-            raise NotCanonical
-        models = held[4]  # the file is one trial
-        add(held, len(models))
-    return ScoreTable(videos.renumber(enroll, test), models, number, enroll, test, label,
-                      np.frombuffer(scores).reshape(len(number), len(models)).T)

@@ -27,7 +27,7 @@ from avatarprint.feature_store import (
     FeatureStore,
     FeatureStoreWriter,
 )
-from avatarprint.protocol import Split
+from avatarprint.protocol import Split, TrialSet
 
 
 # -- full-scale benchmark catalog --------------------------------------------
@@ -179,6 +179,21 @@ def tiny_catalog(
                     )
                 )
     return Catalog(identities, videos)
+
+
+def trials_from_rows(rows) -> TrialSet:
+    """The trials of (trial_id, dataset, generator, enroll_video, test_video,
+    label) string rows, in row order. Videos and conditions are coded in
+    order of first appearance: ``TrialSet`` sorts its vocabularies itself."""
+    rows = [list(row) for row in rows]
+    videos = list(dict.fromkeys(video for row in rows for video in row[3:5]))
+    conditions = list(dict.fromkeys((row[1], row[2]) for row in rows))
+    video_code = {video: i for i, video in enumerate(videos)}
+    condition_code = {pair: i for i, pair in enumerate(conditions)}
+    return TrialSet(videos, conditions, [int(row[0][1:]) for row in rows],
+                    [condition_code[row[1], row[2]] for row in rows],
+                    [video_code[row[3]] for row in rows], [video_code[row[4]] for row in rows],
+                    [int(row[5]) for row in rows])
 
 
 def random_store(

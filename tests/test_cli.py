@@ -587,6 +587,21 @@ class TestRun:
         reports = tmp_path / "runs" / "testrun" / "reports"
         assert [p.name for p in reports.iterdir()] == ["failures.txt"]
 
+    def test_good_rerun_removes_the_diverged_checkpoint(self, corpus_small, tmp_path):
+        cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA])
+        payload = json.loads(cfg.read_text())
+        payload["models"][0]["hyper"]["lr"] = 1e300  # training diverges
+        cfg.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg)]) == EXIT_FAIL
+        models = tmp_path / "runs" / "testrun" / "models"
+        assert [p.name for p in models.glob("*.diverged.avck")] == [
+            "m_CREMA-D_GAGA.diverged.avck"]
+        payload["models"][0]["hyper"]["lr"] = 1e-3
+        cfg.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert (models / "m_CREMA-D_GAGA.avck").is_file()
+        assert not list(models.glob("*.diverged.avck"))
+
     def test_rerun_whose_reference_job_fails_leaves_no_delta_for_it(self, corpus_small,
                                                                      tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "config.json", corpus_small,
@@ -703,14 +718,23 @@ class TestRun:
         cfg.write_text(json.dumps({"seed": 1, "identities": "x", "videos": "y"}))
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
 
-    def test_duplicate_model_names(self, corpus_small, tmp_path):
+    @pytest.mark.parametrize("first, second, named", [
+        ("m", "m", "'m'"),
+        ("a b", "a-b", "'a-b'"),  # one checkpoint file for both
+        ("fusion", "k", "'fusion'"),  # its report row would pool the fused scores
+    ], ids=["same", "same-file-name", "fusion"])
+    def test_duplicate_model_names(self, corpus_small, tmp_path, capsys, first, second, named):
         payload = json.loads(
             write_config(tmp_path / "c.json", corpus_small,
                          experiments=[INTRA_GAGA]).read_text()
         )
         payload["models"].append(dict(payload["models"][0]))
+        payload["models"][0]["name"], payload["models"][1]["name"] = first, second
         (tmp_path / "c.json").write_text(json.dumps(payload))
         assert main(["run", "--config", str(tmp_path / "c.json")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("block, key, value, named", [
         ("hyper", "epoch", 1, "epoch"),
@@ -737,6 +761,7 @@ class TestRun:
         ("config", "output_root", None, "output_root"),
         ("config", "run_id", None, "run_id"),
         ("model", "store", 5, "store"),
+        ("model", "name", 5, "name"),
         ("model", "adjacency", 7, "adjacency"),
         ("hyper", "epochs", "1", "epochs"),
         ("hyper", "epochs", 1.5, "epochs"),
@@ -752,7 +777,7 @@ class TestRun:
             "unknown-fusion", "string-fusion-flag", "models-not-a-list", "string-seed",
             "eval-fraction-out-of-range", "bad-convention", "number-identities", "list-videos",
             "number-split", "null-output-root", "null-run-id", "number-store",
-            "number-adjacency", "string-epochs", "float-epochs", "bool-epochs", "string-heads",
+            "number-name", "number-adjacency", "string-epochs", "float-epochs", "bool-epochs", "string-heads",
             "heads-not-dividing", "missing-adjacency-file", "odd-graph-store"])
     def test_bad_config_keys_are_usage_errors(self, corpus_small, tmp_path, capsys,
                                               block, key, value, named):

@@ -1,13 +1,14 @@
 """Atomic artifact writes: whole files or none, with open()'s permissions;
-CSV rows and canonical columns read back."""
+CSV rows and columns read back, and the first row a check rejects."""
 
+import csv
 import os
 import stat
 
 import pytest
 
 from avatarprint import files
-from avatarprint.files import AtomicFile, NotCanonical, canonical_columns, read_csv, write_text
+from avatarprint.files import AtomicFile, BadRow, checked, csv_columns, read_csv, write_text
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path):
@@ -52,12 +53,9 @@ def test_bytes_not_utf8_are_reported_at_their_line(tmp_path, reader):
     lines = [f"{i},x{i},y\n".encode() for i in range(2000)]
     lines[1499] = b"1499,x\xff,y\n"
     path = _write(tmp_path / "bad.csv", b"a,b,c\n" + b"".join(lines))
-    if reader == "columns":
-        with pytest.raises(NotCanonical):
-            list(canonical_columns(path, HEADER))
-        return
+    read = {"rows": read_csv, "columns": csv_columns}[reader]
     with pytest.raises(CsvError, match="line 1501 is not UTF-8") as raised:
-        list(read_csv(path, HEADER, CsvError))
+        list(read(path, HEADER, CsvError))
     assert str(path) in str(raised.value)
 
 
@@ -68,16 +66,31 @@ def test_columns_are_the_csv_readers_fields(tmp_path, monkeypatch, chunk):
     rows.append(["long" * 40, "", "x"])  # longer than a chunk
     path = _write(tmp_path / "ok.csv", "a,b,c\n" + "".join(",".join(r) + "\n" for r in rows))
     columns = [[], [], []]
-    for chunk_columns in canonical_columns(path, HEADER):
-        assert len({len(column) for column in chunk_columns}) == 1
-        for out, column in zip(columns, chunk_columns):
-            out += column
+    with monkeypatch.context() as patch:
+        patch.setattr(files, "read_csv", None)  # a canonical file is split at its commas
+        for chunk_columns in csv_columns(path, HEADER, CsvError):
+            assert len({len(column) for column in chunk_columns}) == 1
+            for out, column in zip(columns, chunk_columns):
+                out += column
+        assert list(csv_columns(_write(tmp_path / "empty.csv", "a,b,c\n"), HEADER, CsvError)) == []
     assert [list(row) for row in zip(*columns)] == list(read_csv(path, HEADER, CsvError)) == rows
-    assert list(canonical_columns(_write(tmp_path / "empty.csv", "a,b,c\n"), HEADER)) == []
+
+
+def _csv_module_rows(path):
+    """The csv module's rows after the header, up to the first that is not
+    three fields, and that row's number (None when every row is): what
+    csv_columns gives. A header other than HEADER gives "bad header"."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if rows[:1] != [HEADER]:
+        return "bad header"
+    bad = next((i for i, row in enumerate(rows[1:]) if len(row) != 3), None)
+    return rows[1:][:bad], None if bad is None else bad + 1
 
 
 @pytest.mark.parametrize("text", [
     'a,b,c\n1,"x",3\n',  # quoted
+    'a,b,c\n"x,y","say ""hi""",3\n',  # a quoted comma and quote
     "a,b,c\r\n1,2,3\r\n",  # \r\n line ends
     "a,b,c\n1,2,3\n\n4,5,6\n",  # a blank line
     "a,b,c\n1,2,3\n4,5\n",  # a short line
@@ -87,8 +100,41 @@ def test_columns_are_the_csv_readers_fields(tmp_path, monkeypatch, chunk):
     "a,b,c\n1,2,3",  # no final newline
     "a,b\n1,2,3\n",  # another header
     "",  # not even a header
-], ids=["quoted", "crlf", "blank", "short", "long", "short-long", "double", "no-newline",
-        "header", "empty"])
-def test_other_files_are_not_canonical(tmp_path, text):
-    with pytest.raises(NotCanonical):
-        list(canonical_columns(_write(tmp_path / "other.csv", text), HEADER))
+    "a,b,c\n" + "1,2,3\n" * 100 + "4,5\n6,7,8\n",  # a short line past the first chunk
+    "a,b,c\n" + "1,2,3\n" * 100 + '"4",5,6\n7,8\n',  # a quote, then a short line
+], ids=["quoted", "quoted-comma-and-quote", "crlf", "blank", "short", "long", "short-long",
+        "double", "no-newline", "header", "empty", "late-short", "late-quoted"])
+def test_other_files_give_the_csv_modules_rows(tmp_path, text):
+    path = _write(tmp_path / "other.csv", text)
+    rows = []
+    try:
+        for columns in csv_columns(path, HEADER, CsvError):
+            rows += map(list, zip(*columns))
+    except CsvError as exc:
+        assert "bad header" in str(exc)
+        given = "bad header"
+    except BadRow as bad:
+        assert bad.fields == list(csv.reader(text.splitlines()))[bad.row]
+        assert bad.reason == f"{len(bad.fields)} fields, not 3"
+        given = rows, bad.row
+    else:
+        given = rows, None
+    assert given == _csv_module_rows(path)
+
+
+def _reject_x(columns):
+    if "x" in columns[0]:
+        raise ValueError("an x")
+    return len(columns[0])
+
+
+@pytest.mark.parametrize("bad", [0, 1, 5, 6, 12])
+def test_checked_names_the_first_row_its_check_rejects(bad):
+    column = [str(i) for i in range(13)]
+    assert checked(_reject_x, [column], 40) == 13
+    column[bad] = "x"
+    column[-1] = "x"
+    with pytest.raises(BadRow) as raised:
+        checked(_reject_x, [column, list(column)], 40)
+    assert (raised.value.row, raised.value.fields, raised.value.reason) == (40 + bad, ["x", "x"],
+                                                                            "an x")

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from avatarprint import files, protocol
+from avatarprint import files
 from avatarprint.catalog import AvatarVideo, Catalog, Dataset, Generator, IdentityRecord, cross_video_id
 from avatarprint.protocol import (
     ALL_GENERATORS,
@@ -33,7 +33,13 @@ from avatarprint.protocol import (
     trial_counts,
 )
 
-from helpers import benchmark_catalog, enumerate_trials_bruteforce, tiny_catalog, traced_peak
+from helpers import (
+    benchmark_catalog,
+    enumerate_trials_bruteforce,
+    tiny_catalog,
+    traced_peak,
+    trials_from_rows,
+)
 
 
 class TestSplit:
@@ -341,16 +347,16 @@ def _write_trial_rows(path, rows, tail=""):
     return path
 
 
-def _by_rows(monkeypatch, path):
-    """What load_trials gives through the csv module alone: the trials, or
-    the error type and message."""
-    def declined(*_):
-        raise files.NotCanonical
-        yield
-
-    with monkeypatch.context() as patch:
-        patch.setattr(protocol, "canonical_columns", declined)
-        return _outcome(load_trials, path)
+def _by_rows(path):
+    """What load_trials gives for a copy of ``path`` with \\r\\n line ends,
+    which only the csv module splits: the trials, or the error type and the
+    message, with ``path`` named in place of the copy."""
+    copy = path.with_name(f"crlf-{path.name}")
+    copy.write_bytes(path.read_bytes().replace(b"\r\n", b"\n").replace(b"\n", b"\r\n"))
+    outcome = _outcome(load_trials, copy)
+    if isinstance(outcome, TrialSet):
+        return outcome
+    return outcome[0], outcome[1].replace(str(copy), str(path))
 
 
 def _outcome(load, path):
@@ -366,10 +372,10 @@ class TestCanonicalTrials:
     def test_columns_equal_the_row_reader(self, tmp_path, monkeypatch, chunk, n):
         rows = _random_trial_rows(n, seed=n)
         path = _write_trial_rows(tmp_path / "trials.csv", rows)
-        expected = TrialSet.from_rows(rows)
-        assert _by_rows(monkeypatch, path) == expected
+        expected = trials_from_rows(rows)
+        assert _by_rows(path) == expected
         monkeypatch.setattr(files, "CHUNK_CHARS", chunk)
-        monkeypatch.setattr(protocol, "read_csv", None)  # no fallback
+        monkeypatch.setattr(files, "read_csv", None)  # the csv module never reads it
         loaded = load_trials(path)
         assert loaded == expected and _rows(loaded) == rows
 
@@ -384,42 +390,46 @@ class TestCanonicalTrials:
         ["t00000001", "CREMA-D", "GAGA", "a", "b"],
         ["t00000001", "CREMA-D", "GAGA", "a", "b", "1", "x"],
         [],
+        ['"t000,0001"', "CREMA-D", "GAGA", "a", "b", "1"],
     ], ids=["short", "sign", "letter", "wide-digit", "capital", "label", "no-label", "fields",
-            "long", "blank"])
-    def test_late_malformed_row_gives_the_row_readers_error(self, tmp_path, monkeypatch, row):
+            "long", "blank", "quoted-comma"])
+    @pytest.mark.parametrize("chunk", [1, 37, 300, 1 << 16])
+    def test_late_malformed_row_gives_the_row_readers_error(self, tmp_path, monkeypatch, row,
+                                                           chunk):
         rows = _random_trial_rows(300)
         rows[260] = row
         path = _write_trial_rows(tmp_path / "trials.csv", rows)
-        expected = _by_rows(monkeypatch, path)
+        expected = _by_rows(path)
         assert expected[0] is ProtocolError and f"{path}: row 261 " in expected[1]
+        monkeypatch.setattr(files, "CHUNK_CHARS", chunk)
         assert _outcome(load_trials, path) == expected
 
-    def test_more_than_128_conditions_gives_the_row_readers_error(self, tmp_path, monkeypatch):
+    def test_more_than_128_conditions_gives_the_row_readers_error(self, tmp_path):
         rows = [[f"t{i:08d}", "CREMA-D", f"g{i}", "a", "b", "1"] for i in range(1, 131)]
         path = _write_trial_rows(tmp_path / "trials.csv", rows)
-        expected = _by_rows(monkeypatch, path)
+        expected = _by_rows(path)
         assert expected[0] is ProtocolError and "row 129 " in expected[1]
         assert _outcome(load_trials, path) == expected
 
     @pytest.mark.parametrize("change", ["quoted", "crlf", "no-final-newline", "blank-last"])
-    def test_other_files_fall_back_to_the_row_reader(self, tmp_path, monkeypatch, change):
+    def test_other_files_fall_back_to_the_row_reader(self, tmp_path, change):
         rows = _random_trial_rows(200)
         path = tmp_path / "trials.csv"
         if change == "quoted":
             rows[150][3] = 'say "hi", then'
-            save_trials(TrialSet.from_rows(rows), path)
+            save_trials(trials_from_rows(rows), path)
         else:
             _write_trial_rows(path, rows)
             text = path.read_bytes()
             path.write_bytes({"crlf": text.replace(b"\n", b"\r\n"),
                               "no-final-newline": text[:-1],
                               "blank-last": text + b"\n"}[change])
-        expected = _by_rows(monkeypatch, path)
+        expected = _by_rows(path)
         assert _outcome(load_trials, path) == expected
         if change == "blank-last":
             assert expected[0] is ProtocolError and "row 201 " in expected[1]
         else:
-            assert expected == TrialSet.from_rows(rows)
+            assert expected == trials_from_rows(rows)
 
     def test_bytes_not_utf8_name_their_line(self, tmp_path):
         rows = [[f"t{i:08d}", "CREMA-D", "GAGA", f"a{i}", "b", "1"] for i in range(1, 2001)]
@@ -457,7 +467,7 @@ class TestTrialSet:
 
     def test_equality_is_row_equality(self, trials):
         rows = _rows(trials)
-        assert TrialSet.from_rows(rows) == trials
+        assert trials_from_rows(rows) == trials
         assert trials[:-1] != trials and trials[:] == trials
         assert trials[np.arange(len(trials))[::-1]] != trials
         with pytest.raises(TypeError):
@@ -466,7 +476,7 @@ class TestTrialSet:
             changed = [list(r) for r in rows]
             assert changed[0][field] != value
             changed[0][field] = value
-            assert TrialSet.from_rows(changed) != trials
+            assert trials_from_rows(changed) != trials
 
     def test_quoted_video_ids_round_trip(self, tmp_path):
         rows = [
@@ -474,7 +484,7 @@ class TestTrialSet:
             ["t00000002", "CREMA-D", "GAGA", "a,b", "", "0"],
             ["t00000007", "RAVDESS", "LIVE", 'say "hi"', "plain", "0"],
         ]
-        trials = TrialSet.from_rows(rows)
+        trials = trials_from_rows(rows)
         save_trials(trials, tmp_path / "trials.csv")
         with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")

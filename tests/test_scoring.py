@@ -42,7 +42,7 @@ from avatarprint.scoring import (
     write_score_table,
 )
 
-from helpers import double_loop_pair_score, random_store
+from helpers import double_loop_pair_score, random_store, trials_from_rows
 
 
 def make_params(dim=6, window_len=8, seed=0, normalization=None):
@@ -173,7 +173,7 @@ def _setup(tmp_path, n=5):
 
 def trial_set(pairs) -> TrialSet:
     """Trials t00000001, t00000002, ... of (enroll, test, label) triples."""
-    return TrialSet.from_rows(
+    return trials_from_rows(
         [f"t{i:08d}", "CREMA-D", "GAGA", enroll, test, str(label)]
         for i, (enroll, test, label) in enumerate(pairs, 1)
     )
@@ -471,16 +471,16 @@ def _write_scores(path, lines):
     return path
 
 
-def _read_by_rows(monkeypatch, path):
-    """What read_score_table gives through the csv module alone: the
-    table's columns, or the error type and message."""
-    def declined(*_):
-        raise files.NotCanonical
-        yield
-
-    with monkeypatch.context() as patch:
-        patch.setattr(scoring, "canonical_columns", declined)
-        return _read_outcome(path)
+def _read_by_rows(path):
+    """What read_score_table gives for a copy of ``path`` with \\r\\n line
+    ends, which only the csv module splits: the table's columns, or the
+    error type and the message, with ``path`` named in place of the copy."""
+    copy = path.with_name(f"crlf-{path.name}")
+    copy.write_bytes(path.read_bytes().replace(b"\r\n", b"\n").replace(b"\n", b"\r\n"))
+    outcome = _read_outcome(copy)
+    if isinstance(outcome[0], tuple):
+        return outcome
+    return outcome[0], outcome[1].replace(str(copy), str(path))
 
 
 def _read_outcome(path):
@@ -498,14 +498,16 @@ class TestCanonicalTable:
                                                (150, ("m",)), (150, ("g", "k", FUSION_MODEL))])
     def test_columns_equal_the_row_reader(self, tmp_path, monkeypatch, chunk, trials, models):
         path = _write_scores(tmp_path / "scores.csv", _random_score_lines(trials, models, trials))
-        expected = _read_by_rows(monkeypatch, path)
+        expected = _read_by_rows(path)
         assert isinstance(expected[0], tuple) and expected[1] == models
         monkeypatch.setattr(files, "CHUNK_CHARS", chunk)
-        monkeypatch.setattr(scoring, "read_csv", None)  # no fallback
+        monkeypatch.setattr(files, "read_csv", None)  # the csv module never reads it
         assert _read_outcome(path) == expected
 
     @pytest.mark.parametrize("row,line,bad", TestScoreTrials.BAD_ROWS)
-    def test_late_bad_row_gives_the_row_readers_error(self, tmp_path, monkeypatch, row, line, bad):
+    @pytest.mark.parametrize("chunk", [1, 37, 300, 1 << 16])
+    def test_late_bad_row_gives_the_row_readers_error(self, tmp_path, monkeypatch, row, line, bad,
+                                                      chunk):
         rows = list(TestScoreTrials.GOOD_ROWS)
         if line is None:
             rows.pop()
@@ -513,12 +515,13 @@ class TestCanonicalTable:
             rows[row - 1] = line
         prefix = _random_score_lines(150, ("m1", "m2"))
         path = _write_scores(tmp_path / "scores.csv", prefix + [f"{r}\n" for r in rows])
-        expected = _read_by_rows(monkeypatch, path)
+        expected = _read_by_rows(path)
         assert expected[0] is ScoringError and f"{path}: row {row + 300} " in expected[1]
+        monkeypatch.setattr(files, "CHUNK_CHARS", chunk)
         assert _read_outcome(path) == expected
 
     @pytest.mark.parametrize("change", ["quoted", "crlf", "no-final-newline", "blank-last"])
-    def test_other_files_fall_back_to_the_row_reader(self, tmp_path, monkeypatch, change):
+    def test_other_files_fall_back_to_the_row_reader(self, tmp_path, change):
         lines = _random_score_lines(100, ("m1", "m2"))
         if change == "quoted":
             lines[150:152] = ['t00000009,"say ""hi""","a,b",1,m1,0.5\n',
@@ -527,7 +530,7 @@ class TestCanonicalTable:
         text = path.read_bytes()
         path.write_bytes({"quoted": text, "crlf": text.replace(b"\n", b"\r\n"),
                           "no-final-newline": text[:-1], "blank-last": text + b"\n"}[change])
-        expected = _read_by_rows(monkeypatch, path)
+        expected = _read_by_rows(path)
         assert _read_outcome(path) == expected
         if change == "blank-last":
             assert expected[0] is ScoringError and "row 201 " in expected[1]
@@ -544,11 +547,10 @@ class TestCanonicalTable:
             read_score_table(path)
         assert str(raised.value) == f"{path}: line 1501 is not UTF-8: invalid start byte"
 
-    def test_a_model_in_every_trial_twice_gives_the_row_readers_error(self, tmp_path,
-                                                                        monkeypatch):
+    def test_a_model_in_every_trial_twice_gives_the_row_readers_error(self, tmp_path):
         lines = [f"t{i:08d},a,b,1,m,0.5\n" for i in (1, 1, 2, 2)]
         path = _write_scores(tmp_path / "scores.csv", lines)
-        expected = _read_by_rows(monkeypatch, path)
+        expected = _read_by_rows(path)
         assert expected[0] is ScoringError and "a model repeats" in expected[1]
         assert _read_outcome(path) == expected
 

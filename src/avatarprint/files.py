@@ -8,7 +8,8 @@ CSV files are read as the csv module splits them. ``read_csv`` gives the
 rows of a file. ``csv_columns`` gives a bounded chunk of rows at a time as
 columns of strings: it splits the canonical form the trial and score
 writers produce (no quoting, ``\n`` line ends) at its commas, with no
-per-row Python, and reads the rest of any other file through ``read_csv``.
+per-row Python, and hands the csv module the rest of any other file from
+the first row it has not given, so each row is read once.
 A reader checks a chunk's columns at once through ``checked``, which finds
 the first row its check rejects and raises ``BadRow`` for it.
 """
@@ -82,28 +83,37 @@ def read_csv(path: str | Path, header: list[str], error: type[Exception]
     ``header``, or bytes that are not UTF-8, raise ``error`` (the latter
     naming the line of the first bad byte)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            found = next(reader, None)
-            if found != header:
-                raise error(f"{path}: bad header {found!r}, expected {header!r}")
-            yield from reader
-        except UnicodeDecodeError as exc:
-            # the reader decodes ahead of the rows it has given, so the row
-            # count says nothing here: find the line itself
-            raise error(f"{path}: line {_undecodable_line(path)} is not UTF-8: "
-                        f"{exc.reason}") from None
+        yield from _csv_rows(fh, path, header, error)
 
 
-def _undecodable_line(path: str | Path) -> int:
-    """The 1-based number of the first line of ``path`` that is not UTF-8.
-    No UTF-8 sequence holds a newline byte, so each line decodes alone."""
+def _csv_rows(lines: Iterable[str], path: str | Path, header: Sequence[str],
+              error: type[Exception]) -> Iterator[list[str]]:
+    """The csv module's rows of ``lines`` after the header row. ``lines``
+    are lines of the CSV file ``path`` as a file opened with ``newline=""``
+    gives them: its header line, then all of its lines from some row on. A
+    header other than ``header``, or bytes that are not UTF-8, raise
+    ``error`` as in ``read_csv``."""
+    reader = csv.reader(lines)
+    try:
+        found = next(reader, None)
+        if found != list(header):
+            raise error(f"{path}: bad header {found!r}, expected {header!r}")
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, error, exc) from None
+
+
+def _not_utf8(path: str | Path, error: type[Exception], exc: UnicodeDecodeError) -> Exception:
+    """``error`` naming the first line of ``path`` that is not UTF-8. A
+    reader decodes ahead of the rows it has given, so the line is found
+    anew; no UTF-8 sequence holds a newline byte, so each line decodes
+    alone."""
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError:
-                return number
+                return error(f"{path}: line {number} is not UTF-8: {exc.reason}")
     raise AssertionError(f"{path} decodes as UTF-8")
 
 
@@ -131,13 +141,14 @@ def csv_columns(path: str | Path, header: Sequence[str], error: type[Exception]
     While the file is canonical (the header line exactly ``header`` joined
     by commas, every line ``len(header)`` fields and ending in ``\n``, and
     no ``"`` or ``\r`` anywhere) a chunk's lines are split at their commas.
-    From the first chunk that is not, the rest of the file is read through
-    ``read_csv``."""
+    From the first chunk that is not, the csv module reads on: the text read
+    and not given, then the rest of the open file."""
     width = len(header) + 1  # each line's fields and its newline
     given = 0  # rows given so far
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            if fh.readline() == ",".join(header) + "\n":
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            unread = fh.readline()  # the header line, then the text read and not given
+            if unread == ",".join(header) + "\n":
                 carry = ""  # the part of a line read so far
                 while block := fh.read(CHUNK_CHARS):
                     cut = block.rfind("\n") + 1
@@ -159,23 +170,26 @@ def csv_columns(path: str | Path, header: Sequence[str], error: type[Exception]
                 else:  # every chunk was canonical
                     if not carry:  # else the last line has no newline
                         return
-    except UnicodeDecodeError:
-        pass
-    rows: list[list[str]] = []
-    chars = 0
-    for row, fields in enumerate(itertools.islice(read_csv(path, header, error), given, None),
-                                 given + 1):
-        if len(fields) != len(header):
-            if rows:
+                    chunk = ""
+                # the chunk not given, and carry to the end of its line
+                unread += chunk + carry + fh.readline()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, error, exc) from None
+        rows: list[list[str]] = []
+        chars = 0
+        lines = itertools.chain(io.StringIO(unread, newline=""), fh)
+        for row, fields in enumerate(_csv_rows(lines, path, header, error), given + 1):
+            if len(fields) != len(header):
+                if rows:
+                    yield [list(column) for column in zip(*rows)]
+                raise BadRow(row, fields, f"{len(fields)} fields, not {len(header)}")
+            rows.append(fields)
+            chars += len(fields) + sum(map(len, fields))
+            if chars >= CHUNK_CHARS:
                 yield [list(column) for column in zip(*rows)]
-            raise BadRow(row, fields, f"{len(fields)} fields, not {len(header)}")
-        rows.append(fields)
-        chars += len(fields) + sum(map(len, fields))
-        if chars >= CHUNK_CHARS:
+                rows, chars = [], 0
+        if rows:
             yield [list(column) for column in zip(*rows)]
-            rows, chars = [], 0
-    if rows:
-        yield [list(column) for column in zip(*rows)]
 
 
 def checked(check: Callable[[list[list[str]]], tuple], columns: list[list[str]],

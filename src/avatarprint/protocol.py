@@ -10,25 +10,28 @@ A list of trials is a ``TrialSet``: NumPy columns of trial numbers (the id
 ``t%08d`` is derived from the number), (dataset, generator) condition codes,
 enroll and test video codes into a sorted video-id vocabulary, and labels.
 Generation builds each (dataset, generator, target) block as whole arrays,
-a job's trials are a condition mask, and only the CSV writer touches one
-trial at a time. ``load_trials`` reads a file a chunk of columns at a time
-and checks each chunk at once; a chunk that fails its check is searched for
-the first malformed row, which is reported.
+and a job's trials are a condition mask. ``save_trials`` formats each
+distinct video id and condition once, then assembles the bytes of a chunk
+of trials as one byte matrix, a row per trial, with NumPy; a chunk is
+bounded in bytes, so a long id shortens the chunks instead of widening
+them. ``load_trials`` reads a file a chunk of columns at a time and checks
+each chunk at once; a chunk that fails its check is searched for the first
+malformed row, which is reported.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 from array import array
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .catalog import (
     CANONICAL_EVAL_IDENTITIES,
@@ -232,14 +235,27 @@ EXCLUDE_IDENTICAL = "exclude_identical"
 INCLUDE_IDENTICAL = "include_identical"
 CONVENTIONS = (EXCLUDE_IDENTICAL, INCLUDE_IDENTICAL)
 MAX_TRIALS = 99_999_999  # a trial id is "t" and eight digits
-ROW_CHUNK = 1 << 16  # rows turned into Python objects, or codes renumbered, at a time
-
-
-def trial_ids(numbers: Iterable[int]) -> list[str]:
-    return [f"t{n:08d}" for n in numbers]
-
+ROW_CHUNK = 1 << 16  # rows turned into Python objects, codes renumbered or rows written at a time
+CHUNK_BYTES = 1 << 19  # of the byte matrix save_trials assembles at a time
 
 _POWERS = 10 ** np.arange(7, -1, -1, dtype=np.intc)
+
+
+def _trial_id_bytes(number: np.ndarray) -> np.ndarray:
+    """Row ``i`` is the id of trial number ``number[i]`` and a comma: the 10
+    bytes "t", 8 digits and ","."""
+    out = np.empty((len(number), 10), dtype=np.uint8)
+    out[:, 0] = ord("t")
+    out[:, 1:9] = number[:, None] // _POWERS % 10 + ord("0")
+    out[:, 9] = ord(",")
+    return out
+
+
+def trial_ids(number: np.ndarray) -> list[str]:
+    """The id of each trial number: "t" and its 8 digits."""
+    ids = _trial_id_bytes(number).tobytes().decode().split(",")
+    ids.pop()  # the empty string after the last comma
+    return ids
 
 
 def trial_numbers(ids: list[str]) -> np.ndarray:
@@ -349,23 +365,18 @@ class TrialSet(Sequence[Trial]):
         if isinstance(key, (slice, np.ndarray)):
             return TrialSet(self.videos, self.conditions,
                             *(column[key] for column in self._columns()))
-        (trial_id,) = trial_ids([int(self.number[key])])
+        (trial_id,) = trial_ids(self.number[[key]])
         dataset, generator = self.conditions[self.condition[key]]
         return Trial(trial_id, dataset, generator, self.videos[self.enroll[key]],
                      self.videos[self.test[key]], int(self.label[key]))
 
-    def _chunks(self) -> Iterator[tuple[list, ...]]:
-        """The columns as lists, a bounded number of trials at a time: trial
-        ids, condition codes, enroll and test video codes, labels."""
-        for start in range(0, len(self), ROW_CHUNK):
-            part = slice(start, start + ROW_CHUNK)
-            yield (trial_ids(self.number[part].tolist()),
-                   *(column[part].tolist() for column in self._columns()[1:]))
-
     def __iter__(self) -> Iterator[Trial]:
         videos, conditions = self.videos, self.conditions
-        for chunk in self._chunks():
-            for trial_id, c, e, t, label in zip(*chunk):
+        for start in range(0, len(self), ROW_CHUNK):
+            part = slice(start, start + ROW_CHUNK)
+            for trial_id, c, e, t, label in zip(
+                    trial_ids(self.number[part]),
+                    *(column[part].tolist() for column in self._columns()[1:])):
                 yield Trial(trial_id, *conditions[c], videos[e], videos[t], label)
 
     def __eq__(self, other: object) -> bool:
@@ -468,19 +479,61 @@ def trial_counts(trials: TrialSet) -> dict[tuple[str, str, int], int]:
 TRIAL_HEADER = ["trial_id", "dataset", "generator", "enroll_video", "test_video", "label"]
 
 
+def _comma_fields(fields: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fields`` UTF-8 encoded with a comma after each, back to back in one
+    buffer, as a view whose row ``s`` is the buffer from byte ``s`` on, as
+    wide as the longest field; and each field's first byte and length. Row
+    ``starts[i]`` begins with field ``i``; its bytes past ``lengths[i]`` are
+    other fields' or zeros. Nothing is padded, so a long field costs its
+    own bytes only."""
+    encoded = [f"{field},".encode() for field in fields]
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    width = int(lengths.max(initial=0))
+    buffer = np.frombuffer(b"".join(encoded) + bytes(width), dtype=np.uint8)
+    # lengths in the narrowest type that holds the width, for the byte mask's comparison
+    return (sliding_window_view(buffer, width), np.cumsum(lengths) - lengths,
+            lengths.astype(np.min_scalar_type(width)))
+
+
 def save_trials(trials: TrialSet, path: str | Path) -> None:
     """``trials`` as CSV, byte for byte what ``csv.writer`` (lines ending in
-    a newline) writes for their rows, with each video id and condition
-    formatted once."""
-    videos = csv_fields(trials.videos)
-    conditions = [",".join(csv_fields(pair)) for pair in trials.conditions]
-    with AtomicFile(path) as fh:
-        csv.writer(fh, lineterminator="\n").writerow(TRIAL_HEADER)
-        for chunk in trials._chunks():
-            fh.write("".join(
-                f"{trial_id},{conditions[c]},{videos[e]},{videos[t]},{label}\n"
-                for trial_id, c, e, t, label in zip(*chunk)
-            ))
+    a newline) writes for their rows. Each video id and condition is
+    formatted once. A chunk of trials is then one byte matrix, a row per
+    trial, each column as wide as its widest field in the chunk; the
+    fields' bytes are kept and the rest dropped. A chunk ends before its
+    matrix would pass ``CHUNK_BYTES`` (or holds one row), so a long id
+    makes short chunks of the trials near those that name it."""
+    videos = _comma_fields(csv_fields(trials.videos))
+    columns = [(_comma_fields([",".join(csv_fields(pair)) for pair in trials.conditions]),
+                trials.condition), (videos, trials.enroll), (videos, trials.test)]
+    with AtomicFile(path, "wb") as fh:
+        fh.write((",".join(csv_fields(TRIAL_HEADER)) + "\n").encode())
+        start = 0
+        while start < len(trials):
+            # a row is the trial id and a comma, three fields, the label and a
+            # newline; no more rows fit than would if each were as wide as the first
+            first = 12 + sum(int(lengths[codes[start]]) for (_, _, lengths), codes in columns)
+            ahead = slice(start, start + max(1, min(ROW_CHUNK, CHUNK_BYTES // first)))
+            # each column's widest field in the first k + 1 rows, for every k
+            widest = [np.maximum.accumulate(lengths[codes[ahead]], dtype=np.intp)
+                      for (_, _, lengths), codes in columns]
+            matrix_bytes = (12 + sum(widest)) * np.arange(1, len(widest[0]) + 1)
+            rows = max(1, int(np.searchsorted(matrix_bytes, CHUNK_BYTES, side="right")))
+            part = slice(start, start + rows)
+            widths = [int(column[rows - 1]) for column in widest]
+            matrix = np.empty((rows, 12 + sum(widths)), dtype=np.uint8)
+            keep = np.ones(matrix.shape, dtype=bool)
+            matrix[:, :10] = _trial_id_bytes(trials.number[part])
+            at = 10
+            for ((windows, starts, lengths), codes), width in zip(columns, widths):
+                code, span = codes[part], slice(at, at + width)
+                matrix[:, span] = windows[starts[code], :width]
+                keep[:, span] = np.arange(width, dtype=lengths.dtype) < lengths[code, None]
+                at += width
+            matrix[:, -2] = trials.label[part] + ord("0")
+            matrix[:, -1] = ord("\n")
+            fh.write(matrix[keep])
+            start += rows
 
 
 def load_trials(path: str | Path) -> TrialSet:

@@ -241,7 +241,7 @@ class ScoreTable:
     @property
     def unscorable_trials(self) -> list[str]:
         """Trials some model could not score (a video shorter than one window)."""
-        return trial_ids(self.number[np.isnan(self.scores).any(axis=0)].tolist())
+        return trial_ids(self.number[np.isnan(self.scores).any(axis=0)])
 
     @property
     def rows(self) -> list[ScoreRow]:
@@ -271,7 +271,7 @@ class ScoreTable:
 
         scores = self.scores[:, part].T.ravel().tolist()
         columns = (
-            repeated(trial_ids(self.number[part].tolist())),
+            repeated(trial_ids(self.number[part])),
             repeated([videos[e] for e in self.enroll[part].tolist()]),
             repeated([videos[t] for t in self.test[part].tolist()]),
             repeated(self.label[part].tolist()),
@@ -356,7 +356,7 @@ def write_score_table(table: ScoreTable, path: str | Path) -> None:
             part = slice(start, start + ROW_CHUNK)
             heads = [f"{trial_id},{videos[e]},{videos[t]},{label},"
                      for trial_id, e, t, label in zip(
-                         trial_ids(table.number[part].tolist()), table.enroll[part].tolist(),
+                         trial_ids(table.number[part]), table.enroll[part].tolist(),
                          table.test[part].tolist(), table.label[part].tolist())]
             lines = []  # per model, one line per trial
             for model, column in zip(models, table.scores[:, part]):

@@ -67,7 +67,7 @@ def test_columns_are_the_csv_readers_fields(tmp_path, monkeypatch, chunk):
     path = _write(tmp_path / "ok.csv", "a,b,c\n" + "".join(",".join(r) + "\n" for r in rows))
     columns = [[], [], []]
     with monkeypatch.context() as patch:
-        patch.setattr(files, "read_csv", None)  # a canonical file is split at its commas
+        patch.setattr(files.csv, "reader", None)  # a canonical file is split at its commas
         for chunk_columns in csv_columns(path, HEADER, CsvError):
             assert len({len(column) for column in chunk_columns}) == 1
             for out, column in zip(columns, chunk_columns):
@@ -120,6 +120,32 @@ def test_other_files_give_the_csv_modules_rows(tmp_path, text):
     else:
         given = rows, None
     assert given == _csv_module_rows(path)
+
+
+@pytest.mark.parametrize("late", ['"x,1999",y', "x1999,y\r", "x1999", "x1999,y,z"],
+                         ids=["quoted", "cr", "short", "long"])
+def test_the_csv_module_reads_on_from_the_first_row_not_given(tmp_path, monkeypatch, late):
+    lines = [f"{i},x{i},y\n" for i in range(2000)]
+    lines[1999] = f"1999,{late}\n"
+    path = _write(tmp_path / "late.csv", "a,b,c\n" + "".join(lines))
+    reader, read = csv.reader, []
+
+    def counted(lines):
+        for fields in reader(lines):
+            read.append(fields)
+            yield fields
+
+    rows, bad_row = [], None
+    with monkeypatch.context() as patch:
+        patch.setattr(files.csv, "reader", counted)
+        try:
+            for columns in csv_columns(path, HEADER, CsvError):
+                rows += map(list, zip(*columns))
+        except BadRow as bad:
+            bad_row = bad.row
+    assert (rows, bad_row) == _csv_module_rows(path)
+    # the header and the last chunk's rows, where the whole file is 2,001
+    assert read[0] == HEADER and len(read) <= 1 + files.CHUNK_CHARS // len(lines[0])
 
 
 def _reject_x(columns):

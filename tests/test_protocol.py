@@ -1,6 +1,7 @@
 """Splits, exhaustive trial generation, trial sets and the experiment matrix."""
 
 import csv
+import io
 import random
 import sys
 from collections import Counter
@@ -8,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from avatarprint import files
+from avatarprint import files, protocol
 from avatarprint.catalog import AvatarVideo, Catalog, Dataset, Generator, IdentityRecord, cross_video_id
 from avatarprint.protocol import (
     ALL_GENERATORS,
@@ -31,6 +32,7 @@ from avatarprint.protocol import (
     save_split,
     save_trials,
     trial_counts,
+    trial_ids,
 )
 
 from helpers import (
@@ -375,7 +377,7 @@ class TestCanonicalTrials:
         expected = trials_from_rows(rows)
         assert _by_rows(path) == expected
         monkeypatch.setattr(files, "CHUNK_CHARS", chunk)
-        monkeypatch.setattr(files, "read_csv", None)  # the csv module never reads it
+        monkeypatch.setattr(files.csv, "reader", None)  # the csv module never reads it
         loaded = load_trials(path)
         assert loaded == expected and _rows(loaded) == rows
 
@@ -510,6 +512,73 @@ class TestTrialSet:
         with pytest.raises(ProtocolError, match="row 2") as raised:
             load_trials(path)
         assert str(path) in str(raised.value)
+
+
+def _csv_writer_bytes(rows):
+    """What ``csv.writer`` (lines ending in a newline) writes for the trial
+    header and ``rows``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(TRIAL_HEADER)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+ODD_ROWS = [
+    ["t00000001", "CREMA-D", "GAGA", "a,b", 'say "hi"', "1"],
+    ["t00000002", "CREMA-D", "GAGA", "two\nlines", "vidéo 日本", "0"],
+    ["t00000003", "RAV,DESS", 'GA"GA', "", "a,b", "1"],
+    ["t00000004", "CREMA-D", "GAGA", "x", "", "0"],
+]
+
+
+class TestSaveTrials:
+    @pytest.mark.parametrize("rows", [
+        _random_trial_rows(300),
+        ODD_ROWS,
+        [["t00000001", "CREMA-D", "GAGA", "x" * 10_000, "y", "1"], *_random_trial_rows(20)],
+        [[f"t{n:08d}", "CREMA-D", "GAGA", "a", "b", "1"] for n in (0, 1, 99_999_999)],
+        [],
+    ], ids=["random", "odd-ids", "long-id", "numbers", "empty"])
+    @pytest.mark.parametrize("row_chunk,chunk_bytes", [(None, None), (7, None), (None, 1000),
+                                                       (None, 1)])
+    def test_writes_what_the_csv_module_writes(self, tmp_path, monkeypatch, rows, row_chunk,
+                                               chunk_bytes):
+        if row_chunk:
+            monkeypatch.setattr(protocol, "ROW_CHUNK", row_chunk)
+        if chunk_bytes:
+            monkeypatch.setattr(protocol, "CHUNK_BYTES", chunk_bytes)
+        trials = trials_from_rows(rows)
+        save_trials(trials, tmp_path / "trials.csv")
+        assert (tmp_path / "trials.csv").read_bytes() == _csv_writer_bytes(rows)
+        assert load_trials(tmp_path / "trials.csv") == trials
+
+    def test_makes_no_python_object_per_trial(self, tmp_path, monkeypatch):
+        rows = _random_trial_rows(300)
+        trials = trials_from_rows(rows)
+
+        def per_trial(*_):
+            raise AssertionError("a Python step per trial")
+
+        monkeypatch.setattr(protocol, "trial_ids", per_trial)
+        monkeypatch.setattr(TrialSet, "__iter__", per_trial)
+        save_trials(trials, tmp_path / "trials.csv")
+        assert (tmp_path / "trials.csv").read_bytes() == _csv_writer_bytes(rows)
+
+    def test_a_long_id_shortens_the_chunks_instead_of_widening_them(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n, videos = 200_000, [f"video{i:05d}" for i in range(5_000)]
+        columns = (np.arange(1, n + 1), np.zeros(n), rng.integers(0, len(videos), n),
+                   rng.integers(0, len(videos), n), rng.integers(0, 2, n))
+        base, long = (traced_peak(save_trials, TrialSet(vocab, [("CREMA-D", "GAGA")], *columns),
+                                  tmp_path / "trials.csv")
+                      for vocab in (videos, [*videos[:-1], "x" * 10_000]))
+        assert long < base + 2 * 2**20
+
+    def test_trial_ids_are_t_and_8_digits(self):
+        numbers = np.array([0, 1, 99_999_999, *range(12_345, 12_400)], dtype=np.int32)
+        assert trial_ids(numbers) == [f"t{n:08d}" for n in numbers.tolist()]
+        assert trial_ids(numbers[:0]) == []
 
 
 class TestNamedCodes:

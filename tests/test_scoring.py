@@ -501,7 +501,7 @@ class TestCanonicalTable:
         expected = _read_by_rows(path)
         assert isinstance(expected[0], tuple) and expected[1] == models
         monkeypatch.setattr(files, "CHUNK_CHARS", chunk)
-        monkeypatch.setattr(files, "read_csv", None)  # the csv module never reads it
+        monkeypatch.setattr(files.csv, "reader", None)  # the csv module never reads it
         assert _read_outcome(path) == expected
 
     @pytest.mark.parametrize("row,line,bad", TestScoreTrials.BAD_ROWS)

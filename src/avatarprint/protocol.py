@@ -13,8 +13,8 @@ Generation builds each (dataset, generator, target) block as whole arrays,
 and a job's trials are a condition mask. ``save_trials`` formats each
 distinct video id and condition once, then assembles the bytes of a chunk
 of trials as one byte matrix, a row per trial, with NumPy; a chunk is
-bounded in bytes, so a long id shortens the chunks instead of widening
-them. ``load_trials`` reads a file a chunk of columns at a time and checks
+bounded in bytes, so a long id makes short chunks rather than a large
+matrix. ``load_trials`` reads a file a chunk of columns at a time and checks
 each chunk at once; a chunk that fails its check is searched for the first
 malformed row, which is reported.
 """
@@ -235,7 +235,7 @@ EXCLUDE_IDENTICAL = "exclude_identical"
 INCLUDE_IDENTICAL = "include_identical"
 CONVENTIONS = (EXCLUDE_IDENTICAL, INCLUDE_IDENTICAL)
 MAX_TRIALS = 99_999_999  # a trial id is "t" and eight digits
-ROW_CHUNK = 1 << 16  # rows turned into Python objects, codes renumbered or rows written at a time
+ROW_CHUNK = 1 << 16  # rows turned into Python objects, or codes renumbered, at a time
 CHUNK_BYTES = 1 << 19  # of the byte matrix save_trials assembles at a time
 
 _POWERS = 10 ** np.arange(7, -1, -1, dtype=np.intc)
@@ -499,41 +499,34 @@ def save_trials(trials: TrialSet, path: str | Path) -> None:
     """``trials`` as CSV, byte for byte what ``csv.writer`` (lines ending in
     a newline) writes for their rows. Each video id and condition is
     formatted once. A chunk of trials is then one byte matrix, a row per
-    trial, each column as wide as its widest field in the chunk; the
-    fields' bytes are kept and the rest dropped. A chunk ends before its
-    matrix would pass ``CHUNK_BYTES`` (or holds one row), so a long id
-    makes short chunks of the trials near those that name it."""
+    trial, each column as wide as its widest field; the fields' bytes are
+    kept and the rest dropped. A chunk holds as many rows as fit in
+    ``CHUNK_BYTES`` (at least one), so a long id makes short chunks rather
+    than a wide matrix."""
     videos = _comma_fields(csv_fields(trials.videos))
     columns = [(_comma_fields([",".join(csv_fields(pair)) for pair in trials.conditions]),
                 trials.condition), (videos, trials.enroll), (videos, trials.test)]
+    # a row is the trial id and a comma, three fields, the label and a newline
+    width = 12 + sum(windows.shape[1] for (windows, _, _), _ in columns)
+    rows = max(1, CHUNK_BYTES // width)
     with AtomicFile(path, "wb") as fh:
         fh.write((",".join(csv_fields(TRIAL_HEADER)) + "\n").encode())
-        start = 0
-        while start < len(trials):
-            # a row is the trial id and a comma, three fields, the label and a
-            # newline; no more rows fit than would if each were as wide as the first
-            first = 12 + sum(int(lengths[codes[start]]) for (_, _, lengths), codes in columns)
-            ahead = slice(start, start + max(1, min(ROW_CHUNK, CHUNK_BYTES // first)))
-            # each column's widest field in the first k + 1 rows, for every k
-            widest = [np.maximum.accumulate(lengths[codes[ahead]], dtype=np.intp)
-                      for (_, _, lengths), codes in columns]
-            matrix_bytes = (12 + sum(widest)) * np.arange(1, len(widest[0]) + 1)
-            rows = max(1, int(np.searchsorted(matrix_bytes, CHUNK_BYTES, side="right")))
+        for start in range(0, len(trials), rows):
             part = slice(start, start + rows)
-            widths = [int(column[rows - 1]) for column in widest]
-            matrix = np.empty((rows, 12 + sum(widths)), dtype=np.uint8)
+            number = trials.number[part]
+            matrix = np.empty((len(number), width), dtype=np.uint8)
             keep = np.ones(matrix.shape, dtype=bool)
-            matrix[:, :10] = _trial_id_bytes(trials.number[part])
+            matrix[:, :10] = _trial_id_bytes(number)
             at = 10
-            for ((windows, starts, lengths), codes), width in zip(columns, widths):
-                code, span = codes[part], slice(at, at + width)
-                matrix[:, span] = windows[starts[code], :width]
-                keep[:, span] = np.arange(width, dtype=lengths.dtype) < lengths[code, None]
-                at += width
+            for (windows, starts, lengths), codes in columns:
+                code, field_width = codes[part], windows.shape[1]
+                span = slice(at, at + field_width)
+                matrix[:, span] = windows[starts[code]]
+                keep[:, span] = np.arange(field_width, dtype=lengths.dtype) < lengths[code, None]
+                at += field_width
             matrix[:, -2] = trials.label[part] + ord("0")
             matrix[:, -1] = ord("\n")
             fh.write(matrix[keep])
-            start += rows
 
 
 def load_trials(path: str | Path) -> TrialSet:

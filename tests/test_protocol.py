@@ -540,12 +540,8 @@ class TestSaveTrials:
         [[f"t{n:08d}", "CREMA-D", "GAGA", "a", "b", "1"] for n in (0, 1, 99_999_999)],
         [],
     ], ids=["random", "odd-ids", "long-id", "numbers", "empty"])
-    @pytest.mark.parametrize("row_chunk,chunk_bytes", [(None, None), (7, None), (None, 1000),
-                                                       (None, 1)])
-    def test_writes_what_the_csv_module_writes(self, tmp_path, monkeypatch, rows, row_chunk,
-                                               chunk_bytes):
-        if row_chunk:
-            monkeypatch.setattr(protocol, "ROW_CHUNK", row_chunk)
+    @pytest.mark.parametrize("chunk_bytes", [None, 1000, 1])
+    def test_writes_what_the_csv_module_writes(self, tmp_path, monkeypatch, rows, chunk_bytes):
         if chunk_bytes:
             monkeypatch.setattr(protocol, "CHUNK_BYTES", chunk_bytes)
         trials = trials_from_rows(rows)
@@ -565,7 +561,7 @@ class TestSaveTrials:
         save_trials(trials, tmp_path / "trials.csv")
         assert (tmp_path / "trials.csv").read_bytes() == _csv_writer_bytes(rows)
 
-    def test_a_long_id_shortens_the_chunks_instead_of_widening_them(self, tmp_path):
+    def test_a_long_id_keeps_each_chunk_within_its_byte_budget(self, tmp_path):
         rng = np.random.default_rng(5)
         n, videos = 200_000, [f"video{i:05d}" for i in range(5_000)]
         columns = (np.arange(1, n + 1), np.zeros(n), rng.integers(0, len(videos), n),

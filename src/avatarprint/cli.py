@@ -506,7 +506,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     if table.unscorable_trials:
         print(f"{len(table.unscorable_trials)} trials unscorable (too short)",
               file=sys.stderr)
-    print(f"wrote {table.scores.size:,d} score rows to {args.out}")
+    print(f"wrote the scores of {len(table.number):,d} trials by models "
+          f"{', '.join(table.models)} to {args.out}")
     return EXIT_OK
 
 
@@ -712,6 +713,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     "stores": {m: _store_header(models[m].store) for m in checkpoints},
                     "trials": trial_inputs,
                     "fusion": [config.fusion_enabled, config.fusion_zscore],
+                    # a table in another layout is not read back but made again
+                    "layout": sc.SCORE_HEADER,
                 }
                 table = _reuse_or_make(
                     score_paths[job.job_id],

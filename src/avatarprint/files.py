@@ -5,11 +5,12 @@ partial one. Nothing is fsynced: this covers a process that dies, not a
 power loss.
 
 CSV files are read as the csv module splits them. ``read_csv`` gives the
-rows of a file. ``csv_columns`` gives a bounded chunk of rows at a time as
-columns of strings: it splits the canonical form the trial and score
-writers produce (no quoting, ``\n`` line ends) at its commas, with no
-per-row Python, and hands the csv module the rest of any other file from
-the first row it has not given, so each row is read once.
+rows of a file, and ``csv_header`` its header alone, for a reader whose
+header names some of its columns. ``csv_columns`` gives a bounded chunk of
+rows at a time as columns of strings: it splits the canonical form the
+trial and score writers produce (no quoting, ``\n`` line ends) at its
+commas, with no per-row Python, and hands the csv module the rest of any
+other file from the first row it has not given, so each row is read once.
 A reader checks a chunk's columns at once through ``checked``, which finds
 the first row its check rejects and raises ``BadRow`` for it.
 """
@@ -117,14 +118,29 @@ def _not_utf8(path: str | Path, error: type[Exception], exc: UnicodeDecodeError)
     raise AssertionError(f"{path} decodes as UTF-8")
 
 
+def csv_header(path: str | Path, error: type[Exception]) -> list[str]:
+    """The first row of a UTF-8 CSV file as the csv module splits it, empty
+    for an empty file; bytes that are not UTF-8 raise ``error`` as
+    ``read_csv`` does. A canonical header line (ending in ``\n``, with no
+    ``"`` or ``\r``) is split at its commas."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            line = fh.readline()
+            if line.endswith("\n") and line != "\n" and '"' not in line and "\r" not in line:
+                return line[:-1].split(",")
+            return next(csv.reader(itertools.chain([line], fh)), [])
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, error, exc) from None
+
+
 CHUNK_CHARS = 1 << 16  # read at a time by csv_columns; more raises the peak
 
 
 class BadRow(Exception):
     """Row ``row`` of a CSV file (1-based, after the header) is rejected for
-    ``reason``; ``fields`` are its fields, None for a row past the last."""
+    ``reason``; ``fields`` are its fields."""
 
-    def __init__(self, row: int, fields: list[str] | None, reason: str):
+    def __init__(self, row: int, fields: list[str], reason: str):
         super().__init__(row, fields, reason)
         self.row, self.fields, self.reason = row, fields, reason
 

@@ -29,17 +29,18 @@ table.
 
 The result is a ``ScoreTable`` of columns: the scored trials' numbers,
 video codes and labels, and one (models, trials) score array, NaN where a
-trial is unscorable. Its CSV writer formats each distinct field once. Its
-reader takes a chunk of rows at a time, straight into the columns, checking
-each column at once; a chunk that fails its check is searched for the first
-malformed row, which is reported. ``ScoreTable.rows``, the ``ScoreRow`` view
-evaluation reads, is built on first use.
+trial is unscorable. Its CSV has one row per trial, a column per model, and
+the header names the models. The writer formats each video id once. The
+reader takes the models from the header, then a chunk of rows at a time,
+straight into the columns, checking each column at once; a chunk that fails
+its check is searched for the first malformed row, which is reported.
+``ScoreTable.rows``, the ``ScoreRow`` view evaluation reads, is built on
+first use.
 """
 
 from __future__ import annotations
 
 import collections
-import csv
 import gc
 import itertools
 import math
@@ -52,7 +53,7 @@ import numpy as np
 
 from .embedder import EmbedderParams, NonFiniteError, attend, encode_frames
 from .feature_store import FeatureStore
-from .files import AtomicFile, BadRow, checked, csv_columns, csv_fields
+from .files import AtomicFile, BadRow, checked, csv_columns, csv_fields, csv_header
 from .protocol import (
     ROW_CHUNK,
     FirstSeen,
@@ -340,103 +341,81 @@ def score_trials(
                       scores, itertools.compress(trials.videos, lacking.tolist()))
 
 
-SCORE_HEADER = ["trial_id", "enroll_video", "test_video", "label", "model", "score"]
+SCORE_HEADER = ["trial_id", "enroll_video", "test_video", "label"]  # then the models
+# the header of the earlier layout, a row per trial and model, which is refused
+_LONG_HEADER = [*SCORE_HEADER, "model", "score"]
 
 
 def write_score_table(table: ScoreTable, path: str | Path) -> None:
-    """``table`` as CSV, one row per trial and model (trials outer, models
-    inner), byte for byte what ``csv.writer`` (lines ending in a newline)
-    writes for ``table.rows``: a score is its ``repr``, NaN an empty field.
-    Each video id and model is formatted once."""
+    """``table`` as CSV, one row per trial: its id, videos and label, then
+    each model's score in ``table.models`` order, which the header names
+    after ``SCORE_HEADER``. The bytes are what ``csv.writer`` (lines ending
+    in a newline) writes for those rows: a score is its ``repr``, NaN an
+    empty field. Each video id is formatted once. Models named ``model``
+    and ``score`` alone would give the earlier layout's header, which the
+    reader refuses, and are a ``ScoringError``."""
+    if [*SCORE_HEADER, *table.models] == _LONG_HEADER:
+        raise ScoringError("models 'model' and 'score' alone give the header of the earlier "
+                           "score table layout; rename one")
     videos = csv_fields(table.videos)
-    models = [f"{model}," for model in csv_fields(table.models)]
     with AtomicFile(path) as fh:
-        csv.writer(fh, lineterminator="\n").writerow(SCORE_HEADER)
+        fh.write(",".join(csv_fields([*SCORE_HEADER, *table.models])) + "\n")
         for start in range(0, len(table.number), ROW_CHUNK):
             part = slice(start, start + ROW_CHUNK)
-            heads = [f"{trial_id},{videos[e]},{videos[t]},{label},"
-                     for trial_id, e, t, label in zip(
-                         trial_ids(table.number[part]), table.enroll[part].tolist(),
-                         table.test[part].tolist(), table.label[part].tolist())]
-            lines = []  # per model, one line per trial
-            for model, column in zip(models, table.scores[:, part]):
+            columns = [[f"{trial_id},{videos[e]},{videos[t]},{label}"
+                        for trial_id, e, t, label in zip(
+                            trial_ids(table.number[part]), table.enroll[part].tolist(),
+                            table.test[part].tolist(), table.label[part].tolist())]]
+            for column in table.scores[:, part]:
                 scores = list(map(repr, column.tolist()))
                 for i in np.flatnonzero(np.isnan(column)).tolist():
                     scores[i] = ""
-                lines.append([f"{head}{model}{score}\n" for head, score in zip(heads, scores)])
-            fh.write("".join(itertools.chain.from_iterable(zip(*lines))))
+                columns.append(scores)
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def read_score_table(path: str | Path) -> ScoreTable:
     """The table in a file written by ``write_score_table``, in file order.
 
-    The first trial's rows give the models and their order; every trial
-    then has one row per model, consecutive and in that order, all with its
-    videos and label. A row that breaks this layout, is not six fields, has
-    a trial id other than "t" and 8 ASCII digits, a label other than 0/1 or
-    a score that is neither empty nor a finite plain number (ASCII, with no
-    underscore or surrounding whitespace, not ``nan`` or ``inf``), is a
-    ``ScoringError`` naming the file, the row and why.
+    The header is ``SCORE_HEADER`` and then the models, at least one and all
+    distinct; any other header (the earlier layout's, a row per trial and
+    model, among them) is a ``ScoringError`` naming the file. A row that is
+    not as many fields as the header, has a trial id other than "t" and 8
+    ASCII digits, a label other than 0/1 or a score that is neither empty
+    nor a finite plain number (ASCII, with no underscore or surrounding
+    whitespace, not ``nan`` or ``inf``), is a ``ScoringError`` naming the
+    file, the row and why.
     """
+    header = csv_header(path, ScoringError)
+    models = header[len(SCORE_HEADER):]
+    if (header[:len(SCORE_HEADER)] != SCORE_HEADER or not models
+            or len(set(models)) < len(models) or header == _LONG_HEADER):
+        raise ScoringError(f"{path}: bad header {header!r}, expected {SCORE_HEADER!r} "
+                           f"and then one or more distinct models")
     number, label, enroll, test = array("i"), array("b"), array("i"), array("i")
-    scores = array("d")
+    scores = array("d")  # (trials, models), row by row
     videos = FirstSeen()
-    models: list[str] = []  # once the first trial has ended
 
     def check(columns: list[list[str]]) -> tuple:
-        """The models, and the trial numbers, labels and scores of rows that
-        begin at a trial's first, the last trial perhaps cut short."""
-        ids, enrolls, tests, labels, row_models, values = columns
-        # until it is known to have ended, the first trial is every row of its id
-        names = models or row_models[:next(
-            (k for k, trial_id in enumerate(ids) if trial_id != ids[0]), len(ids))]
-        cycle = len(names)
-        if len(set(names)) < cycle:
-            raise ValueError("a model repeats within a trial")
-        for column in (ids, enrolls, tests, labels):  # one trial's rows agree
-            head = column[::cycle]
-            for k in range(1, cycle):
-                rest = column[k::cycle]
-                if rest != head[:len(rest)]:
-                    raise ValueError(f"each trial has {cycle} consecutive rows")
-        if row_models != (names * (len(ids) // cycle + 1))[:len(ids)]:
-            raise ValueError(f"each trial has the models {names}, in order")
-        return (names, trial_numbers(ids[::cycle]), label_values(labels[::cycle]),
-                _score_values(values))
+        """The trial numbers, labels and (trials, models) scores of rows."""
+        ids, _, _, labels, *values = columns
+        return (trial_numbers(ids), label_values(labels),
+                np.stack([_score_values(column) for column in values], axis=1))
 
-    def take(columns: list[list[str]], whole: int, numbers, trial_labels, values) -> None:
-        """Append the first ``whole`` rows of checked columns: whole trials."""
-        cycle = len(models)
-        number.frombytes(numbers[:whole // cycle].tobytes())
-        label.frombytes(trial_labels[:whole // cycle])
-        videos.extend(enroll, columns[1][0:whole:cycle])
-        videos.extend(test, columns[2][0:whole:cycle])
-        scores.frombytes(values[:whole].tobytes())
-
-    held: list[list[str]] = [[] for _ in SCORE_HEADER]  # the rows after the last whole trial
-    row = 1  # the first held row's
+    row = 1  # the chunk's first
     try:
-        for chunk in csv_columns(path, SCORE_HEADER, ScoringError):
-            columns = [a + b for a, b in zip(held, chunk)] if held[0] else chunk
-            names, *results = checked(check, columns, row)
-            if models or len(names) < len(columns[0]):  # the first trial has ended
-                models = names
-                whole = len(columns[0]) - len(columns[0]) % len(models)
-                take(columns, whole, *results)
-                held = [column[whole:] for column in columns]
-                row += whole
-            else:
-                held = columns
-        if held[0]:
-            if models:
-                raise BadRow(row + len(held[0]), None,
-                             f"the last trial lacks model {models[len(held[0])]!r}")
-            models = names  # the file is one trial
-            take(held, len(models), *results)
+        for columns in csv_columns(path, header, ScoringError):
+            numbers, labels, values = checked(check, columns, row)
+            number.frombytes(numbers.tobytes())
+            label.frombytes(labels)
+            videos.extend(enroll, columns[1])
+            videos.extend(test, columns[2])
+            scores.frombytes(values.tobytes())
+            row += len(labels)
     except BadRow as bad:
         raise ScoringError(
             f"{path}: row {bad.row} is not in score table layout (trial id t and 8 digits, "
-            f"enroll video, test video, label 0 or 1, model, score or empty): "
+            f"enroll video, test video, label 0 or 1, then each model's score or empty): "
             f"{bad.reason}; {bad.fields!r}"
         ) from None
     return ScoreTable(videos.renumber(enroll, test), models, number, enroll, test, label,

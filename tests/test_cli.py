@@ -180,6 +180,8 @@ class TestTrainScoreEvaluateChain:
         ]) == EXIT_OK
         table = read_score_table(scores_path)
         assert table.rows and all(r.model == "m" for r in table.rows)
+        assert (f"wrote the scores of {len(table.number):,d} trials by models m to {scores_path}"
+                in capsys.readouterr().out)
 
         out_dir = tmp_path / "eval"
         assert main([
@@ -244,16 +246,24 @@ class TestTrainScoreEvaluateChain:
 
     def test_evaluate_names_the_line_that_is_not_utf8(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
-        scores.write_bytes(b"trial_id,enroll_video,test_video,label,model,score\n"
-                           b"t00000001,a,b,1,m,0.5\n"
-                           b"t00000002,a,c\xe9,0,m,0.25\n")
+        scores.write_bytes(b"trial_id,enroll_video,test_video,label,m\n"
+                           b"t00000001,a,b,1,0.5\n"
+                           b"t00000002,a,c\xe9,0,0.25\n")
         assert main(["evaluate", "--scores", str(scores)]) == EXIT_FAIL
         assert f"{scores}: line 3 is not UTF-8" in capsys.readouterr().err
 
-    def test_fairness_on_a_table_without_scores_fails(self, corpus_small, tmp_path, capsys):
+    def test_evaluate_refuses_a_table_in_the_earlier_layout(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("trial_id,enroll_video,test_video,label,model,score\n"
-                          "t00000001,gaga_a_a_c000,gaga_a_a_c001,1,m,\n")
+                          "t00000001,a,b,1,m,0.5\n"
+                          "t00000002,a,c,0,m,0.25\n")
+        assert main(["evaluate", "--scores", str(scores)]) == EXIT_FAIL
+        assert f"{scores}: bad header" in capsys.readouterr().err
+
+    def test_fairness_on_a_table_without_scores_fails(self, corpus_small, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("trial_id,enroll_video,test_video,label,m\n"
+                          "t00000001,gaga_a_a_c000,gaga_a_a_c001,1,\n")
         code = main([
             "fairness", "--scores", str(scores),
             "--identities", str(corpus_small.root / "identities.csv"),
@@ -440,6 +450,27 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
         assert (trained, scored) == ([1], [1])
         assert tree_bytes(run_dir) == before
+
+    def test_tables_of_another_layout_are_rescored(self, corpus_small, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "config.json", corpus_small,
+                           experiments=[INTRA_GAGA, CROSS_TO_LIVE])
+        with monkeypatch.context() as patch:  # tables as a writer of another layout leaves them
+            patch.setattr(scoring, "SCORE_HEADER", [*scoring.SCORE_HEADER, "model", "score"])
+            assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        trained, scored = [], []
+        real_train, real_score = cli.train, scoring.score_trials
+        monkeypatch.setattr(cli, "train", lambda *a, **k: trained.append(1) or real_train(*a, **k))
+        monkeypatch.setattr(scoring, "score_trials",
+                            lambda *a, **k: scored.append(1) or real_score(*a, **k))
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert (trained, scored) == ([], [1, 1])  # every job, and no checkpoint
+        # every artifact equals a first run's
+        assert main(["run", "--config", str(cfg), "--run-id", "first"]) == EXIT_OK
+        again = tree_bytes(tmp_path / "runs" / "testrun")
+        first = tree_bytes(tmp_path / "runs" / "first")
+        assert again.keys() == first.keys()
+        for p in first.keys() - {Path("config", "effective.json")}:
+            assert again[p] == first[p], p
 
     def test_changed_adjacency_content_retrains(self, corpus_small, tmp_path):
         graph_model = {

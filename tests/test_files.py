@@ -8,7 +8,8 @@ import stat
 import pytest
 
 from avatarprint import files
-from avatarprint.files import AtomicFile, BadRow, checked, csv_columns, read_csv, write_text
+from avatarprint.files import (AtomicFile, BadRow, checked, csv_columns, csv_header, read_csv,
+                               write_text)
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path):
@@ -146,6 +147,19 @@ def test_the_csv_module_reads_on_from_the_first_row_not_given(tmp_path, monkeypa
     assert (rows, bad_row) == _csv_module_rows(path)
     # the header and the last chunk's rows, where the whole file is 2,001
     assert read[0] == HEADER and len(read) <= 1 + files.CHUNK_CHARS // len(lines[0])
+
+
+@pytest.mark.parametrize("text", ["a,b,c\n1,2,3\n", "a,,é\n", "a\n", '"a,b","say ""hi""",c\n',
+                                  '"a\nb",c\n', "a,b\r\n", "a,b", "\n", ""],
+                         ids=["plain", "empty-field", "one", "quoted", "quoted-newline", "crlf",
+                              "no-newline", "blank", "empty"])
+def test_header_is_the_csv_modules_first_row(tmp_path, monkeypatch, text):
+    path = _write(tmp_path / "h.csv", text)
+    with open(path, newline="", encoding="utf-8") as fh:
+        expected = next(csv.reader(fh), [])
+    if text in ("a,b,c\n1,2,3\n", "a,,é\n", "a\n"):
+        monkeypatch.setattr(files.csv, "reader", None)  # a canonical line is split at its commas
+    assert csv_header(path, CsvError) == expected
 
 
 def _reject_x(columns):

@@ -311,7 +311,8 @@ class TestScoreTrials:
     def test_unscorable_round_trips_as_empty_field(self, tmp_path):
         table = ScoreTable(["a", "b"], ["m"], [1], [0], [1], [1], [[np.nan]])
         write_score_table(table, tmp_path / "scores.csv")
-        assert (tmp_path / "scores.csv").read_text().splitlines()[1] == "t00000001,a,b,1,m,"
+        assert (tmp_path / "scores.csv").read_text().splitlines() == [
+            "trial_id,enroll_video,test_video,label,m", "t00000001,a,b,1,"]
         back = read_score_table(tmp_path / "scores.csv")
         assert back.rows[0].score is None and np.isnan(back.scores[0, 0])
         assert back.unscorable_trials == ["t00000001"]
@@ -361,69 +362,101 @@ class TestScoreTrials:
         write_score_table(table, tmp_path / "scores.csv")
         reference = io.StringIO()
         writer = csv.writer(reference, lineterminator="\n")
-        writer.writerow(["trial_id", "enroll_video", "test_video", "label", "model", "score"])
-        writer.writerows([r.trial_id, r.enroll_video, r.test_video, r.label, r.model,
-                          "" if r.score is None else repr(r.score)] for r in table.rows)
+        writer.writerow(["trial_id", "enroll_video", "test_video", "label", *table.models])
+        m = len(table.models)
+        for trial in (table.rows[k:k + m] for k in range(0, len(table.rows), m)):
+            writer.writerow([trial[0].trial_id, trial[0].enroll_video, trial[0].test_video,
+                             trial[0].label, *("" if r.score is None else repr(r.score)
+                                               for r in trial)])
         assert (tmp_path / "scores.csv").read_text(encoding="utf-8") == reference.getvalue()
         assert read_score_table(tmp_path / "scores.csv").rows == table.rows
 
-    GOOD_ROWS = ["t00000001,a,b,1,m1,0.5", "t00000001,a,b,1,m2,", "t00000002,a,c,0,m1,0.25",
-                 "t00000002,a,c,0,m2,-0.5"]
+    @pytest.mark.parametrize("models", [("g", "k", FUSION_MODEL), ("a,b", 'say "hi"', "é")],
+                             ids=["plain", "quoted"])
+    def test_model_names_round_trip(self, tmp_path, monkeypatch, models):
+        table = ScoreTable(["a", "b"], models, [1, 2], [0, 1], [1, 0], [1, 0],
+                           [[0.5, np.nan], [-0.25, 1.0], [0.125, 2.0]])
+        write_score_table(table, tmp_path / "scores.csv")
+        if models[0] == "g":
+            monkeypatch.setattr(files.csv, "reader", None)  # plain names are split at commas
+        back = read_score_table(tmp_path / "scores.csv")
+        assert back.models == models and back.rows == table.rows
+
+    def test_a_table_without_trials_keeps_its_models(self, tmp_path):
+        table = ScoreTable([], ["g", "k", FUSION_MODEL], [], [], [], [], np.empty((3, 0)))
+        write_score_table(table, tmp_path / "scores.csv")
+        back = read_score_table(tmp_path / "scores.csv")
+        assert back.models == ("g", "k", FUSION_MODEL) and back.scores.shape == (3, 0)
+        assert back.rows == []
+
+    HEADER_LINE = "trial_id,enroll_video,test_video,label,m1,m2\n"
+
+    GOOD_ROWS = ["t00000001,a,b,1,0.5,", "t00000002,a,c,0,0.25,-0.5",
+                 "t00000003,b,c,1,-1e-05,0.125"]
 
     BAD_ROWS = [
-        (1, "t1,a,b,1,m1,0.5", "trial-id"),
-        (3, "t0000000x,a,c,0,m1,0.25", "trial-id-digits"),
-        (3, "t00000002,a,c,2,m1,0.25", "label"),
-        (3, "t00000002,a,c,0,m1", "short"),
-        (3, "t00000002,a,c,0,m1,0.25,x", "long"),
-        (3, "t00000002,a,c,0,m1,zero", "score"),
-        (3, "t00000002,a,c,0,m1,nan", "score-nan"),
-        (3, "t00000002,a,c,0,m1,inf", "score-inf"),
-        (3, "t00000002,a,c,0,m1,-inf", "score-minus-inf"),
-        (3, "t00000002,a,c,0,m1,2_5", "score-underscore"),
-        (3, "t00000002,a,c,0,m1,\u0663", "score-non-ascii-digit"),
-        (3, "t00000002,a,c,0,m1, 0.25", "score-leading-space"),
-        (3, "t00000002,a,c,0,m1,0.25\t", "score-trailing-tab"),
-        (4, "t00000002,a,c,0,m2,-1e999", "score-overflow"),
-        (3, "t00000002,a,c,0,m2,0.25", "model-order"),
-        (4, "t00000003,a,c,0,m2,-0.5", "not-consecutive"),
-        (4, "t00000002,a,d,0,m2,-0.5", "other-video"),
-        (4, "t00000002,a,c,1,m2,-0.5", "other-label"),
-        (2, "t00000001,a,b,1,m1,", "repeated-model"),
-        (4, None, "last-trial-short"),
+        (1, "t1,a,b,1,0.5,", "trial-id"),
+        (2, "t0000000x,a,c,0,0.25,-0.5", "trial-id-digits"),
+        (2, "t00000002,a,c,2,0.25,-0.5", "label"),
+        (2, "t00000002,a,c,0,0.25", "short"),
+        (2, "t00000002,a,c,0,0.25,-0.5,x", "long"),
+        (2, "t00000002,a,c,0,zero,-0.5", "score"),
+        (2, "t00000002,a,c,0,nan,-0.5", "score-nan"),
+        (2, "t00000002,a,c,0,inf,-0.5", "score-inf"),
+        (2, "t00000002,a,c,0,-inf,-0.5", "score-minus-inf"),
+        (2, "t00000002,a,c,0,2_5,-0.5", "score-underscore"),
+        (2, "t00000002,a,c,0,\u0663,-0.5", "score-non-ascii-digit"),
+        (2, "t00000002,a,c,0, 0.25,-0.5", "score-leading-space"),
+        (2, "t00000002,a,c,0,0.25\t,-0.5", "score-trailing-tab"),
+        (3, "t00000003,b,c,1,-1e-05,-1e999", "score-overflow"),
     ]
 
     @pytest.mark.parametrize("row,line,bad", BAD_ROWS)
     def test_reader_rejects_rows_out_of_layout(self, tmp_path, row, line, bad):
         rows = list(self.GOOD_ROWS)
-        if line is None:
-            rows.pop()
-        else:
-            rows[row - 1] = line
+        rows[row - 1] = line
         path = tmp_path / "scores.csv"
-        path.write_text("trial_id,enroll_video,test_video,label,model,score\n"
-                        + "".join(f"{r}\n" for r in rows))
+        path.write_text(self.HEADER_LINE + "".join(f"{r}\n" for r in rows))
         with pytest.raises(ScoringError, match=f"{path}: row {row} ") as err:
             read_score_table(path)
         assert bad and str(err.value).count("\n") == 0
 
     def test_reader_accepts_the_good_rows(self, tmp_path):
         path = tmp_path / "scores.csv"
-        path.write_text("trial_id,enroll_video,test_video,label,model,score\n"
-                        + "".join(f"{r}\n" for r in self.GOOD_ROWS))
+        path.write_text(self.HEADER_LINE + "".join(f"{r}\n" for r in self.GOOD_ROWS))
         table = read_score_table(path)
         assert table.models == ("m1", "m2") and table.unscorable_trials == ["t00000001"]
-        assert [r.score for r in table.rows] == [0.5, None, 0.25, -0.5]
+        assert [r.score for r in table.rows] == [0.5, None, 0.25, -0.5, -1e-05, 0.125]
         empty = tmp_path / "empty.csv"
-        empty.write_text("trial_id,enroll_video,test_video,label,model,score\n")
+        empty.write_text(self.HEADER_LINE)
         assert read_score_table(empty).rows == []
 
-    def test_bad_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize("header", [
+        "nope\n",
+        "",
+        "trial_id,enroll_video,test_video,label\n",  # no model
+        "trial_id,enroll_video,test_video,label,m,k,m\n",  # a model twice
+        "trial_id,enroll_video,test_video,label,model,score\n",  # a row per trial and model
+        "trial_id,enroll_video,test_video,score,m\n",
+    ], ids=["other", "empty", "no-model", "repeated-model", "long-layout", "no-label"])
+    def test_bad_header_rejected(self, tmp_path, header):
         path = tmp_path / "scores.csv"
-        path.write_text("nope\n")
-        with pytest.raises(ScoringError, match="bad header"):
+        path.write_text(header + "t00000001,a,b,1,m,0.5\n" if header else "")
+        with pytest.raises(ScoringError, match=f"^{path}: bad header "):
             read_score_table(path)
 
+    def test_models_that_give_the_earlier_header_are_not_written(self, tmp_path):
+        table = ScoreTable(["a", "b"], ["model", "score"], [1], [0], [1], [1], [[0.5], [0.25]])
+        with pytest.raises(ScoringError, match="earlier score table layout"):
+            write_score_table(table, tmp_path / "scores.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_header_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"trial_id,enroll_video,test_video,label,m\xff\nt00000001,a,b,1,0.5\n")
+        with pytest.raises(ScoringError) as raised:
+            read_score_table(path)
+        assert str(raised.value) == f"{path}: line 1 is not UTF-8: invalid start byte"
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_rows_leave_the_collector_as_found(self, monkeypatch, enabled):
@@ -446,9 +479,6 @@ class TestScoreTrials:
             (gc.enable if was else gc.disable)()
 
 
-SCORE_HEADER_LINE = "trial_id,enroll_video,test_video,label,model,score\n"
-
-
 def _random_score_lines(trials, models, seed=0):
     """Lines as write_score_table writes them: non-ASCII video ids, an
     unscorable trial now and then, repr'd scores of every size."""
@@ -457,17 +487,17 @@ def _random_score_lines(trials, models, seed=0):
     lines = []
     for i in range(trials):
         head = (f"t{rng.randrange(1, 10**8):08d},{rng.choice(videos)},{rng.choice(videos)},"
-                f"{rng.choice('01')},")
+                f"{rng.choice('01')}")
         unscorable = rng.random() < 0.1
-        for model in models:
-            value = rng.uniform(-1, 1) * 10.0 ** rng.randrange(-300, 300)
-            score = "" if unscorable else repr(value)
-            lines.append(f"{head}{model},{score}\n")
+        scores = ["" if unscorable else repr(rng.uniform(-1, 1) * 10.0 ** rng.randrange(-300, 300))
+                  for _ in models]
+        lines.append(",".join([head, *scores]) + "\n")
     return lines
 
 
-def _write_scores(path, lines):
-    path.write_text(SCORE_HEADER_LINE + "".join(lines), encoding="utf-8")
+def _write_scores(path, lines, models):
+    header = ",".join(["trial_id", "enroll_video", "test_video", "label", *models])
+    path.write_text(f"{header}\n" + "".join(lines), encoding="utf-8")
     return path
 
 
@@ -493,11 +523,13 @@ def _read_outcome(path):
 
 
 class TestCanonicalTable:
-    @pytest.mark.parametrize("chunk", [1, 100, 300, 1 << 16])
-    @pytest.mark.parametrize("trials,models", [(0, ()), (1, ("m",)), (1, ("b", "a", "c")),
-                                               (150, ("m",)), (150, ("g", "k", FUSION_MODEL))])
+    @pytest.mark.parametrize("chunk", [1, 37, 300, 1 << 16])
+    @pytest.mark.parametrize("trials,models", [(0, ("g", "k", FUSION_MODEL)), (1, ("m",)),
+                                               (1, ("b", "a", "c")), (150, ("m",)),
+                                               (150, ("g", "k", FUSION_MODEL))])
     def test_columns_equal_the_row_reader(self, tmp_path, monkeypatch, chunk, trials, models):
-        path = _write_scores(tmp_path / "scores.csv", _random_score_lines(trials, models, trials))
+        path = _write_scores(tmp_path / "scores.csv", _random_score_lines(trials, models, trials),
+                             models)
         expected = _read_by_rows(path)
         assert isinstance(expected[0], tuple) and expected[1] == models
         monkeypatch.setattr(files, "CHUNK_CHARS", chunk)
@@ -509,14 +541,12 @@ class TestCanonicalTable:
     def test_late_bad_row_gives_the_row_readers_error(self, tmp_path, monkeypatch, row, line, bad,
                                                       chunk):
         rows = list(TestScoreTrials.GOOD_ROWS)
-        if line is None:
-            rows.pop()
-        else:
-            rows[row - 1] = line
+        rows[row - 1] = line
         prefix = _random_score_lines(150, ("m1", "m2"))
-        path = _write_scores(tmp_path / "scores.csv", prefix + [f"{r}\n" for r in rows])
+        path = _write_scores(tmp_path / "scores.csv", prefix + [f"{r}\n" for r in rows],
+                             ("m1", "m2"))
         expected = _read_by_rows(path)
-        assert expected[0] is ScoringError and f"{path}: row {row + 300} " in expected[1]
+        assert expected[0] is ScoringError and f"{path}: row {row + 150} " in expected[1]
         monkeypatch.setattr(files, "CHUNK_CHARS", chunk)
         assert _read_outcome(path) == expected
 
@@ -524,35 +554,27 @@ class TestCanonicalTable:
     def test_other_files_fall_back_to_the_row_reader(self, tmp_path, change):
         lines = _random_score_lines(100, ("m1", "m2"))
         if change == "quoted":
-            lines[150:152] = ['t00000009,"say ""hi""","a,b",1,m1,0.5\n',
-                              't00000009,"say ""hi""","a,b",1,m2,\n']
-        path = _write_scores(tmp_path / "scores.csv", lines)
+            lines[75] = 't00000009,"say ""hi""","a,b",1,0.5,\n'
+        path = _write_scores(tmp_path / "scores.csv", lines, ("m1", "m2"))
         text = path.read_bytes()
         path.write_bytes({"quoted": text, "crlf": text.replace(b"\n", b"\r\n"),
                           "no-final-newline": text[:-1], "blank-last": text + b"\n"}[change])
         expected = _read_by_rows(path)
         assert _read_outcome(path) == expected
         if change == "blank-last":
-            assert expected[0] is ScoringError and "row 201 " in expected[1]
+            assert expected[0] is ScoringError and "row 101 " in expected[1]
         else:
             assert isinstance(expected[0], tuple)
             if change == "quoted":
                 assert 'say "hi"' in expected[0]
 
     def test_bytes_not_utf8_name_their_line(self, tmp_path):
-        lines = [f"t{i:08d},a{i},b,1,m,0.5\n" for i in range(1, 2001)]
-        path = _write_scores(tmp_path / "scores.csv", lines)
+        lines = [f"t{i:08d},a{i},b,1,0.5\n" for i in range(1, 2001)]
+        path = _write_scores(tmp_path / "scores.csv", lines, ("m",))
         path.write_bytes(path.read_bytes().replace(b",a1500,", b",a\xff,"))
         with pytest.raises(ScoringError) as raised:
             read_score_table(path)
         assert str(raised.value) == f"{path}: line 1501 is not UTF-8: invalid start byte"
-
-    def test_a_model_in_every_trial_twice_gives_the_row_readers_error(self, tmp_path):
-        lines = [f"t{i:08d},a,b,1,m,0.5\n" for i in (1, 1, 2, 2)]
-        path = _write_scores(tmp_path / "scores.csv", lines)
-        expected = _read_by_rows(path)
-        assert expected[0] is ScoringError and "a model repeats" in expected[1]
-        assert _read_outcome(path) == expected
 
 
 class TestChunks:

@@ -398,12 +398,16 @@ class TestScoreTrials:
         (1, "t1,a,b,1,0.5,", "trial-id"),
         (2, "t0000000x,a,c,0,0.25,-0.5", "trial-id-digits"),
         (2, "t00000002,a,c,2,0.25,-0.5", "label"),
+        (2, "t00000002,a,c,,0.25,-0.5", "label-empty"),
         (2, "t00000002,a,c,0,0.25", "short"),
+        (3, "t00000003,b,c,1,-1e-05", "last-row-short"),
         (2, "t00000002,a,c,0,0.25,-0.5,x", "long"),
         (2, "t00000002,a,c,0,zero,-0.5", "score"),
         (2, "t00000002,a,c,0,nan,-0.5", "score-nan"),
         (2, "t00000002,a,c,0,inf,-0.5", "score-inf"),
         (2, "t00000002,a,c,0,-inf,-0.5", "score-minus-inf"),
+        # row 1 leaves m2 empty: the text nan is still no score
+        (2, "t00000002,a,c,0,0.25,nan", "score-nan-beside-empty"),
         (2, "t00000002,a,c,0,2_5,-0.5", "score-underscore"),
         (2, "t00000002,a,c,0,\u0663,-0.5", "score-non-ascii-digit"),
         (2, "t00000002,a,c,0, 0.25,-0.5", "score-leading-space"),

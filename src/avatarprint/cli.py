@@ -28,6 +28,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -53,7 +54,7 @@ from .feature_store import (
     import_frames_csv,
 )
 from .files import write_json, write_text
-from .synthbench import synth_corpus
+from .synthbench import SynthError, synth_corpus
 from .training import TrainHyper, TrainingDiverged, TrainingError, train
 
 EXIT_OK = 0
@@ -61,6 +62,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 T = TypeVar("T")
+E = TypeVar("E", bound=Enum)
 
 
 class ConfigError(ValueError):
@@ -255,7 +257,7 @@ class RunConfig:
                 }
                 for m in self.models
             ],
-            "experiments": [e.to_dict() for e in self.experiments],
+            "experiments": [asdict(e) for e in self.experiments],
         }
 
 
@@ -358,12 +360,20 @@ def _open_models(stack: ExitStack, specs: Iterable[ModelSpec], seed: int) -> dic
     return models
 
 
-def _parse_generators(text: str) -> list[cat.Generator]:
-    return [cat.Generator(g.strip()) for g in text.split(",") if g.strip()]
+def _parse_names(text: str, kind: type[E]) -> list[E]:
+    """The members of the enum ``kind`` named in a comma-separated list."""
+    try:
+        return [kind(name.strip()) for name in text.split(",") if name.strip()]
+    except ValueError:
+        raise ConfigError(f"bad {kind.__name__.lower()} list {text!r}; "
+                          f"choose from {', '.join(m.value for m in kind)}") from None
 
 
 def _parse_frames(text: str) -> int | tuple[int, int]:
-    parts = [int(p) for p in text.split(",")]
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) == 1:
         return parts[0]
     if len(parts) == 2:
@@ -388,20 +398,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    corpus = synth_corpus(
-        out_dir=args.out,
-        n_identities=args.identities_n,
-        videos_per_id=args.videos_per_id,
-        frames=_parse_frames(args.frames),
-        dim=args.dim,
-        seed=args.seed,
-        dataset=cat.Dataset(args.dataset),
-        generators=_parse_generators(args.generators),
-        noise_sigma=args.noise,
-        targets_per_driver=args.targets_per_driver,
-        clips_per_driver=args.clips_per_driver,
-        eval_fraction=args.eval_fraction,
-    )
+    try:
+        # synth_corpus checks its arguments before it writes anything
+        corpus = synth_corpus(
+            out_dir=args.out,
+            n_identities=args.identities_n,
+            videos_per_id=args.videos_per_id,
+            frames=_parse_frames(args.frames),
+            dim=args.dim,
+            seed=args.seed,
+            dataset=_parse_names(args.dataset, cat.Dataset),
+            generators=_parse_names(args.generators, cat.Generator),
+            noise_sigma=args.noise,
+            targets_per_driver=args.targets_per_driver,
+            clips_per_driver=args.clips_per_driver,
+            eval_fraction=args.eval_fraction,
+        )
+    except (SynthError, cat.CatalogError) as exc:
+        raise ConfigError(str(exc)) from exc
     n_self = sum(1 for _ in corpus.catalog.videos(reenactment="self"))
     n_cross = sum(1 for _ in corpus.catalog.videos(reenactment="cross"))
     print(
@@ -440,7 +454,7 @@ def _train_one(model: Model, catalog: cat.Catalog, split: proto.Split, train_dat
     params, log = train(model.store, view, split.development, model.config, model.hyper,
                         graph=model.graph)
     save_checkpoint(params, out_path)
-    write_json(out_path.with_suffix(".log.json"), log.to_dict())
+    write_json(out_path.with_suffix(".log.json"), asdict(log))
 
 
 def _score_job(
@@ -783,13 +797,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--identities-n", type=int, default=20)
+    p.add_argument("--identities-n", type=int, default=20, help="identities per dataset")
     p.add_argument("--videos-per-id", type=int, default=10)
     p.add_argument("--frames", default="64,100", help="frame count N or range LO,HI")
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dataset", default=cat.Dataset.CREMA_D.value,
-                   choices=[d.value for d in cat.Dataset])
+                   help="comma-separated dataset names; each after the first is "
+                        "rendered through the dataset shift")
     p.add_argument("--generators", default=cat.Generator.GAGA.value,
                    help="comma-separated generator names")
     p.add_argument("--noise", type=float, default=0.05)

@@ -624,16 +624,6 @@ class ExperimentSpec:
             models=tuple(d.get("models", ())),
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "train_dataset": self.train_dataset,
-            "train_generator": self.train_generator,
-            "eval_dataset": self.eval_dataset,
-            "eval_generators": list(self.eval_generators),
-            "models": list(self.models),
-        }
-
 
 class Job(NamedTuple):
     job_id: str

@@ -5,15 +5,17 @@ Every identity gets its own bank of sinusoids (4 per feature dimension,
 matrix; a video is that trajectory sampled with a per-clip time offset and
 per-video Gaussian noise. Cross-reenactments copy the driver's trajectory
 verbatim under the target's appearance label, motion being all the features
-carry. Generator and dataset shifts perturb stored features (smoothing, style
-bias, amplitude/duration changes) uniformly across identities so signatures
-stay partially recoverable.
+carry. A corpus holds one or more datasets and one or more generators; both
+shifts are applied while the store is written. Each later generator smooths
+the clips more and adds a larger style bias; each later dataset also rescales
+their amplitude, redraws their lengths and adds noise. The shifts act
+uniformly across identities, so signatures stay partially recoverable.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -112,37 +114,14 @@ class ShiftTransform:
     frame_range: tuple[int, int] | None = None  # redraw video lengths
     style_seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.smoothing_width < 1:
-            raise SynthError("smoothing_width must be >= 1")
-        if self.noise_sigma < 0 or self.amplitude_rescale <= 0:
-            raise SynthError("noise_sigma >= 0 and amplitude_rescale > 0 required")
-        if self.frame_range is not None:
-            lo, hi = self.frame_range
-            if not (2 <= lo <= hi):
-                raise SynthError(f"bad frame_range {self.frame_range}")
-
     def style_vector(self, dim: int) -> np.ndarray:
         if self.style_bias == 0.0:
             return np.zeros(dim)
         return np.random.default_rng(self.style_seed).standard_normal(dim) * self.style_bias
 
 
-def default_generator_shift(style_seed: int = 101) -> ShiftTransform:
-    return ShiftTransform(
-        smoothing_width=7,
-        style_bias=0.5,
-        noise_sigma=0.05,
-        style_seed=style_seed,
-    )
-
-
-def default_dataset_shift() -> ShiftTransform:
-    return ShiftTransform(
-        amplitude_rescale=0.6,
-        frame_range=(95, 120),
-        noise_sigma=0.05,
-    )
+# what rendering a dataset after the first adds to its generator's transform
+DATASET_SHIFT = {"amplitude_rescale": 0.6, "frame_range": (95, 120), "noise_sigma": 0.05}
 
 
 def _smooth(frames: np.ndarray, width: int) -> np.ndarray:
@@ -184,23 +163,6 @@ def _video_rng(seed: int, video_id: str, purpose: int) -> np.random.Generator:
     return np.random.default_rng([seed, purpose, zlib.crc32(video_id.encode("utf-8"))])
 
 
-def apply_shift(
-    store: FeatureStore, transform: ShiftTransform, seed: int, out_path: str | Path
-) -> FeatureStore:
-    """Write a transformed copy of every sequence to a new store.
-
-    Smoothing, rescale and style bias depend only on the transform; the seed
-    drives per-video length redraws and noise.
-    """
-    writer = FeatureStoreWriter(out_path, store.kind, store.dimension)
-    for video_id in store.ids():
-        seq = store.get(video_id)
-        rng = _video_rng(seed, video_id, purpose=7)
-        shifted = shift_frames(seq.frames, transform, rng)
-        writer.put(FeatureSequence(video_id, seq.kind, shifted, seq.fps))
-    return writer.seal()
-
-
 # -- corpus ------------------------------------------------------------------------
 
 
@@ -233,7 +195,7 @@ def synth_corpus(
     frames: int | tuple[int, int] = (64, 100),
     dim: int = 32,
     seed: int = 0,
-    dataset: Dataset = Dataset.CREMA_D,
+    dataset: Dataset | Sequence[Dataset] = Dataset.CREMA_D,
     generators: Sequence[Generator] = (Generator.GAGA,),
     noise_sigma: float = 0.05,
     targets_per_driver: int = 4,
@@ -242,13 +204,20 @@ def synth_corpus(
 ) -> SynthCorpus:
     """Build a complete synthetic benchmark under ``out_dir``.
 
-    Writes identities.csv, videos.csv, split.json and features.avfs. Each
+    Writes identities.csv, videos.csv, split.json and features.avfs.
+    ``dataset`` is one dataset or several, each with ``n_identities``
+    identities of its own; signatures and clip lengths are drawn dataset by
+    dataset, so the first dataset's draws do not depend on the others. Each
     generator renders the same underlying clips; a per-generator transform
     emulates rendering differences: the first generator leaves the clips
     untouched, and each later one smooths them more and adds a larger style
-    bias. The split is computed before cross-reenactments are assigned, so
-    drivers only ever impersonate targets on their own side.
+    bias. Every dataset after the first is rendered through the generator's
+    transform plus ``DATASET_SHIFT``. The split is computed before
+    cross-reenactments are assigned, so drivers only ever impersonate
+    targets of their own dataset and side.
     """
+    datasets = [dataset] if isinstance(dataset, Dataset) else list(dataset)
+    generators = list(generators)
     if n_identities < 2:
         raise SynthError("need at least 2 identities")
     if videos_per_id < 1 or dim < 1:
@@ -259,33 +228,37 @@ def synth_corpus(
         frame_lo, frame_hi = frames
     if not (2 <= frame_lo <= frame_hi):
         raise SynthError(f"bad frame range {frames!r}")
-    if not generators:
-        raise SynthError("need at least one generator")
+    for kind, names in (("dataset", datasets), ("generator", generators)):
+        if not names:
+            raise SynthError(f"need at least one {kind}")
+        if len(set(names)) < len(names):
+            raise SynthError(f"repeated {kind} in {', '.join(n.value for n in names)}")
 
     out_dir = Path(out_dir)
-    generators = list(generators)
     # index 0 gives width 1 and bias 0: the default, untouched frames
-    transforms = {
-        gen: ShiftTransform(smoothing_width=1 + 2 * idx, style_bias=0.2 * idx, style_seed=100 + idx)
-        for idx, gen in enumerate(generators)
-    }
+    transforms: dict[tuple[Dataset, Generator], ShiftTransform] = {}
+    for idx, gen in enumerate(generators):
+        own = ShiftTransform(smoothing_width=1 + 2 * idx, style_bias=0.2 * idx,
+                             style_seed=100 + idx)
+        for d_idx, ds in enumerate(datasets):
+            transforms[(ds, gen)] = replace(own, **DATASET_SHIFT) if d_idx else own
 
-    prefix = _DATASET_PREFIX[dataset]
-    identity_ids = [f"{prefix}{i:03d}" for i in range(n_identities)]
     identities = [
         IdentityRecord(
-            id=ident,
-            dataset=dataset,
+            id=f"{_DATASET_PREFIX[ds]}{i:03d}",
+            dataset=ds,
             gender=_GENDER_CYCLE[i % len(_GENDER_CYCLE)],
             ethnicity=_ETHNICITY_CYCLE[i % len(_ETHNICITY_CYCLE)],
             age_range=_AGE_CYCLE[i % len(_AGE_CYCLE)],
         )
-        for i, ident in enumerate(identity_ids)
+        for ds in datasets
+        for i in range(n_identities)
     ]
+    identity_ids = [rec.id for rec in identities]
 
     sig_seq, length_seq = np.random.SeedSequence([seed, 11]).spawn(2)
     signatures = dict(
-        zip(identity_ids, make_signatures(n_identities, dim, noise_sigma, sig_seq))
+        zip(identity_ids, make_signatures(len(identity_ids), dim, noise_sigma, sig_seq))
     )
 
     # one base trajectory per (driver, clip), shared by every generator's
@@ -300,15 +273,15 @@ def synth_corpus(
 
     self_videos = [
         AvatarVideo(
-            video_id=f"{gen.value.lower()}_{ident}_{ident}_c{clip:03d}",
-            dataset=dataset,
+            video_id=f"{gen.value.lower()}_{rec.id}_{rec.id}_c{clip:03d}",
+            dataset=rec.dataset,
             generator=gen,
-            target=ident,
-            driver=ident,
+            target=rec.id,
+            driver=rec.id,
             source_clip=clip,
         )
         for gen in generators
-        for ident in identity_ids
+        for rec in identities
         for clip in range(videos_per_id)
     ]
     self_catalog = Catalog(identities, self_videos)
@@ -325,7 +298,7 @@ def synth_corpus(
     writer = FeatureStoreWriter(store_path, FeatureKind.EMBEDDING, dim)
     for video in sorted(catalog.videos(), key=lambda v: v.video_id):
         trajectory = base[(video.driver, video.source_clip)]
-        transform = transforms[video.generator]
+        transform = transforms[(video.dataset, video.generator)]
         rng = _video_rng(seed, video.video_id, purpose=3)
         rendered = shift_frames(trajectory, transform, rng)
         if noise_sigma > 0.0:

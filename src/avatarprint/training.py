@@ -100,24 +100,6 @@ class TrainingLog:
     epochs: list[EpochStats] = field(default_factory=list)
     diverged: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "steps_per_epoch": self.steps_per_epoch,
-            "num_windows": self.num_windows,
-            "num_identities": self.num_identities,
-            "initial_probe_loss": self.initial_probe_loss,
-            "diverged": self.diverged,
-            "epochs": [
-                {
-                    "epoch": e.epoch,
-                    "mean_loss": e.mean_loss,
-                    "active_fraction": e.active_fraction,
-                    "probe_loss": e.probe_loss,
-                }
-                for e in self.epochs
-            ],
-        }
-
 
 class Adam:
     """Adaptive first-order optimizer with bias-corrected moments."""

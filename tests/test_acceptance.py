@@ -32,12 +32,7 @@ from avatarprint.scoring import (
     score_trials,
     window_starts,
 )
-from avatarprint.synthbench import (
-    apply_shift,
-    default_dataset_shift,
-    default_generator_shift,
-    synth_corpus,
-)
+from avatarprint.synthbench import synth_corpus
 from avatarprint.training import TrainHyper, _batch_loss_grad, _squared_distances, train
 
 from helpers import (
@@ -249,6 +244,8 @@ def test_5_synthetic_benchmark(tmp_path):
         corpus = synth_corpus(
             tmp_path / "corpus", n_identities=20, videos_per_id=10,
             frames=(64, 100), dim=32, seed=1,
+            dataset=(Dataset.CREMA_D, Dataset.RAVDESS),
+            generators=(Generator.GAGA, Generator.LIVE),
         )
         config = EmbedderConfig(
             input_dim=32, heads=4, attention_dim=32, projection_dim=16,
@@ -256,29 +253,21 @@ def test_5_synthetic_benchmark(tmp_path):
         )
         hyper = TrainHyper(lr=1e-3, batch=64, epochs=10, margin=0.2,
                            mining="semi-hard", windows_per_identity=4)
-        params, log = train(
-            corpus.store, corpus.catalog, corpus.split.development, config, hyper
-        )
+        view = corpus.catalog.filter(datasets=[Dataset.CREMA_D], generators=[Generator.GAGA])
+        params, log = train(corpus.store, view, corpus.split.development, config, hyper)
         assert not log.diverged
 
         trials = generate_trials(corpus.catalog, corpus.split)
 
-        def auc_on(store):
-            table = score_trials({"model": (params, store)}, trials)
+        def auc_on(dataset, generator):
+            table = score_trials({"model": (params, corpus.store)},
+                                 trials.select(dataset.value, generator.value))
             (report,) = evaluate_rows(table.rows, "cond")
             return report.auc
 
-        auc_intra = auc_on(corpus.store)
-        gen_store = apply_shift(
-            corpus.store, default_generator_shift(), seed=1,
-            out_path=tmp_path / "gen_shift.avfs",
-        )
-        auc_generator = auc_on(gen_store)
-        ds_store = apply_shift(
-            corpus.store, default_dataset_shift(), seed=1,
-            out_path=tmp_path / "ds_shift.avfs",
-        )
-        auc_dataset = auc_on(ds_store)
+        auc_intra = auc_on(Dataset.CREMA_D, Generator.GAGA)
+        auc_generator = auc_on(Dataset.CREMA_D, Generator.LIVE)
+        auc_dataset = auc_on(Dataset.RAVDESS, Generator.GAGA)
         elapsed = time.perf_counter() - started
 
         assert auc_intra >= 95.0, f"held-out AUC {auc_intra:.2f}"

@@ -6,6 +6,7 @@ import json
 import os
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +122,25 @@ class TestSynthAndTrials:
             ]) == EXIT_OK
             outputs.append(trials.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--generators", "GAGA,XYZ"], "choose from GAGA, LIVE, HUNY", id="unknown-generator"),
+        pytest.param(["--generators", "GAGA,GAGA"], "repeated generator", id="repeated-generator"),
+        pytest.param(["--generators", ","], "at least one generator", id="no-generator"),
+        pytest.param(["--dataset", "CREMA-D,XYZ"], "choose from CREMA-D, RAVDESS", id="unknown-dataset"),
+        pytest.param(["--dataset", "RAVDESS,RAVDESS"], "repeated dataset", id="repeated-dataset"),
+        pytest.param(["--identities-n", "1"], "at least 2 identities", id="one-identity"),
+        pytest.param(["--frames", "5,2"], "bad frame range", id="reversed-frames"),
+        pytest.param(["--frames", "five"], "bad frame spec", id="frames-not-a-number"),
+        pytest.param(["--targets-per-driver", "9"], "candidate targets", id="too-many-targets"),
+    ])
+    def test_bad_arguments_are_usage_errors(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "corpus"
+        assert main(["synth", "--out", str(out), "--identities-n", "4",
+                     "--videos-per-id", "2", "--frames", "20,24", "--dim", "4",
+                     *flags]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_convention_flag_changes_counts(self, corpus_small, tmp_path):
         base = [
@@ -393,6 +413,38 @@ class TestRun:
             p.name for p in (run_dir / "scores").glob("*.csv"))
         assert len(reads) == 2
         assert tree_bytes(run_dir) == before
+
+    def test_cross_dataset_job_on_a_two_dataset_corpus(self, tmp_path):
+        root = tmp_path / "corpus"
+        assert main(["synth", "--out", str(root), "--identities-n", "6",
+                     "--videos-per-id", "3", "--frames", "30,40", "--dim", "12",
+                     "--seed", "5", "--targets-per-driver", "1", "--clips-per-driver", "1",
+                     "--eval-fraction", "0.5", "--dataset", "CREMA-D,RAVDESS",
+                     "--generators", "GAGA,LIVE"]) == EXIT_OK
+        corpus = SimpleNamespace(root=root, store_path=root / "features.avfs")
+        intra_ravdess = {**INTRA_GAGA, "train_dataset": "RAVDESS", "eval_dataset": "RAVDESS"}
+        cross_dataset = {**INTRA_GAGA, "scenario": "cross_dataset", "eval_dataset": "RAVDESS"}
+        cfg = write_config(tmp_path / "config.json", corpus, experiments=[
+            INTRA_GAGA, intra_ravdess, CROSS_TO_LIVE, cross_dataset])
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+
+        reports_dir = tmp_path / "runs" / "testrun" / "reports"
+        aucs = {(r.condition, r.model): r.auc
+                for r in evaluation.read_report_csv(reports_dir / "report.csv")}
+        conditions = {"CREMA-D/GAGA->CREMA-D/GAGA", "RAVDESS/GAGA->RAVDESS/GAGA",
+                      "CREMA-D/GAGA->CREMA-D/LIVE", "CREMA-D/GAGA->RAVDESS/GAGA"}
+        assert set(aucs) == {(c, "m") for c in conditions}  # no fusion of one model
+        header, *rows = (reports_dir / "delta_CREMA-D-GAGA--CREMA-D-GAGA.txt"
+                         ).read_text().splitlines()
+        (cross_row,) = [r.split() for r in rows if r.startswith("CREMA-D/GAGA->RAVDESS/GAGA ")]
+        for model, cell in zip(header.split()[1:], cross_row[1:]):
+            assert cell == evaluation.format_delta(
+                aucs["CREMA-D/GAGA->RAVDESS/GAGA", model]
+                - aucs["CREMA-D/GAGA->CREMA-D/GAGA", model])
+
+        before = tree_bytes(tmp_path / "runs")
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert tree_bytes(tmp_path / "runs") == before
 
     def test_changed_hyperparameters_retrain_and_rescore(self, corpus_small, tmp_path):
         # the same run id with fewer epochs: the old checkpoint must not be reused

@@ -2,9 +2,11 @@
 
 import csv
 import io
+import json
 import random
 import sys
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -634,7 +636,7 @@ class TestExperimentSpec:
     def test_dict_round_trip(self):
         spec = ExperimentSpec("cross_generator", "CREMA-D", "GAGA", "CREMA-D",
                               ("LIVE",), models=("graph", "fusion"))
-        assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+        assert ExperimentSpec.from_dict(json.loads(json.dumps(asdict(spec)))) == spec
 
 
 class TestExperimentMatrix:

@@ -1,4 +1,4 @@
-"""Synthetic corpus generation and distribution-shift transforms."""
+"""Synthetic corpus generation and the shift transforms it renders through."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,10 @@ from avatarprint.synthbench import (
     ShiftTransform,
     SynthError,
     _video_rng,
-    apply_shift,
-    default_dataset_shift,
-    default_generator_shift,
     make_signatures,
     shift_frames,
     synth_corpus,
 )
-
-from helpers import random_store
 
 
 class TestSignatures:
@@ -46,14 +41,6 @@ class TestSignatures:
 
 
 class TestShiftTransform:
-    def test_validation(self):
-        with pytest.raises(SynthError, match="smoothing"):
-            ShiftTransform(smoothing_width=0)
-        with pytest.raises(SynthError, match="noise_sigma"):
-            ShiftTransform(noise_sigma=-1.0)
-        with pytest.raises(SynthError, match="frame_range"):
-            ShiftTransform(frame_range=(1, 50))
-
     def test_identity_transform_is_an_exact_no_op(self):
         rng = np.random.default_rng(5)
         frames = rng.normal(size=(30, 4))
@@ -92,37 +79,6 @@ class TestShiftTransform:
         np.testing.assert_allclose(out[-1], frames[-1], atol=1e-12)
 
 
-class TestApplyShift:
-    def test_preserves_ids_and_is_deterministic(self, tmp_path):
-        rng = np.random.default_rng(9)
-        ids = [f"v{i}" for i in range(5)]
-        store = random_store(tmp_path / "base.avfs", ids, 4, rng, frames=(30, 40))
-        shift = default_generator_shift()
-        out1 = apply_shift(store, shift, seed=1, out_path=tmp_path / "s1.avfs")
-        out2 = apply_shift(store, shift, seed=1, out_path=tmp_path / "s2.avfs")
-        assert sorted(out1.ids()) == ids
-        for vid in ids:
-            np.testing.assert_array_equal(out1.get(vid).frames, out2.get(vid).frames)
-            assert not np.array_equal(out1.get(vid).frames, store.get(vid).frames)
-
-    def test_seed_changes_noise(self, tmp_path):
-        rng = np.random.default_rng(10)
-        store = random_store(tmp_path / "base.avfs", ["v0"], 4, rng)
-        shift = default_generator_shift()
-        a = apply_shift(store, shift, seed=1, out_path=tmp_path / "a.avfs")
-        b = apply_shift(store, shift, seed=2, out_path=tmp_path / "b.avfs")
-        assert not np.array_equal(a.get("v0").frames, b.get("v0").frames)
-
-    def test_dataset_shift_rewrites_lengths(self, tmp_path):
-        rng = np.random.default_rng(11)
-        ids = [f"v{i}" for i in range(4)]
-        store = random_store(tmp_path / "base.avfs", ids, 4, rng, frames=(30, 40))
-        out = apply_shift(store, default_dataset_shift(), seed=3,
-                          out_path=tmp_path / "d.avfs")
-        for vid in ids:
-            assert 95 <= out.get(vid).frames.shape[0] <= 120
-
-
 class TestVideoRng:
     def test_keyed_by_seed_video_and_purpose(self):
         base = _video_rng(1, "vid", 3).normal(size=4)
@@ -130,6 +86,11 @@ class TestVideoRng:
         assert not np.array_equal(base, _video_rng(1, "vid", 4).normal(size=4))
         assert not np.array_equal(base, _video_rng(2, "vid", 3).normal(size=4))
         assert not np.array_equal(base, _video_rng(1, "other", 3).normal(size=4))
+
+
+SMALL = dict(n_identities=4, videos_per_id=2, frames=(30, 36), dim=6, seed=21,
+             generators=(Generator.GAGA, Generator.LIVE), targets_per_driver=1,
+             clips_per_driver=1, eval_fraction=0.5)
 
 
 class TestSynthCorpus:
@@ -165,6 +126,40 @@ class TestSynthCorpus:
         c = synth_corpus(tmp_path / "c", **{**kwargs, "seed": 22})
         assert a.store_path.read_bytes() != c.store_path.read_bytes()
 
+    def test_same_seed_reproduces_the_two_dataset_store_bytes(self, tmp_path):
+        kwargs = {**SMALL, "dataset": (Dataset.CREMA_D, Dataset.RAVDESS)}
+        a = synth_corpus(tmp_path / "a", **kwargs)
+        b = synth_corpus(tmp_path / "b", **kwargs)
+        assert a.store_path.read_bytes() == b.store_path.read_bytes()
+        assert (a.root / "videos.csv").read_bytes() == (b.root / "videos.csv").read_bytes()
+        c = synth_corpus(tmp_path / "c", **{**kwargs, "seed": 22})
+        assert a.store_path.read_bytes() != c.store_path.read_bytes()
+
+    def test_later_dataset_videos_have_redrawn_lengths(self, tmp_path):
+        corpus = synth_corpus(tmp_path, **SMALL, dataset=(Dataset.CREMA_D, Dataset.RAVDESS))
+        lengths = {ds: {corpus.store.get(v.video_id).frames.shape[0]
+                        for v in corpus.catalog.videos(dataset=ds)} for ds in Dataset}
+        assert min(lengths[Dataset.CREMA_D]) >= 30 and max(lengths[Dataset.CREMA_D]) <= 36
+        assert min(lengths[Dataset.RAVDESS]) >= 95 and max(lengths[Dataset.RAVDESS]) <= 120
+        assert len(lengths[Dataset.RAVDESS]) > 1
+
+    def test_first_dataset_is_the_single_dataset_corpus(self, tmp_path):
+        single = synth_corpus(tmp_path / "one", **SMALL)
+        both = synth_corpus(tmp_path / "two", **SMALL, dataset=(Dataset.CREMA_D, Dataset.RAVDESS))
+        assert both.catalog.datasets() == [Dataset.CREMA_D, Dataset.RAVDESS]
+        for name in ("identities.csv", "videos.csv"):
+            one_rows = (single.root / name).read_text().splitlines()
+            two_rows = (both.root / name).read_text().splitlines()
+            assert [r for r in two_rows if ",RAVDESS," not in r] == one_rows
+            assert len(two_rows) > len(one_rows)
+        crema = both.catalog.identity_ids(Dataset.CREMA_D)
+        assert crema == single.catalog.identity_ids(Dataset.CREMA_D)
+        assert [both.split.side_of(i) for i in crema] == [single.split.side_of(i) for i in crema]
+        ids = sorted(v.video_id for v in single.catalog.videos())
+        assert ids == sorted(v.video_id for v in both.catalog.videos(dataset=Dataset.CREMA_D))
+        for vid in ids:
+            np.testing.assert_array_equal(both.store.get(vid).frames, single.store.get(vid).frames)
+
     def test_same_identity_videos_share_their_signature(self, corpus_small):
         corpus = corpus_small
         ids = sorted(corpus.split.development)[:3]
@@ -189,6 +184,13 @@ class TestSynthCorpus:
             synth_corpus(tmp_path, frames=(50, 40))
         with pytest.raises(SynthError, match="generator"):
             synth_corpus(tmp_path, generators=())
+        with pytest.raises(SynthError, match="dataset"):
+            synth_corpus(tmp_path, dataset=())
+        with pytest.raises(SynthError, match="repeated dataset"):
+            synth_corpus(tmp_path, dataset=(Dataset.RAVDESS, Dataset.RAVDESS))
+        with pytest.raises(SynthError, match="repeated generator"):
+            synth_corpus(tmp_path, generators=(Generator.LIVE, Generator.LIVE))
+        assert not any(tmp_path.iterdir())
 
     def test_generator_column_uses_requested_generators(self, corpus_small):
         gens = {v.generator for v in corpus_small.catalog.videos()}

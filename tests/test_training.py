@@ -1,5 +1,7 @@
 """Triplet training loop: convergence, determinism and failure modes."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from avatarprint.feature_store import FeatureStore, normalize
 from avatarprint.scoring import gather_windows, window_starts
 from avatarprint.training import (
     Adam,
+    EpochStats,
     NoValidTripletError,
     TrainHyper,
     TrainingDiverged,
@@ -244,7 +247,7 @@ class TestTrain:
         p1, log1 = train(*args, small_config(seed=9), small_hyper(epochs=2))
         p2, log2 = train(*args, small_config(seed=9), small_hyper(epochs=2))
         np.testing.assert_array_equal(p1.flat, p2.flat)
-        assert log1.to_dict() == log2.to_dict()
+        assert asdict(log1) == asdict(log2)
 
     def test_different_seed_differs(self, corpus_small):
         args = (corpus_small.store, corpus_small.catalog, self._dev_ids(corpus_small))
@@ -308,11 +311,13 @@ class TestTrain:
 
 
 class TestTrainingLog:
-    def test_to_dict_shape(self):
+    def test_asdict_shape(self):
         log = TrainingLog(steps_per_epoch=3, num_windows=120, num_identities=4,
-                          initial_probe_loss=0.5)
-        d = log.to_dict()
-        assert d["steps_per_epoch"] == 3 and d["epochs"] == []
+                          initial_probe_loss=0.5, epochs=[EpochStats(1, 0.4, 0.25, 0.3)])
+        d = asdict(log)
+        assert d["steps_per_epoch"] == 3
+        assert d["epochs"] == [{"epoch": 1, "mean_loss": 0.4, "active_fraction": 0.25,
+                                "probe_loss": 0.3}]
         assert set(d) == {
             "steps_per_epoch", "num_windows", "num_identities",
             "initial_probe_loss", "diverged", "epochs",

@@ -302,6 +302,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {value}")
+    return value
+
+
 def _map(fn: Callable, items: Sequence, workers: int) -> list:
     """``fn`` over ``items`` in order, on a thread pool when ``workers`` > 1.
 
@@ -330,8 +337,8 @@ class Model:
 
 def _store_header(store: FeatureStore) -> list:
     """What an artifact's inputs record of a store: its kind, dimension and
-    size in bytes, not its contents."""
-    return [store.kind.value, store.dimension, store.size]
+    the content digest its writer recorded, so reading it rereads no frame."""
+    return [store.kind.value, store.dimension, store.digest]
 
 
 def _open_models(stack: ExitStack, specs: Iterable[ModelSpec], seed: int) -> dict[str, Model]:
@@ -629,6 +636,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     # everything that can reject the inputs runs before the run directory exists
     catalog = cat.load_manifest(config.identities, config.videos)
     split = _resolve_split(catalog, config.split, config.eval_fraction, config.seed)
+    # the trial list is derived on every invocation and never read back
+    trials = proto.generate_trials(catalog, split, config.convention)
     jobs = proto.experiment_matrix(config.experiments, catalog)
     specs = {m.name: m for m in config.models}
     run_dir = _run_dir(config)
@@ -662,9 +671,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_json(run_dir / "config" / "effective.json", config.effective())
         proto.save_split(split, run_dir / "split" / "split.json")
 
-        # the trial list is derived on every invocation and never read back;
-        # its file is rewritten only when its inputs change
-        trials = proto.generate_trials(catalog, split, config.convention)
+        # the trial list's file is rewritten only when its inputs change
         trial_inputs = {
             "convention": config.convention,
             "split": [sorted(split.development), sorted(split.evaluation)],
@@ -810,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--targets-per-driver", type=int, default=4)
     p.add_argument("--clips-per-driver", type=int, default=2)
-    p.add_argument("--eval-fraction", type=float, default=0.3)
+    p.add_argument("--eval-fraction", type=_fraction, default=0.3)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("trials", help="write the exhaustive trial list")
@@ -818,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--videos", required=True)
     p.add_argument("--split", help="existing split.json; derived when omitted")
     p.add_argument("--split-out", help="where to write the split used")
-    p.add_argument("--eval-fraction", type=float, default=0.3)
+    p.add_argument("--eval-fraction", type=_fraction, default=0.3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--convention", default=proto.EXCLUDE_IDENTICAL,
                    choices=proto.CONVENTIONS)

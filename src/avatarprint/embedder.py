@@ -431,7 +431,6 @@ class _ForwardState:
     weighted: np.ndarray  # (B, H, dim) attention-weighted frames, w·X
     pooled: np.ndarray  # (B, A) concatenated head outputs
     zhat: np.ndarray  # (B, dim)
-    z_raw: np.ndarray  # (B, d) before normalization
     norms: np.ndarray  # (B,)
     z: np.ndarray  # (B, d)
     graph: _GraphState | None = None
@@ -503,7 +502,7 @@ def attend(
 
     forward_state = _ForwardState(
         attn_input=attn_input, weights=weights, weighted=weighted,
-        pooled=pooled, zhat=zhat, z_raw=z_raw, norms=norms, z=z, graph=state,
+        pooled=pooled, zhat=zhat, norms=norms, z=z, graph=state,
     )
     return z, forward_state
 

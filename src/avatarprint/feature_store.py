@@ -5,17 +5,21 @@ coordinates or backbone embeddings). Sequences are stored once as 32-bit
 floats in one self-describing file, then read back lock-free via positioned
 reads; all computation downstream happens in 64-bit precision.
 
-On-disk format, version 2: header (magic, version, kind, D, index offset) |
-float32 payloads | index trailer, the key-sorted JSON map ``{video_id:
-[offset, T, fps]}``. The index offset is 0 until ``seal()`` writes the
-trailer and moves the file from its temporary name into place, so a store
-path holds a sealed store or nothing. Version-1 stores (JSON sidecar index)
-are refused; rebuild them with ``synth`` or ``import-features``.
+On-disk format, version 3: header (magic, version, kind, D, index offset,
+digest) | float32 payloads | index trailer, the key-sorted JSON map
+``{video_id: [offset, T, fps]}``. The index offset is 0 until ``seal()``
+writes the trailer and moves the file from its temporary name into place,
+so a store path holds a sealed store or nothing. The digest is the SHA-256
+of the payloads and the trailer, hashed by the writer as it writes them, so
+naming a store's content never rereads it. Stores of versions 1 (JSON
+sidecar index) and 2 (no digest) are refused; rebuild them with ``synth`` or
+``import-features``.
 """
 
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
 import math
 import os
@@ -49,12 +53,13 @@ class FeatureKind(str, Enum):
 LANDMARK_POINTS = 109  # per frame; landmark sequences carry x,y per point
 
 _MAGIC = b"AVFS"
-_VERSION = 2
+_VERSION = 3
 _KIND_CODES = {FeatureKind.LANDMARKS: 0, FeatureKind.EMBEDDING: 1}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 _PREFIX = struct.Struct("<4sI")  # magic, version: the same in every version
-_HEADER = struct.Struct("<4sIBIQ")  # magic, version, kind code, D, index offset
-_INDEX_OFFSET_AT = _HEADER.size - 8
+_HEADER = struct.Struct("<4sIBIQ32s")  # magic, version, kind code, D, index offset, digest
+_SEAL = struct.Struct("<Q32s")  # the index offset and digest that seal() writes last
+_SEAL_AT = _HEADER.size - _SEAL.size
 
 
 @dataclass
@@ -112,9 +117,10 @@ class FeatureStoreWriter:
         self.dimension = dimension
         self._entries: dict[str, tuple[int, int, float]] = {}  # id -> (offset, T, fps)
         self._sealed = False
+        self._digest = hashlib.sha256()  # of every byte after the header
         self._pending = AtomicFile(self.path, "wb")
         self._fh = self._pending.file
-        self._fh.write(_HEADER.pack(_MAGIC, _VERSION, _KIND_CODES[kind], dimension, 0))
+        self._fh.write(_HEADER.pack(_MAGIC, _VERSION, _KIND_CODES[kind], dimension, 0, bytes(32)))
 
     def put(self, seq: FeatureSequence) -> None:
         if self._sealed:
@@ -131,7 +137,8 @@ class FeatureStoreWriter:
         if not np.all(np.isfinite(payload)):
             raise FeatureStoreError(f"{seq.video_id}: values overflow 32-bit storage")
         offset = self._fh.tell()
-        self._fh.write(payload.tobytes())
+        self._fh.write(payload)
+        self._digest.update(payload)
         self._entries[seq.video_id] = (offset, seq.num_frames, float(seq.fps))
 
     def close(self) -> None:
@@ -153,15 +160,18 @@ class FeatureStoreWriter:
             pass
 
     def seal(self) -> "FeatureStore":
-        """Write the index trailer, point the header at it, move the file into place."""
+        """Write the index trailer, point the header at it and record the
+        digest there, move the file into place."""
         if self._sealed:
             raise FeatureStoreError("store already sealed")
         if self._fh.closed:
             raise FeatureStoreError("writer was closed without sealing")
         index_offset = self._fh.tell()
-        self._fh.write(json.dumps(self._entries, sort_keys=True).encode("utf-8"))
-        self._fh.seek(_INDEX_OFFSET_AT)
-        self._fh.write(struct.pack("<Q", index_offset))
+        index = json.dumps(self._entries, sort_keys=True).encode("utf-8")
+        self._fh.write(index)
+        self._digest.update(index)
+        self._fh.seek(_SEAL_AT)
+        self._fh.write(_SEAL.pack(index_offset, self._digest.digest()))
         self._pending.commit()
         self._sealed = True
         return FeatureStore(self.path)
@@ -187,22 +197,23 @@ class FeatureStore:
             )
         if len(raw) < _HEADER.size:
             raise FeatureStoreError(f"{self.path}: truncated header")
-        _, _, kind_code, dim, index_offset = _HEADER.unpack(raw)
+        _, _, kind_code, dim, index_offset, digest = _HEADER.unpack(raw)
         if kind_code not in _CODE_KINDS:
             raise FeatureStoreError(f"{self.path}: unknown kind code {kind_code}")
         if index_offset == 0:
             raise FeatureStoreError(f"{self.path}: unsealed store (its writer never finished)")
         self.kind = _CODE_KINDS[kind_code]
         self.dimension = int(dim)
-        self.size = os.fstat(self._fd).st_size  # bytes
+        self.digest = digest.hex()  # SHA-256 of everything after the header
         self._entries = self._read_index(index_offset)
 
     def _read_index(self, index_offset: int) -> dict[str, list]:
         """id -> [offset, T, fps]: an int offset past the header, an int T >= 1
         and a finite number fps > 0, each record checked to end before the
         index."""
+        size = os.fstat(self._fd).st_size
         try:  # an offset past the end reads b"", which is no JSON either
-            index = json.loads(os.pread(self._fd, max(self.size - index_offset, 0), index_offset))
+            index = json.loads(os.pread(self._fd, max(size - index_offset, 0), index_offset))
         except ValueError:  # bad JSON or UTF-8
             raise FeatureStoreError(f"{self.path}: truncated or corrupt index") from None
         if type(index) is not dict:

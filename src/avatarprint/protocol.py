@@ -54,7 +54,6 @@ class ProtocolError(ValueError):
 class Split:
     development: frozenset[str]
     evaluation: frozenset[str]
-    imbalance: tuple[str, ...] = ()  # stratification cells that missed quota
 
     def __post_init__(self) -> None:
         overlap = self.development & self.evaluation
@@ -149,15 +148,17 @@ def make_split(catalog: Catalog, eval_fraction: float = 0.3, seed: int = 0) -> S
     soft-biometric attributes per dataset.
 
     Evaluation counts are the canonical benchmark sizes when the catalog has
-    the canonical identity counts, else round(n * fraction).
-    When every co-occurrence component is a single identity the per-cell
-    quotas are met exactly; larger components force best-effort assignment,
-    reported through Split.imbalance.
+    the canonical identity counts, else round(n * fraction), kept between 1
+    and n - 1; ``eval_fraction`` must lie in (0, 1). When every co-occurrence
+    component is a single identity the per-cell quotas are met exactly.
+    Larger components are assigned whole, largest first, while they fit the
+    quota; a dataset none of whose components fits is a ``ProtocolError``.
     """
+    if not 0 < eval_fraction < 1:
+        raise ProtocolError(f"eval_fraction must lie in (0, 1), got {eval_fraction!r}")
     rng = np.random.default_rng(seed)
     development: set[str] = set()
     evaluation: set[str] = set()
-    imbalance: list[str] = []
 
     for dataset in catalog.datasets():
         ids = catalog.identity_ids(dataset)
@@ -187,14 +188,8 @@ def make_split(catalog: Catalog, eval_fraction: float = 0.3, seed: int = 0) -> S
             for c in cells:
                 members = sorted(by_cell[c])
                 rng.shuffle(members)
-                if quotas[c] > len(members):
-                    imbalance.append(
-                        f"{dataset.value} cell {c}: quota {quotas[c]} exceeds "
-                        f"{len(members)} identities"
-                    )
-                take = min(quotas[c], len(members))
-                evaluation.update(members[:take])
-                development.update(members[take:])
+                evaluation.update(members[:quotas[c]])
+                development.update(members[quotas[c]:])
         else:
             # components tie identities together; greedily fill the smaller
             # side while it still has room
@@ -208,13 +203,13 @@ def make_split(catalog: Catalog, eval_fraction: float = 0.3, seed: int = 0) -> S
                     assigned_eval += len(comp)
                 else:
                     development.update(comp)
-            if assigned_eval != quota:
-                imbalance.append(
-                    f"{dataset.value}: evaluation side has {assigned_eval} "
-                    f"identities, wanted {quota} (component constraints)"
+            if assigned_eval == 0:
+                raise ProtocolError(
+                    f"{dataset.value}: no co-occurrence component fits the evaluation quota "
+                    f"of {quota} identities (component sizes {[len(c) for c in order]})"
                 )
 
-    split = Split(frozenset(development), frozenset(evaluation), tuple(imbalance))
+    split = Split(frozenset(development), frozenset(evaluation))
     split.validate(catalog)
     return split
 
@@ -627,7 +622,6 @@ class ExperimentSpec:
 
 class Job(NamedTuple):
     job_id: str
-    scenario: str
     train_dataset: str
     train_generator: str
     eval_dataset: str
@@ -667,7 +661,6 @@ def experiment_matrix(specs: Sequence[ExperimentSpec], catalog: Catalog) -> list
             else:
                 jobs[job_id] = Job(
                     job_id=job_id,
-                    scenario=spec.scenario,
                     train_dataset=spec.train_dataset,
                     train_generator=spec.train_generator,
                     eval_dataset=spec.eval_dataset,

@@ -193,10 +193,6 @@ class PairScore:
     test_video: str
     score: float | None  # None when either side has no complete window
 
-    @property
-    def unscorable(self) -> bool:
-        return self.score is None
-
 
 def score_pair(
     params: EmbedderParams, store: FeatureStore, enroll_video: str, test_video: str

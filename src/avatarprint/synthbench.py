@@ -31,6 +31,7 @@ from .catalog import (
     Generator,
     IdentityRecord,
     build_cross_assignments,
+    cross_video_id,
     save_manifest,
 )
 from .feature_store import FeatureKind, FeatureSequence, FeatureStore, FeatureStoreWriter
@@ -55,11 +56,6 @@ class IdentitySignature:
     phases: np.ndarray  # (D, 4) rad
     amps: np.ndarray  # (D, 4)
     mixing: np.ndarray  # (D, D)
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise SynthError("noise level must be >= 0")
 
     def trajectory(self, num_frames: int, time_offset: float) -> np.ndarray:
         """Noise-free (T, D) trajectory starting ``time_offset`` seconds in."""
@@ -71,25 +67,24 @@ class IdentitySignature:
         return float(np.mean(np.abs(self.freqs - other.freqs)))
 
 
-def _draw_signature(rng: np.random.Generator, dim: int, sigma: float) -> IdentitySignature:
+def _draw_signature(rng: np.random.Generator, dim: int) -> IdentitySignature:
     return IdentitySignature(
         freqs=rng.uniform(*FREQ_RANGE, size=(dim, SINUSOIDS_PER_DIM)),
         phases=rng.uniform(0.0, 2.0 * np.pi, size=(dim, SINUSOIDS_PER_DIM)),
         amps=rng.uniform(0.5, 1.5, size=(dim, SINUSOIDS_PER_DIM)),
         mixing=np.eye(dim) + 0.3 * rng.standard_normal((dim, dim)) / np.sqrt(dim),
-        sigma=sigma,
     )
 
 
 def make_signatures(
-    n_identities: int, dim: int, sigma: float, seed_seq: np.random.SeedSequence
+    n_identities: int, dim: int, seed_seq: np.random.SeedSequence
 ) -> list[IdentitySignature]:
     """Distinct signatures; redraws any candidate too close to an earlier one."""
     rng = np.random.default_rng(seed_seq)
     signatures: list[IdentitySignature] = []
     for _ in range(n_identities):
         for _attempt in range(100):
-            candidate = _draw_signature(rng, dim, sigma)
+            candidate = _draw_signature(rng, dim)
             if all(candidate.distance(s) >= MIN_SIGNATURE_DISTANCE for s in signatures):
                 break
         else:
@@ -185,7 +180,6 @@ class SynthCorpus:
     split: Split
     root: Path
     store_path: Path
-    signatures: dict[str, IdentitySignature]
 
 
 def synth_corpus(
@@ -228,6 +222,8 @@ def synth_corpus(
         frame_lo, frame_hi = frames
     if not (2 <= frame_lo <= frame_hi):
         raise SynthError(f"bad frame range {frames!r}")
+    if noise_sigma < 0:
+        raise SynthError("noise level must be >= 0")
     for kind, names in (("dataset", datasets), ("generator", generators)):
         if not names:
             raise SynthError(f"need at least one {kind}")
@@ -257,9 +253,7 @@ def synth_corpus(
     identity_ids = [rec.id for rec in identities]
 
     sig_seq, length_seq = np.random.SeedSequence([seed, 11]).spawn(2)
-    signatures = dict(
-        zip(identity_ids, make_signatures(len(identity_ids), dim, noise_sigma, sig_seq))
-    )
+    signatures = dict(zip(identity_ids, make_signatures(len(identity_ids), dim, sig_seq)))
 
     # one base trajectory per (driver, clip), shared by every generator's
     # rendering of that clip and by cross videos borrowing the motion
@@ -273,7 +267,7 @@ def synth_corpus(
 
     self_videos = [
         AvatarVideo(
-            video_id=f"{gen.value.lower()}_{rec.id}_{rec.id}_c{clip:03d}",
+            video_id=cross_video_id(gen, rec.id, rec.id, clip),
             dataset=rec.dataset,
             generator=gen,
             target=rec.id,
@@ -316,5 +310,4 @@ def synth_corpus(
         split=split,
         root=out_dir,
         store_path=store_path,
-        signatures=signatures,
     )

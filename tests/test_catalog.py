@@ -254,6 +254,23 @@ class TestManifestIO:
         with pytest.raises(ManifestError, match=f"{videos}: line 3 is not UTF-8"):
             load_manifest(ident, videos)
 
+    @pytest.mark.parametrize("which", ["identity", "video"])
+    def test_row_of_the_wrong_width_names_its_line(self, tmp_path, which):
+        ident, videos = tmp_path / "identities.csv", tmp_path / "videos.csv"
+        ident.write_text("id,dataset,gender,ethnicity,age_range\n"
+                         "a,CREMA-D,female,asian,20-30\n"
+                         + ("b,CREMA-D,female,asian\n" if which == "identity" else ""),
+                         encoding="utf-8")
+        videos.write_text("video_id,dataset,generator,target_id,driver_id,source_clip\n"
+                          "v,CREMA-D,GAGA,a,a,0\n"
+                          + ("w,CREMA-D,GAGA,a,a,1,extra\n" if which == "video" else ""),
+                          encoding="utf-8")
+        with pytest.raises(ManifestError) as err:
+            load_manifest(ident, videos)
+        target, got = (ident, 4) if which == "identity" else (videos, 7)
+        wanted = 5 if which == "identity" else 6
+        assert str(err.value) == f"{target}:3: expected {wanted} fields, got {got}"
+
     def test_bad_clip_index(self, tmp_path):
         ident = tmp_path / "identities.csv"
         videos = tmp_path / "videos.csv"

@@ -142,6 +142,33 @@ class TestSynthAndTrials:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fraction", ["0", "1", "-1", "2"])
+    @pytest.mark.parametrize("command", ["synth", "trials"])
+    def test_eval_fraction_outside_0_1_is_a_usage_error(self, corpus_small, tmp_path, capsys,
+                                                       command, fraction):
+        out = tmp_path / "out"
+        inputs = {
+            "synth": ["--identities-n", "4", "--videos-per-id", "2", "--frames", "20,24",
+                      "--dim", "4"],
+            "trials": ["--identities", str(corpus_small.root / "identities.csv"),
+                       "--videos", str(corpus_small.root / "videos.csv"),
+                       "--split-out", str(out / "split.json")],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, "--eval-fraction", fraction, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert "--eval-fraction: must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_single_frame_count(self, tmp_path):
+        root = tmp_path / "corpus"
+        assert main(["synth", "--out", str(root), "--identities-n", "4", "--videos-per-id", "2",
+                     "--frames", "24", "--dim", "4", "--targets-per-driver", "1",
+                     "--clips-per-driver", "1", "--eval-fraction", "0.5"]) == EXIT_OK
+        with FeatureStore(root / "features.avfs") as store:
+            assert len(store) > 0
+            assert {store.num_frames(vid) for vid in store.ids()} == {24}
+
     def test_convention_flag_changes_counts(self, corpus_small, tmp_path):
         base = [
             "trials",
@@ -229,6 +256,13 @@ class TestTrainScoreEvaluateChain:
         assert capsys.readouterr().err.startswith("config error: model 'bad': heads (3)")
         assert not (tmp_path / "ckpt").exists()
 
+    def test_train_unknown_model_is_a_usage_error(self, corpus_small, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", corpus_small)
+        assert main(["train", "--config", str(cfg), "--model", "nope",
+                     "--out-dir", str(tmp_path / "ckpt")]) == EXIT_USAGE
+        assert "no model named 'nope' in config" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_score_without_trials_fails(self, corpus_small, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json", corpus_small, epochs=1)
         assert main(["train", "--config", str(cfg), "--train-generator", "GAGA",
@@ -271,6 +305,16 @@ class TestTrainScoreEvaluateChain:
                            b"t00000002,a,c\xe9,0,0.25\n")
         assert main(["evaluate", "--scores", str(scores)]) == EXIT_FAIL
         assert f"{scores}: line 3 is not UTF-8" in capsys.readouterr().err
+
+    def test_evaluate_a_table_of_one_class_fails(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("trial_id,enroll_video,test_video,label,m\n"
+                          "t00000001,a,b,1,0.5\n"
+                          "t00000002,a,c,1,0.25\n")
+        assert main(["evaluate", "--scores", str(scores),
+                     "--out-dir", str(tmp_path / "eval")]) == EXIT_FAIL
+        assert "no scored trials with both classes present" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_evaluate_refuses_a_table_in_the_earlier_layout(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -414,6 +458,22 @@ class TestRun:
         assert len(reads) == 2
         assert tree_bytes(run_dir) == before
 
+    def test_seed_flag_overrides_the_config_seed(self, corpus_small, tmp_path):
+        cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA],
+                           epochs=1)
+        assert main(["run", "--config", str(cfg), "--seed", "12", "--run-id", "flag"]) == EXIT_OK
+        payload = json.loads(cfg.read_text())
+        payload["seed"] = 12
+        cfg.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg), "--run-id", "config"]) == EXIT_OK
+        flag = tree_bytes(tmp_path / "runs" / "flag")
+        config = tree_bytes(tmp_path / "runs" / "config")
+        effective = Path("config", "effective.json")  # names the run id
+        assert json.loads(flag[effective])["seed"] == 12
+        assert flag.keys() == config.keys()
+        for p in flag.keys() - {effective}:
+            assert flag[p] == config[p], p
+
     def test_cross_dataset_job_on_a_two_dataset_corpus(self, tmp_path):
         root = tmp_path / "corpus"
         assert main(["synth", "--out", str(root), "--identities-n", "6",
@@ -544,7 +604,9 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
         assert checkpoint.read_bytes() != chain
 
-    def test_rewritten_store_retrains_and_rescores(self, corpus_small, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("rewrite", ["longer", "same-size"])
+    def test_rewritten_store_retrains_and_rescores(self, corpus_small, tmp_path, monkeypatch,
+                                                   rewrite):
         store_path = tmp_path / "features.avfs"
         store_path.write_bytes(corpus_small.store_path.read_bytes())
         payload = json.loads(
@@ -554,16 +616,19 @@ class TestRun:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(payload))
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
-        # the same ids at the same path, each video twice as long
+        size = store_path.stat().st_size
+        # the same ids at the same path, each video twice as long, or each
+        # frame changed, which keeps every byte count
         with FeatureStore(store_path) as old:
             sequences = [old.get(vid) for vid in old.ids()]
             kind, dim = old.kind, old.dimension
         store_path.unlink()
         with FeatureStoreWriter(store_path, kind, dim) as writer:
             for seq in sequences:
-                writer.put(FeatureSequence(seq.video_id, kind, np.vstack([seq.frames] * 2),
-                                           seq.fps))
+                frames = np.vstack([seq.frames] * 2) if rewrite == "longer" else -seq.frames
+                writer.put(FeatureSequence(seq.video_id, kind, frames, seq.fps))
             writer.seal().close()
+        assert (store_path.stat().st_size == size) == (rewrite == "same-size")
         trained, scored = [], []
         real_train, real_score = cli.train, scoring.score_trials
         monkeypatch.setattr(cli, "train", lambda *a, **k: trained.append(1) or real_train(*a, **k))
@@ -721,14 +786,24 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
         assert tree_bytes(run_dir) == before
 
-    def test_fresh_with_bad_inputs_keeps_the_outputs(self, corpus_small, tmp_path):
+    @pytest.mark.parametrize("flags", [["--fresh"], []], ids=["fresh", "rerun"])
+    @pytest.mark.parametrize("bad, code", [("store", EXIT_USAGE), ("split", EXIT_FAIL)],
+                             ids=["missing-store", "no-evaluation-identity"])
+    def test_fresh_with_bad_inputs_keeps_the_outputs(self, corpus_small, tmp_path, flags, bad,
+                                                     code):
         cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA])
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
         before = tree_bytes(tmp_path / "runs" / "testrun")
         payload = json.loads(cfg.read_text())
-        payload["models"][0]["store"] = str(tmp_path / "missing.avfs")
+        if bad == "store":
+            payload["models"][0]["store"] = str(tmp_path / "missing.avfs")
+        else:  # every identity in development
+            split = json.loads((corpus_small.root / "split.json").read_text())
+            payload["split"] = str(tmp_path / "split.json")
+            (tmp_path / "split.json").write_text(json.dumps(
+                {"development": split["development"] + split["evaluation"], "evaluation": []}))
         cfg.write_text(json.dumps(payload))
-        assert main(["run", "--config", str(cfg), "--fresh"]) == EXIT_USAGE
+        assert main(["run", "--config", str(cfg), *flags]) == code
         assert tree_bytes(tmp_path / "runs" / "testrun") == before
 
     @pytest.mark.parametrize("route", ["flag", "config"])
@@ -922,16 +997,20 @@ class TestRun:
         assert "CREMA-D/All->CREMA-D/LIVE" in live and "CREMA-D/LIVE->CREMA-D/LIVE" in live
         assert "CREMA-D/GAGA->" not in live
 
-    @pytest.mark.parametrize("store", ["missing", "version-1", "unsealed", "index-not-a-map"])
+    @pytest.mark.parametrize("store", ["missing", "version-1", "version-2", "unsealed",
+                                       "index-not-a-map"])
     def test_unreadable_store_fails_before_the_run_directory(self, corpus_small, tmp_path,
                                                              capsys, store):
         path = tmp_path / "bad.avfs"
         if store == "version-1":  # header: magic, version, kind, D, record count
             path.write_bytes(struct.pack("<4sIBII", b"AVFS", 1, 1, 12, 0))
-        elif store == "unsealed":  # header: magic, version, kind, D, index offset 0
-            path.write_bytes(struct.pack("<4sIBIQ", b"AVFS", 2, 1, 12, 0))
+        elif store == "version-2":  # header: magic, version, kind, D, index offset
+            path.write_bytes(struct.pack("<4sIBIQ", b"AVFS", 2, 1, 12, 21) + b"{}")
+        elif store == "unsealed":  # header: magic, version, kind, D, index offset 0, digest
+            path.write_bytes(struct.pack("<4sIBIQ32s", b"AVFS", 3, 1, 12, 0, bytes(32)))
         elif store == "index-not-a-map":  # the index right after the header
-            path.write_bytes(struct.pack("<4sIBIQ", b"AVFS", 2, 1, 12, 21) + b"[1, 2]")
+            path.write_bytes(struct.pack("<4sIBIQ32s", b"AVFS", 3, 1, 12, 53, bytes(32))
+                             + b"[1, 2]")
         payload = json.loads(
             write_config(tmp_path / "c.json", corpus_small, experiments=[INTRA_GAGA]).read_text()
         )
@@ -994,12 +1073,15 @@ class TestRun:
             for p in clean.keys() - {config}:
                 assert again[p] == clean[p], (k, p)
 
-    @pytest.mark.parametrize("side", [None, "not a list"], ids=["missing", "not-a-list"])
+    @pytest.mark.parametrize("side", [None, "not a list", "everyone"],
+                             ids=["missing", "not-a-list", "no-evaluation-identity"])
     def test_bad_split_fails_before_the_run_directory(self, corpus_small, tmp_path, capsys,
                                                       side):
         split = json.loads((corpus_small.root / "split.json").read_text())
         if side is None:
             del split["development"]
+        elif side == "everyone":
+            split = {"development": split["development"] + split["evaluation"], "evaluation": []}
         else:
             split["development"] = side
         split_path = tmp_path / "split.json"
@@ -1010,7 +1092,11 @@ class TestRun:
         cfg.write_text(json.dumps(payload))
         assert main(["run", "--config", str(cfg)]) == EXIT_FAIL
         err = capsys.readouterr().err
-        assert err.startswith("error:") and str(split_path) in err and "'development'" in err
+        assert err.startswith("error:")
+        if side == "everyone":
+            assert "evaluation side of the split is empty" in err
+        else:
+            assert str(split_path) in err and "'development'" in err
         assert not (tmp_path / "runs").exists()
 
     def test_zero_workers_is_a_usage_error(self, corpus_small, tmp_path):

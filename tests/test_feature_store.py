@@ -1,6 +1,7 @@
 """Binary feature store: round trips, recovery, normalization statistics."""
 
 import gc
+import hashlib
 import json
 import struct
 import sys
@@ -134,6 +135,28 @@ class TestStoreRoundTrip:
         FeatureStoreWriter(path, FeatureKind.EMBEDDING, 3).seal().close()
         assert [p.name for p in tmp_path.iterdir()] == ["f.avfs"]
 
+    def test_digest_names_the_content(self, tmp_path):
+        def digest_of(name, frames):
+            with FeatureStoreWriter(tmp_path / name, FeatureKind.EMBEDDING, 2) as writer:
+                writer.put(FeatureSequence("a", FeatureKind.EMBEDDING, frames))
+                with writer.seal() as store:
+                    return store.digest
+
+        frames = np.arange(6.0).reshape(3, 2)
+        digest = digest_of("x.avfs", frames)
+        assert digest == digest_of("y.avfs", frames)
+        assert digest != digest_of("z.avfs", frames + 1)  # the same size, other frames
+        # every byte after the 53-byte header, as written
+        assert digest == hashlib.sha256((tmp_path / "x.avfs").read_bytes()[53:]).hexdigest()
+
+    def test_version_2_store_is_refused(self, tmp_path):
+        path = tmp_path / "old.avfs"
+        # version 2 header: magic, version, kind code, D, index offset; no digest
+        path.write_bytes(struct.pack("<4sIBIQ", b"AVFS", 2, 1, 3, 21) + b"{}")
+        with pytest.raises(FeatureStoreError, match="version 2.*rebuild") as exc:
+            FeatureStore(path)
+        assert str(path) in str(exc.value)
+
     def test_version_1_store_is_refused(self, tmp_path):
         path = tmp_path / "old.avfs"
         # version 1 header: magic, version, kind code, D, record count
@@ -167,9 +190,9 @@ class TestStoreRoundTrip:
 
     @pytest.mark.parametrize("trailer", [
         '{"a": 5}', '[1, 2]', '{"a": ["x", 1, 30]}', '{"a": [21, -1, 30]}',
-        '{"a": [21, 1, Infinity]}',
+        '{"a": [21, 1, Infinity]}', '{"a": [53, 0, 30]}', '{"a": [53, 1, NaN]}',
     ], ids=["record-not-a-list", "index-not-a-map", "offset-not-an-int", "no-frames",
-            "fps-not-finite"])
+            "fps-not-finite", "no-frames-past-the-header", "fps-nan-past-the-header"])
     def test_malformed_index_is_refused(self, tmp_path, trailer):
         path = tmp_path / "f.avfs"
         random_store(path, ["a"], 4, np.random.default_rng(3), frames=6).close()

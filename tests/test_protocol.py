@@ -85,7 +85,6 @@ class TestMakeSplit:
         rav_eval = [i for i in split.evaluation if i.startswith("ravd")]
         assert len(crema_eval) == 24 and len(rav_eval) == 8
         assert len(split.development) == 61 + 16
-        assert split.imbalance == ()
 
     def test_same_seed_is_deterministic(self, benchmark_cat):
         catalog, _ = benchmark_cat
@@ -100,6 +99,12 @@ class TestMakeSplit:
         split = make_split(catalog, eval_fraction=0.5)
         assert len(split.evaluation) == 1 and len(split.development) == 1
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -1.0, 2.0, float("nan")])
+    def test_eval_fraction_outside_0_1_rejected(self, fraction):
+        catalog = tiny_catalog(n_ids=12, cross_per_driver=0)
+        with pytest.raises(ProtocolError, match=r"eval_fraction must lie in \(0, 1\)"):
+            make_split(catalog, eval_fraction=fraction)
+
     def test_single_identity_rejected(self):
         catalog = tiny_catalog(n_ids=1, cross_per_driver=0)
         with pytest.raises(ProtocolError, match=">= 2"):
@@ -107,17 +112,17 @@ class TestMakeSplit:
 
     def test_cooccurring_identities_stay_together(self):
         # every identity drives a neighbour, chaining all four into one ring,
-        # which can never be cut; the split must report the imbalance
+        # which can never be cut: the ring cannot fit quota 2, and a split
+        # with no evaluation identity is refused
         catalog = tiny_catalog(n_ids=4, cross_per_driver=1)
-        split = make_split(catalog, eval_fraction=0.5)
-        assert split.imbalance
-        assert split.evaluation == frozenset()  # the 4-cycle cannot fit quota 2
+        with pytest.raises(ProtocolError, match=r"CREMA-D: .*quota of 2 .*component sizes \[4\]"):
+            make_split(catalog, eval_fraction=0.5)
 
     def test_components_fill_quota_when_possible(self):
         # 6 identities, no cross videos: three per side at fraction 0.5
         catalog = tiny_catalog(n_ids=6, cross_per_driver=0)
         split = make_split(catalog, eval_fraction=0.5)
-        assert len(split.evaluation) == 3 and split.imbalance == ()
+        assert len(split.evaluation) == 3 and len(split.development) == 3
 
 
 def _formula_counts(catalog, split, convention):

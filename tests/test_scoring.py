@@ -140,7 +140,7 @@ class TestPairScore:
         rng = np.random.default_rng(2)
         short_store = random_store(tmp_path / "g.avfs", ["short"], 6, rng, frames=(3, 3))
         ps = score_pair(make_params(), short_store, "short", "short")
-        assert ps.unscorable and ps.score is None
+        assert ps.score is None
         assert video_window_embeddings(make_params(), short_store, "short") is None
 
     def test_scores_stay_within_cosine_bounds(self, tmp_path):

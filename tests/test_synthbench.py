@@ -17,27 +17,23 @@ from avatarprint.synthbench import (
 
 class TestSignatures:
     def test_deterministic_given_seed(self):
-        a = make_signatures(4, 6, 0.05, np.random.SeedSequence(1))
-        b = make_signatures(4, 6, 0.05, np.random.SeedSequence(1))
+        a = make_signatures(4, 6, np.random.SeedSequence(1))
+        b = make_signatures(4, 6, np.random.SeedSequence(1))
         for s, t in zip(a, b):
             np.testing.assert_array_equal(s.freqs, t.freqs)
             np.testing.assert_array_equal(s.mixing, t.mixing)
 
     def test_minimum_pairwise_distance(self):
-        sigs = make_signatures(6, 8, 0.05, np.random.SeedSequence(2))
+        sigs = make_signatures(6, 8, np.random.SeedSequence(2))
         for i, s in enumerate(sigs):
             for t in sigs[i + 1:]:
                 assert s.distance(t) >= MIN_SIGNATURE_DISTANCE
 
     def test_trajectory_shape_and_offset(self):
-        (sig,) = make_signatures(1, 5, 0.0, np.random.SeedSequence(3))
+        (sig,) = make_signatures(1, 5, np.random.SeedSequence(3))
         traj = sig.trajectory(40, 0.0)
         assert traj.shape == (40, 5)
         assert not np.array_equal(traj, sig.trajectory(40, 0.5))
-
-    def test_negative_noise_rejected(self):
-        with pytest.raises(SynthError, match=">= 0"):
-            make_signatures(1, 4, -0.1, np.random.SeedSequence(4))
 
 
 class TestShiftTransform:
@@ -98,7 +94,7 @@ class TestSynthCorpus:
         corpus = corpus_small
         assert len(corpus.split.evaluation) == 4
         assert len(corpus.split.development) == 4
-        assert len(corpus.signatures) == 8
+        assert len(corpus.catalog.identities) == 8
         selfs = [v for v in corpus.catalog.videos() if v.is_self]
         assert len(selfs) == 8 * 5 * 2  # ids x clips x generators
         for v in corpus.catalog.videos():
@@ -190,6 +186,11 @@ class TestSynthCorpus:
             synth_corpus(tmp_path, dataset=(Dataset.RAVDESS, Dataset.RAVDESS))
         with pytest.raises(SynthError, match="repeated generator"):
             synth_corpus(tmp_path, generators=(Generator.LIVE, Generator.LIVE))
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_noise_rejected(self, tmp_path):
+        with pytest.raises(SynthError, match=">= 0"):
+            synth_corpus(tmp_path, noise_sigma=-0.1)
         assert not any(tmp_path.iterdir())
 
     def test_generator_column_uses_requested_generators(self, corpus_small):

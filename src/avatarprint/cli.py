@@ -11,7 +11,9 @@ expensive to make, checkpoints and score tables, by one rule,
 rescoring finished work. Everything else is derived again on each
 invocation: the trial list (its file is rewritten only when its inputs
 change, and never read back) and every report. Files of checkpoints and
-score tables the config no longer names are deleted.
+score tables the config no longer names are deleted. One invocation at a
+time writes a run directory: the runner holds an exclusive ``flock`` on
+the directory itself while it writes there.
 
 Exit codes: 0 success, 1 validation or job failure, 2 usage/configuration or
 I/O error.
@@ -20,8 +22,10 @@ I/O error.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
+import os
 import re
 import shutil
 import sys
@@ -527,7 +531,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if table.unscorable_trials:
         print(f"{len(table.unscorable_trials)} trials unscorable (too short)",
               file=sys.stderr)
-    print(f"wrote the scores of {len(table.number):,d} trials by models "
+    print(f"wrote the scores of {len(table.trials):,d} trials by models "
           f"{', '.join(table.models)} to {args.out}")
     return EXIT_OK
 
@@ -653,6 +657,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         models = _open_models(stack, [specs[name] for name in sorted({k[0] for k in train_tasks})],
                               config.seed)
+        # one invocation at a time writes a run directory: the lock is the
+        # directory's own, and closing its descriptor releases it
+        run_dir.mkdir(parents=True, exist_ok=True)
+        lock = os.open(run_dir, os.O_RDONLY)
+        stack.callback(os.close, lock)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            print(f"error: run directory {run_dir} is in use by another run", file=sys.stderr)
+            return EXIT_FAIL
         # the inputs are good: reports are always rebuilt whole, and --fresh
         # drops every other output of earlier invocations too
         for sub in ("trials", "models", "scores", "reports") if args.fresh else ("reports",):
@@ -735,7 +749,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     "trials": trial_inputs,
                     "fusion": [config.fusion_enabled, config.fusion_zscore],
                     # a table in another layout is not read back but made again
-                    "layout": sc.SCORE_HEADER,
+                    "layout": proto.TRIAL_HEADER,
                 }
                 table = _reuse_or_make(
                     score_paths[job.job_id],
@@ -757,32 +771,32 @@ def cmd_run(args: argparse.Namespace) -> int:
             return None, reports
 
         results = _map(run_job, jobs, args.workers)
-    failures = [f for f in train_failures.values() if f] + [f for f, _ in results if f]
-    print(f"{sum(f is None for f, _ in results)}/{len(jobs)} jobs scored")
+        failures = [f for f in train_failures.values() if f] + [f for f, _ in results if f]
+        print(f"{sum(f is None for f, _ in results)}/{len(jobs)} jobs scored")
 
-    all_reports = [r for _, reports in results for r in reports]
-    if all_reports:
-        ev.write_report_csv(all_reports, reports_dir / "report.csv")
-        write_text(reports_dir / "report.txt", ev.render_report_text(all_reports))
-        # a job's delta is against its reference condition; a group whose
-        # reference job did not report is skipped
-        by_reference: dict[str, list[ev.EvalReport]] = {}
-        for job, (_, reports) in zip(jobs, results):
-            by_reference.setdefault(_reference_condition(job), []).extend(reports)
-        for ref, group in sorted(by_reference.items()):
-            try:
-                table = ev.delta_table(group, ref)
-            except ev.EvaluationError:
-                continue
-            write_text(reports_dir / f"delta_{_sanitize(ref)}.txt", ev.render_delta_text(table))
+        all_reports = [r for _, reports in results for r in reports]
+        if all_reports:
+            ev.write_report_csv(all_reports, reports_dir / "report.csv")
+            write_text(reports_dir / "report.txt", ev.render_report_text(all_reports))
+            # a job's delta is against its reference condition; a group whose
+            # reference job did not report is skipped
+            by_reference: dict[str, list[ev.EvalReport]] = {}
+            for job, (_, reports) in zip(jobs, results):
+                by_reference.setdefault(_reference_condition(job), []).extend(reports)
+            for ref, group in sorted(by_reference.items()):
+                try:
+                    table = ev.delta_table(group, ref)
+                except ev.EvaluationError:
+                    continue
+                write_text(reports_dir / f"delta_{_sanitize(ref)}.txt", ev.render_delta_text(table))
 
-    if failures:
-        write_text(reports_dir / "failures.txt", "\n".join(failures) + "\n")
-        for failure in failures:
-            print(f"FAILED: {failure}", file=sys.stderr)
-        return EXIT_FAIL
-    print(f"reports in {reports_dir}")
-    return EXIT_OK
+        if failures:
+            write_text(reports_dir / "failures.txt", "\n".join(failures) + "\n")
+            for failure in failures:
+                print(f"FAILED: {failure}", file=sys.stderr)
+            return EXIT_FAIL
+        print(f"reports in {reports_dir}")
+        return EXIT_OK
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -835,8 +849,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train configured models")
     p.add_argument("--config", required=True)
     p.add_argument("--model", help="train only this model")
-    p.add_argument("--train-dataset", default=cat.Dataset.CREMA_D.value)
-    p.add_argument("--train-generator", default=proto.ALL_GENERATORS)
+    p.add_argument("--train-dataset", default=cat.Dataset.CREMA_D.value,
+                   choices=[d.value for d in cat.Dataset])
+    p.add_argument("--train-generator", default=proto.ALL_GENERATORS,
+                   choices=[proto.ALL_GENERATORS, *(g.value for g in cat.Generator)])
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -845,8 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", required=True)
     p.add_argument("--checkpoint", action="append", required=True,
                    metavar="NAME=PATH")
-    p.add_argument("--eval-dataset")
-    p.add_argument("--eval-generator")
+    p.add_argument("--eval-dataset", choices=[d.value for d in cat.Dataset])
+    p.add_argument("--eval-generator", choices=[g.value for g in cat.Generator])
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
 

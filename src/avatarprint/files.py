@@ -8,7 +8,7 @@ CSV files are read as the csv module splits them. ``read_csv`` gives the
 rows of a file, and ``csv_header`` its header alone, for a reader whose
 header names some of its columns. ``csv_columns`` gives a bounded chunk of
 rows at a time as columns of strings: it splits the canonical form the
-trial and score writers produce (no quoting, ``\n`` line ends) at its
+trial-table writer produces (no quoting, ``\n`` line ends) at its
 commas, with no per-row Python, and hands the csv module the rest of any
 other file from the first row it has not given, so each row is read once.
 A reader checks a chunk's columns at once through ``checked``, which finds

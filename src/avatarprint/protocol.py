@@ -10,13 +10,13 @@ A list of trials is a ``TrialSet``: NumPy columns of trial numbers (the id
 ``t%08d`` is derived from the number), (dataset, generator) condition codes,
 enroll and test video codes into a sorted video-id vocabulary, and labels.
 Generation builds each (dataset, generator, target) block as whole arrays,
-and a job's trials are a condition mask. ``save_trials`` formats each
-distinct video id and condition once, then assembles the bytes of a chunk
-of trials as one byte matrix, a row per trial, with NumPy; a chunk is
-bounded in bytes, so a long id makes short chunks rather than a large
-matrix. ``load_trials`` reads a file a chunk of columns at a time and checks
-each chunk at once; a chunk that fails its check is searched for the first
-malformed row, which is reported.
+and a job's trials are a condition mask.
+
+A trial list's CSV is a row per trial in ``TRIAL_HEADER`` columns, and a
+score table's is the same with a column of scores per model after the
+label. ``write_trial_table`` and ``read_trial_table`` are the one writer
+and reader of both, and each handles a chunk of trials at a time with no
+Python step per trial.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .catalog import (
     Catalog,
     Dataset,
 )
-from .files import AtomicFile, BadRow, checked, csv_columns, csv_fields, write_json
+from .files import AtomicFile, BadRow, checked, csv_columns, csv_fields, csv_header, write_json
 
 
 class ProtocolError(ValueError):
@@ -231,7 +231,7 @@ INCLUDE_IDENTICAL = "include_identical"
 CONVENTIONS = (EXCLUDE_IDENTICAL, INCLUDE_IDENTICAL)
 MAX_TRIALS = 99_999_999  # a trial id is "t" and eight digits
 ROW_CHUNK = 1 << 16  # rows turned into Python objects, or codes renumbered, at a time
-CHUNK_BYTES = 1 << 19  # of the byte matrix save_trials assembles at a time
+CHUNK_BYTES = 1 << 19  # of the byte matrix write_trial_table assembles at a time
 
 _POWERS = 10 ** np.arange(7, -1, -1, dtype=np.intc)
 
@@ -472,98 +472,187 @@ def trial_counts(trials: TrialSet) -> dict[tuple[str, str, int], int]:
 
 
 TRIAL_HEADER = ["trial_id", "dataset", "generator", "enroll_video", "test_video", "label"]
+_SCORE_WIDTH = 25  # the longest repr of a float64, "-2.2250738585072014e-308", and a comma
 
 
 def _comma_fields(fields: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``fields`` UTF-8 encoded with a comma after each, back to back in one
+    """``fields`` UTF-8 encoded with a comma before each, back to back in one
     buffer, as a view whose row ``s`` is the buffer from byte ``s`` on, as
-    wide as the longest field; and each field's first byte and length. Row
-    ``starts[i]`` begins with field ``i``; its bytes past ``lengths[i]`` are
-    other fields' or zeros. Nothing is padded, so a long field costs its
-    own bytes only."""
-    encoded = [f"{field},".encode() for field in fields]
-    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    wide as the longest field and its comma; and where each field's comma
+    stands, and its length with the comma. Row ``starts[i]`` begins with
+    field ``i``'s comma; its bytes past ``lengths[i]`` are other fields' or
+    zeros. Nothing is padded, so a long field costs its own bytes only."""
+    text = ",".join(["", *fields])
+    data = text.encode()
+    # a field's length in bytes, which is its length in characters while all are ASCII
+    sizes = map(len, fields if len(data) == len(text) else map(str.encode, fields))
+    lengths = 1 + np.fromiter(sizes, dtype=np.intp, count=len(fields))
     width = int(lengths.max(initial=0))
-    buffer = np.frombuffer(b"".join(encoded) + bytes(width), dtype=np.uint8)
+    buffer = np.frombuffer(data + bytes(width), dtype=np.uint8)
     # lengths in the narrowest type that holds the width, for the byte mask's comparison
     return (sliding_window_view(buffer, width), np.cumsum(lengths) - lengths,
             lengths.astype(np.min_scalar_type(width)))
 
 
-def save_trials(trials: TrialSet, path: str | Path) -> None:
-    """``trials`` as CSV, byte for byte what ``csv.writer`` (lines ending in
-    a newline) writes for their rows. Each video id and condition is
-    formatted once. A chunk of trials is then one byte matrix, a row per
-    trial, each column as wide as its widest field; the fields' bytes are
-    kept and the rest dropped. A chunk holds as many rows as fit in
+def _score_fields(scores: np.ndarray) -> list[str]:
+    """Each score's ``repr``, and an empty field for NaN."""
+    fields = list(map(repr, scores.tolist()))
+    for i in np.flatnonzero(np.isnan(scores)).tolist():
+        fields[i] = ""
+    return fields
+
+
+def _place(matrix: np.ndarray, keep: np.ndarray, at: int, fields: tuple, code: np.ndarray
+           ) -> int:
+    """Put field ``code[i]`` of ``fields`` (as ``_comma_fields`` gives them)
+    in row ``i`` of ``matrix`` from byte ``at`` on, mark its bytes in
+    ``keep``, and return the byte after the widest."""
+    windows, starts, lengths = fields
+    span = slice(at, at + windows.shape[1])
+    matrix[:, span] = windows[starts[code]]
+    keep[:, span] = np.arange(windows.shape[1], dtype=lengths.dtype) < lengths[code, None]
+    return span.stop
+
+
+def write_trial_table(trials: TrialSet, path: str | Path, models: Sequence[str] = (),
+                      scores: np.ndarray | None = None) -> None:
+    """``trials`` as CSV, a row per trial in ``TRIAL_HEADER`` columns, then
+    a column per model of ``models``, whose row ``i`` is ``scores[m, i]``:
+    byte for byte what ``csv.writer`` (lines ending in a newline) writes for
+    those rows, with each score its ``repr`` and NaN an empty field.
+
+    Each video id and condition is formatted once, and the scores a chunk
+    at a time. A chunk of trials is then one byte matrix, a row per trial,
+    each column as wide as its widest field in the chunk; the fields' bytes
+    are kept and the rest dropped. A chunk holds as many rows as fit in
     ``CHUNK_BYTES`` (at least one), so a long id makes short chunks rather
     than a wide matrix."""
+    scores = np.empty((0, len(trials))) if scores is None else scores
     videos = _comma_fields(csv_fields(trials.videos))
     columns = [(_comma_fields([",".join(csv_fields(pair)) for pair in trials.conditions]),
                 trials.condition), (videos, trials.enroll), (videos, trials.test)]
-    # a row is the trial id and a comma, three fields, the label and a newline
-    width = 12 + sum(windows.shape[1] for (windows, _, _), _ in columns)
-    rows = max(1, CHUNK_BYTES // width)
+    # the trial id, three fields and the label after its comma, in every chunk;
+    # then a score field per model and a newline
+    head = 11 + sum(windows.shape[1] for (windows, _, _), _ in columns)
+    rows = max(1, CHUNK_BYTES // (head + _SCORE_WIDTH * len(models) + 1))
     with AtomicFile(path, "wb") as fh:
-        fh.write((",".join(csv_fields(TRIAL_HEADER)) + "\n").encode())
+        fh.write((",".join(csv_fields([*TRIAL_HEADER, *models])) + "\n").encode())
         for start in range(0, len(trials), rows):
             part = slice(start, start + rows)
             number = trials.number[part]
-            matrix = np.empty((len(number), width), dtype=np.uint8)
+            scored = [_comma_fields(_score_fields(column)) for column in scores[:, part]]
+            matrix = np.empty((len(number), head + sum(w.shape[1] for w, _, _ in scored) + 1),
+                              dtype=np.uint8)
             keep = np.ones(matrix.shape, dtype=bool)
-            matrix[:, :10] = _trial_id_bytes(number)
-            at = 10
-            for (windows, starts, lengths), codes in columns:
-                code, field_width = codes[part], windows.shape[1]
-                span = slice(at, at + field_width)
-                matrix[:, span] = windows[starts[code]]
-                keep[:, span] = np.arange(field_width, dtype=lengths.dtype) < lengths[code, None]
-                at += field_width
-            matrix[:, -2] = trials.label[part] + ord("0")
+            matrix[:, :10] = _trial_id_bytes(number)  # its comma is the first field's
+            at = 9
+            for fields, codes in columns:
+                at = _place(matrix, keep, at, fields, codes[part])
+            matrix[:, at] = ord(",")
+            matrix[:, at + 1] = trials.label[part] + ord("0")
+            at += 2
+            for fields in scored:
+                at = _place(matrix, keep, at, fields, np.arange(len(number)))
             matrix[:, -1] = ord("\n")
             fh.write(matrix[keep])
 
 
-def load_trials(path: str | Path) -> TrialSet:
-    """The trials of a file written by ``save_trials``, in file order. A row
-    that is not six fields, with a trial id of "t" and eight ASCII digits
-    and a label of 0 or 1, or that brings the (dataset, generator) pairs
-    past 128, is a ``ProtocolError`` naming the file, the row and why."""
+def save_trials(trials: TrialSet, path: str | Path) -> None:
+    """``trials`` as a trial list: ``write_trial_table`` with no model."""
+    write_trial_table(trials, path)
+
+
+# characters float() takes around or within a number but the writer never writes
+_NOT_PLAIN = "_" + "".join(c for c in map(chr, range(128)) if c.isspace())
+_EMPTY_AS_NAN = {"": "nan"}
+
+
+def _score_values(scores: list[str]) -> np.ndarray:
+    """The scores of a list of fields, NaN for an empty one; any field
+    ``read_trial_table`` rejects raises ``ValueError``."""
+    text = ",".join(scores)
+    if not text.isascii() or any(c in text for c in _NOT_PLAIN):
+        raise ValueError("the score is not a plain number")
+    try:
+        values = np.fromiter(map(float, map(_EMPTY_AS_NAN.get, scores, scores)),
+                             dtype=np.float64, count=len(scores))
+    except ValueError:
+        raise ValueError("the score is not a plain number") from None
+    # every value finite but for the empty fields: text such as nan or inf,
+    # or a number that overflows, is not a score
+    finite = np.isfinite(values)
+    if not (finite.all()
+            or np.array_equal(finite, np.fromiter(map(bool, scores), bool, len(scores)))):
+        raise ValueError("the score is not finite")
+    return values
+
+
+def read_trial_table(path: str | Path, error: type[Exception] = ProtocolError,
+                     scored: bool = False) -> tuple[TrialSet, tuple[str, ...], np.ndarray]:
+    """The trials of a file written by ``write_trial_table``, in file order,
+    its models and their (models, trials) scores, NaN for an empty field.
+
+    The header is ``TRIAL_HEADER``, then, when ``scored``, one or more
+    distinct models, and when not, nothing; any other header raises
+    ``error`` naming the file. So does a row that is not as many fields as
+    the header, with a trial id of "t" and eight ASCII digits and a label of
+    0 or 1, that brings the (dataset, generator) pairs past 128, or that has
+    a score neither empty nor a finite plain number (ASCII, with no
+    underscore or surrounding whitespace, not ``nan`` or ``inf``); the error
+    names the row and why."""
+    header = csv_header(path, error)
+    models = tuple(header[len(TRIAL_HEADER):])
+    if (header[:len(TRIAL_HEADER)] != TRIAL_HEADER or bool(models) != scored
+            or len(set(models)) < len(models)):
+        raise error(f"{path}: bad header {header!r}, expected {TRIAL_HEADER!r}"
+                    + (" and then one or more distinct models" if scored else ""))
     number, condition, label = array("i"), array("b"), array("b")
     enroll, test = array("i"), array("i")
+    scores = [array("d") for _ in models]
     videos = FirstSeen()
     conditions: dict[tuple[str, str], int] = {}
 
     def check(columns: list[list[str]]) -> tuple:
-        """The chunk's trial numbers, labels and condition codes, and the
-        conditions with the chunk's added."""
-        ids, datasets, generators, _, _, labels = columns
+        """The chunk's trial numbers, labels, condition codes and scores, and
+        the conditions with the chunk's added."""
+        ids, datasets, generators, _, _, labels, *values = columns
         seen = dict(conditions)
         if datasets.count(datasets[0]) == generators.count(generators[0]) == len(ids):
-            codes = [seen.setdefault((datasets[0], generators[0]), len(seen))] * len(ids)
+            codes = bytes([seen.setdefault((datasets[0], generators[0]), len(seen))]) * len(ids)
         else:
             codes = [seen.setdefault(pair, len(seen)) for pair in zip(datasets, generators)]
         if len(seen) > 128:  # more than an int8 code
             raise ValueError("more than 128 (dataset, generator) pairs")
-        return trial_numbers(ids), label_values(labels), codes, seen
+        return (trial_numbers(ids), label_values(labels), bytes(codes), seen,
+                [_score_values(column) for column in values])
 
     row = 1  # the chunk's first
     try:
-        for columns in csv_columns(path, TRIAL_HEADER, ProtocolError):
-            numbers, labels, codes, conditions = checked(check, columns, row)
+        for columns in csv_columns(path, header, error):
+            numbers, labels, codes, conditions, values = checked(check, columns, row)
             number.frombytes(numbers.tobytes())
             label.frombytes(labels)
-            condition.extend(codes)
+            condition.frombytes(codes)
             videos.extend(enroll, columns[3])
             videos.extend(test, columns[4])
+            for column, chunk in zip(scores, values):
+                column.frombytes(chunk.tobytes())
             row += len(labels)
     except BadRow as bad:
-        raise ProtocolError(
+        then = ", then each model's score or empty" if scored else ""
+        raise error(
             f"{path}: row {bad.row} is not a trial (id t and 8 digits, dataset, generator, "
-            f"enroll video, test video, label 0 or 1): {bad.reason}; {bad.fields!r}"
+            f"enroll video, test video, label 0 or 1{then}): {bad.reason}; {bad.fields!r}"
         ) from None
-    return TrialSet(videos.renumber(enroll, test), list(conditions),
-                    number, condition, enroll, test, label)
+    trials = TrialSet(videos.renumber(enroll, test), list(conditions),
+                      number, condition, enroll, test, label)
+    return (trials, models,
+            np.frombuffer(bytearray().join(scores)).reshape(len(models), len(trials)))
+
+
+def load_trials(path: str | Path) -> TrialSet:
+    """The trials of a trial list, as ``read_trial_table`` reads them."""
+    return read_trial_table(path)[0]
 
 
 # -- experiment matrix -----------------------------------------------------------

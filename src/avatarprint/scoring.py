@@ -27,15 +27,12 @@ alone, but the attention logits' product over a batch does not round the
 same in every batch size, and a pair scored alone must equal its row in a
 table.
 
-The result is a ``ScoreTable`` of columns: the scored trials' numbers,
-video codes and labels, and one (models, trials) score array, NaN where a
-trial is unscorable. Its CSV has one row per trial, a column per model, and
-the header names the models. The writer formats each video id once. The
-reader takes the models from the header, then a chunk of rows at a time,
-straight into the columns, checking each column at once; a chunk that fails
-its check is searched for the first malformed row, which is reported.
-``ScoreTable.rows``, the ``ScoreRow`` view evaluation reads, is built on
-first use.
+The result is a ``ScoreTable``: the scored trials, as the ``TrialSet`` they
+are, and one (models, trials) score array, NaN where a trial is
+unscorable. Its CSV is the trial list's, with a column per model after the
+label, and the header names the models; ``protocol`` writes and reads it,
+as it does a trial list. ``ScoreTable.rows``, the ``ScoreRow`` view
+evaluation reads, is built on first use.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ import collections
 import gc
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -53,16 +49,7 @@ import numpy as np
 
 from .embedder import EmbedderParams, NonFiniteError, attend, encode_frames
 from .feature_store import FeatureStore
-from .files import AtomicFile, BadRow, checked, csv_columns, csv_fields, csv_header
-from .protocol import (
-    ROW_CHUNK,
-    FirstSeen,
-    TrialSet,
-    label_values,
-    named_codes,
-    trial_ids,
-    trial_numbers,
-)
+from .protocol import ROW_CHUNK, TrialSet, read_trial_table, trial_ids, write_trial_table
 
 
 class ScoringError(ValueError):
@@ -216,29 +203,24 @@ class ScoreRow:
 
 
 class ScoreTable:
-    """Scores as columns: trial ``i``, with id ``f"t{number[i]:08d}"``, scores
-    ``videos[enroll[i]]`` against ``videos[test[i]]`` with ``label[i]``, and
-    ``scores[m, i]`` is model ``models[m]``'s score of it, NaN when the trial
-    is unscorable. ``videos`` is the sorted tuple of the video ids the trials
-    name; ``models`` is in table order, fusion last. ``missing_videos`` are
-    the videos whose trials were left out for lack of features."""
+    """A scored trial list: ``scores[m, i]`` is model ``models[m]``'s score
+    of trial ``trials[i]``, NaN when the trial is unscorable. ``trials`` is
+    a ``TrialSet``, and ``models`` is in table order, fusion last.
+    ``missing_videos`` are the videos whose trials were left out for lack of
+    features."""
 
-    def __init__(self, videos: Sequence[str], models: Sequence[str], number: np.ndarray,
-                 enroll: np.ndarray, test: np.ndarray, label: np.ndarray, scores: np.ndarray,
+    def __init__(self, trials: TrialSet, models: Sequence[str], scores: np.ndarray,
                  missing_videos: Sequence[str] = ()):
-        self.number = np.asarray(number, dtype=np.int32)
-        self.label = np.asarray(label, dtype=np.int8)
-        self.videos, (self.enroll, self.test) = named_codes(
-            videos, np.asarray(enroll, dtype=np.int32), np.asarray(test, dtype=np.int32))
+        self.trials = trials
         self.models = tuple(models)
-        self.scores = np.asarray(scores, dtype=np.float64).reshape(len(self.models), len(self.number))
+        self.scores = np.asarray(scores, dtype=np.float64).reshape(len(self.models), len(trials))
         self.missing_videos = list(missing_videos)
         self._rows: list[ScoreRow] | None = None
 
     @property
     def unscorable_trials(self) -> list[str]:
         """Trials some model could not score (a video shorter than one window)."""
-        return trial_ids(self.number[np.isnan(self.scores).any(axis=0)])
+        return trial_ids(self.trials.number[np.isnan(self.scores).any(axis=0)])
 
     @property
     def rows(self) -> list[ScoreRow]:
@@ -252,7 +234,7 @@ class ScoreTable:
             enabled = gc.isenabled()
             gc.disable()
             try:
-                for start in range(0, len(self.number), ROW_CHUNK):
+                for start in range(0, len(self.trials), ROW_CHUNK):
                     rows += self._row_chunk(slice(start, start + ROW_CHUNK))
             finally:
                 if enabled:
@@ -261,17 +243,17 @@ class ScoreTable:
         return self._rows
 
     def _row_chunk(self, part: slice) -> list[ScoreRow]:
-        m, videos = len(self.models), self.videos
+        m, trials, videos = len(self.models), self.trials, self.trials.videos
 
         def repeated(column: list) -> list:  # each entry once per model
             return list(itertools.chain.from_iterable(zip(*[column] * m)))
 
         scores = self.scores[:, part].T.ravel().tolist()
         columns = (
-            repeated(trial_ids(self.number[part])),
-            repeated([videos[e] for e in self.enroll[part].tolist()]),
-            repeated([videos[t] for t in self.test[part].tolist()]),
-            repeated(self.label[part].tolist()),
+            repeated(trial_ids(trials.number[part])),
+            repeated([videos[e] for e in trials.enroll[part].tolist()]),
+            repeated([videos[t] for t in trials.test[part].tolist()]),
+            repeated(trials.label[part].tolist()),
             list(self.models) * (len(scores) // m),
             [None if s != s else s for s in scores],
         )
@@ -333,111 +315,19 @@ def score_trials(
         fused = (_zscore(scores) if zscore_fusion else scores).mean(axis=0)
         model_ids.append(FUSION_MODEL)
         scores = np.vstack([scores, fused])
-    return ScoreTable(kept.videos, model_ids, kept.number, kept.enroll, kept.test, kept.label,
-                      scores, itertools.compress(trials.videos, lacking.tolist()))
-
-
-SCORE_HEADER = ["trial_id", "enroll_video", "test_video", "label"]  # then the models
-# the header of the earlier layout, a row per trial and model, which is refused
-_LONG_HEADER = [*SCORE_HEADER, "model", "score"]
+    return ScoreTable(kept, model_ids, scores,
+                      itertools.compress(trials.videos, lacking.tolist()))
 
 
 def write_score_table(table: ScoreTable, path: str | Path) -> None:
-    """``table`` as CSV, one row per trial: its id, videos and label, then
-    each model's score in ``table.models`` order, which the header names
-    after ``SCORE_HEADER``. The bytes are what ``csv.writer`` (lines ending
-    in a newline) writes for those rows: a score is its ``repr``, NaN an
-    empty field. Each video id is formatted once. Models named ``model``
-    and ``score`` alone would give the earlier layout's header, which the
-    reader refuses, and are a ``ScoringError``."""
-    if [*SCORE_HEADER, *table.models] == _LONG_HEADER:
-        raise ScoringError("models 'model' and 'score' alone give the header of the earlier "
-                           "score table layout; rename one")
-    videos = csv_fields(table.videos)
-    with AtomicFile(path) as fh:
-        fh.write(",".join(csv_fields([*SCORE_HEADER, *table.models])) + "\n")
-        for start in range(0, len(table.number), ROW_CHUNK):
-            part = slice(start, start + ROW_CHUNK)
-            columns = [[f"{trial_id},{videos[e]},{videos[t]},{label}"
-                        for trial_id, e, t, label in zip(
-                            trial_ids(table.number[part]), table.enroll[part].tolist(),
-                            table.test[part].tolist(), table.label[part].tolist())]]
-            for column in table.scores[:, part]:
-                scores = list(map(repr, column.tolist()))
-                for i in np.flatnonzero(np.isnan(column)).tolist():
-                    scores[i] = ""
-                columns.append(scores)
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+    """``table`` as CSV: its trial list's columns, then a column per model
+    in ``table.models`` order (``protocol.write_trial_table``)."""
+    write_trial_table(table.trials, path, table.models, table.scores)
 
 
 def read_score_table(path: str | Path) -> ScoreTable:
     """The table in a file written by ``write_score_table``, in file order.
-
-    The header is ``SCORE_HEADER`` and then the models, at least one and all
-    distinct; any other header (the earlier layout's, a row per trial and
-    model, among them) is a ``ScoringError`` naming the file. A row that is
-    not as many fields as the header, has a trial id other than "t" and 8
-    ASCII digits, a label other than 0/1 or a score that is neither empty
-    nor a finite plain number (ASCII, with no underscore or surrounding
-    whitespace, not ``nan`` or ``inf``), is a ``ScoringError`` naming the
-    file, the row and why.
-    """
-    header = csv_header(path, ScoringError)
-    models = header[len(SCORE_HEADER):]
-    if (header[:len(SCORE_HEADER)] != SCORE_HEADER or not models
-            or len(set(models)) < len(models) or header == _LONG_HEADER):
-        raise ScoringError(f"{path}: bad header {header!r}, expected {SCORE_HEADER!r} "
-                           f"and then one or more distinct models")
-    number, label, enroll, test = array("i"), array("b"), array("i"), array("i")
-    scores = array("d")  # (trials, models), row by row
-    videos = FirstSeen()
-
-    def check(columns: list[list[str]]) -> tuple:
-        """The trial numbers, labels and (trials, models) scores of rows."""
-        ids, _, _, labels, *values = columns
-        return (trial_numbers(ids), label_values(labels),
-                np.stack([_score_values(column) for column in values], axis=1))
-
-    row = 1  # the chunk's first
-    try:
-        for columns in csv_columns(path, header, ScoringError):
-            numbers, labels, values = checked(check, columns, row)
-            number.frombytes(numbers.tobytes())
-            label.frombytes(labels)
-            videos.extend(enroll, columns[1])
-            videos.extend(test, columns[2])
-            scores.frombytes(values.tobytes())
-            row += len(labels)
-    except BadRow as bad:
-        raise ScoringError(
-            f"{path}: row {bad.row} is not in score table layout (trial id t and 8 digits, "
-            f"enroll video, test video, label 0 or 1, then each model's score or empty): "
-            f"{bad.reason}; {bad.fields!r}"
-        ) from None
-    return ScoreTable(videos.renumber(enroll, test), models, number, enroll, test, label,
-                      np.frombuffer(scores).reshape(len(number), len(models)).T)
-
-
-# characters float() takes around or within a number but the writer never writes
-_NOT_PLAIN = "_" + "".join(c for c in map(chr, range(128)) if c.isspace())
-_EMPTY_AS_NAN = {"": "nan"}
-
-
-def _score_values(scores: list[str]) -> np.ndarray:
-    """The scores of a list of fields, NaN for an empty one; any field
-    ``read_score_table`` rejects raises ``ValueError``."""
-    text = ",".join(scores)
-    if not text.isascii() or any(c in text for c in _NOT_PLAIN):
-        raise ValueError("the score is not a plain number")
-    try:
-        values = np.fromiter(map(float, map(_EMPTY_AS_NAN.get, scores, scores)),
-                             dtype=np.float64, count=len(scores))
-    except ValueError:
-        raise ValueError("the score is not a plain number") from None
-    # every value finite but for the empty fields: text such as nan or inf,
-    # or a number that overflows, is not a score
-    finite = np.isfinite(values)
-    if not (finite.all()
-            or np.array_equal(finite, np.fromiter(map(bool, scores), bool, len(scores)))):
-        raise ValueError("the score is not finite")
-    return values
+    A trial list, a table of an earlier layout, or a row
+    ``protocol.read_trial_table`` rejects is a ``ScoringError`` naming the
+    file."""
+    return ScoreTable(*read_trial_table(path, ScoringError, scored=True))

@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, exit codes and the runner."""
 
 import errno
+import fcntl
 import itertools
 import json
 import os
@@ -227,7 +228,7 @@ class TestTrainScoreEvaluateChain:
         ]) == EXIT_OK
         table = read_score_table(scores_path)
         assert table.rows and all(r.model == "m" for r in table.rows)
-        assert (f"wrote the scores of {len(table.number):,d} trials by models m to {scores_path}"
+        assert (f"wrote the scores of {len(table.trials):,d} trials by models m to {scores_path}"
                 in capsys.readouterr().out)
 
         out_dir = tmp_path / "eval"
@@ -262,6 +263,63 @@ class TestTrainScoreEvaluateChain:
                      "--out-dir", str(tmp_path / "ckpt")]) == EXIT_USAGE
         assert "no model named 'nope' in config" in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
+
+    def test_score_without_a_filter_keeps_every_condition(self, corpus_small, tmp_path):
+        cfg = write_config(tmp_path / "config.json", corpus_small, epochs=1)
+        assert main(["train", "--config", str(cfg), "--train-generator", "GAGA",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        trials_path = tmp_path / "trials.csv"
+        assert main(["trials", "--identities", str(corpus_small.root / "identities.csv"),
+                     "--videos", str(corpus_small.root / "videos.csv"),
+                     "--split", str(corpus_small.root / "split.json"),
+                     "--out", str(trials_path)]) == EXIT_OK
+        scores_path = tmp_path / "scores.csv"
+        assert main(["score", "--config", str(cfg), "--trials", str(trials_path),
+                     "--checkpoint", f"m={tmp_path / 'm_CREMA-D_GAGA.avck'}",
+                     "--out", str(scores_path)]) == EXIT_OK
+        trials = load_trials(trials_path)
+        assert trials.conditions == (("CREMA-D", "GAGA"), ("CREMA-D", "LIVE"))
+        table = read_score_table(scores_path)
+        assert table.trials == trials and table.models == ("m",)
+        # the score table is the trial list with a column per model
+        lines = scores_path.read_text(encoding="utf-8").splitlines()
+        assert [line.rsplit(",", 1)[0] for line in lines] == trials_path.read_text(
+            encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("flag, value, allowed", [
+        ("--train-dataset", "FOO", ["CREMA-D", "RAVDESS"]),
+        ("--train-generator", "BAR", ["All", "GAGA", "LIVE", "HUNY"]),
+    ], ids=["dataset", "generator"])
+    def test_train_unknown_condition_is_a_usage_error(self, corpus_small, tmp_path, capsys,
+                                                      flag, value, allowed):
+        cfg = write_config(tmp_path / "config.json", corpus_small)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(cfg), flag, value,
+                  "--out-dir", str(tmp_path / "ckpt")])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag}: invalid choice: '{value}'" in err and all(a in err for a in allowed)
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("flag, value, allowed", [
+        ("--eval-dataset", "NOPE", ["CREMA-D", "RAVDESS"]),
+        ("--eval-generator", "All", ["GAGA", "LIVE", "HUNY"]),
+    ], ids=["dataset", "generator"])
+    def test_score_unknown_condition_is_a_usage_error(self, corpus_small, tmp_path, capsys,
+                                                      flag, value, allowed):
+        cfg = write_config(tmp_path / "config.json", corpus_small)
+        (tmp_path / "t.csv").write_text(
+            "trial_id,dataset,generator,enroll_video,test_video,label\n"
+            "t00000001,CREMA-D,GAGA,gaga_a_a_c000,gaga_a_a_c001,1\n"
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--config", str(cfg), "--trials", str(tmp_path / "t.csv"),
+                  "--checkpoint", f"m={tmp_path / 'm.avck'}", flag, value,
+                  "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag}: invalid choice: '{value}'" in err and all(a in err for a in allowed)
+        assert not (tmp_path / "s.csv").exists()
 
     def test_score_without_trials_fails(self, corpus_small, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json", corpus_small, epochs=1)
@@ -300,34 +358,40 @@ class TestTrainScoreEvaluateChain:
 
     def test_evaluate_names_the_line_that_is_not_utf8(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
-        scores.write_bytes(b"trial_id,enroll_video,test_video,label,m\n"
-                           b"t00000001,a,b,1,0.5\n"
-                           b"t00000002,a,c\xe9,0,0.25\n")
+        scores.write_bytes(b"trial_id,dataset,generator,enroll_video,test_video,label,m\n"
+                           b"t00000001,CREMA-D,GAGA,a,b,1,0.5\n"
+                           b"t00000002,CREMA-D,GAGA,a,c\xe9,0,0.25\n")
         assert main(["evaluate", "--scores", str(scores)]) == EXIT_FAIL
         assert f"{scores}: line 3 is not UTF-8" in capsys.readouterr().err
 
     def test_evaluate_a_table_of_one_class_fails(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
-        scores.write_text("trial_id,enroll_video,test_video,label,m\n"
-                          "t00000001,a,b,1,0.5\n"
-                          "t00000002,a,c,1,0.25\n")
+        scores.write_text("trial_id,dataset,generator,enroll_video,test_video,label,m\n"
+                          "t00000001,CREMA-D,GAGA,a,b,1,0.5\n"
+                          "t00000002,CREMA-D,GAGA,a,c,1,0.25\n")
         assert main(["evaluate", "--scores", str(scores),
                      "--out-dir", str(tmp_path / "eval")]) == EXIT_FAIL
         assert "no scored trials with both classes present" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
-    def test_evaluate_refuses_a_table_in_the_earlier_layout(self, tmp_path, capsys):
+    @pytest.mark.parametrize("table", [
+        "trial_id,enroll_video,test_video,label,model,score\n"
+        "t00000001,a,b,1,m,0.5\n"
+        "t00000002,a,c,0,m,0.25\n",
+        "trial_id,enroll_video,test_video,label,m\n"
+        "t00000001,a,b,1,0.5\n"
+        "t00000002,a,c,0,0.25\n",
+    ], ids=["row-per-model", "no-condition"])
+    def test_evaluate_refuses_a_table_in_an_earlier_layout(self, tmp_path, capsys, table):
         scores = tmp_path / "scores.csv"
-        scores.write_text("trial_id,enroll_video,test_video,label,model,score\n"
-                          "t00000001,a,b,1,m,0.5\n"
-                          "t00000002,a,c,0,m,0.25\n")
+        scores.write_text(table)
         assert main(["evaluate", "--scores", str(scores)]) == EXIT_FAIL
         assert f"{scores}: bad header" in capsys.readouterr().err
 
     def test_fairness_on_a_table_without_scores_fails(self, corpus_small, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
-        scores.write_text("trial_id,enroll_video,test_video,label,m\n"
-                          "t00000001,gaga_a_a_c000,gaga_a_a_c001,1,\n")
+        scores.write_text("trial_id,dataset,generator,enroll_video,test_video,label,m\n"
+                          "t00000001,CREMA-D,GAGA,gaga_a_a_c000,gaga_a_a_c001,1,\n")
         code = main([
             "fairness", "--scores", str(scores),
             "--identities", str(corpus_small.root / "identities.csv"),
@@ -458,6 +522,34 @@ class TestRun:
         assert len(reads) == 2
         assert tree_bytes(run_dir) == before
 
+    def test_a_locked_run_directory_is_left_as_it_is(self, corpus_small, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA],
+                           epochs=1)
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        run_dir = tmp_path / "runs" / "testrun"
+        before = tree_bytes(run_dir)
+        payload = json.loads(cfg.read_text())
+        payload["models"][0]["hyper"]["epochs"] = 2  # a run would retrain and rescore
+        cfg.write_text(json.dumps(payload))
+        lock = os.open(run_dir, os.O_RDONLY)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            for flags in ([], ["--fresh"]):
+                assert main(["run", "--config", str(cfg), *flags]) == EXIT_FAIL
+                assert f"run directory {run_dir} is in use" in capsys.readouterr().err
+                assert tree_bytes(run_dir) == before
+        finally:
+            os.close(lock)
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        after, checkpoint = tree_bytes(run_dir), Path("models", "m_CREMA-D_GAGA.avck")
+        assert after.keys() == before.keys() and after[checkpoint] != before[checkpoint]
+        # the run released its lock as it returned
+        lock = os.open(run_dir, os.O_RDONLY)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(lock)
+
     def test_seed_flag_overrides_the_config_seed(self, corpus_small, tmp_path):
         cfg = write_config(tmp_path / "config.json", corpus_small, experiments=[INTRA_GAGA],
                            epochs=1)
@@ -563,19 +655,43 @@ class TestRun:
         assert (trained, scored) == ([1], [1])
         assert tree_bytes(run_dir) == before
 
-    def test_tables_of_another_layout_are_rescored(self, corpus_small, tmp_path, monkeypatch):
+    def test_tables_of_the_earlier_layout_are_rescored(self, corpus_small, tmp_path,
+                                                        monkeypatch):
         cfg = write_config(tmp_path / "config.json", corpus_small,
                            experiments=[INTRA_GAGA, CROSS_TO_LIVE])
-        with monkeypatch.context() as patch:  # tables as a writer of another layout leaves them
-            patch.setattr(scoring, "SCORE_HEADER", [*scoring.SCORE_HEADER, "model", "score"])
+        real_reuse = cli._reuse_or_make
+
+        def as_the_earlier_writer(path, inputs, make, load):
+            """Score tables and markers as the writer of the earlier layout
+            left them: no condition columns, and that layout in the inputs."""
+            if "layout" not in inputs:
+                return real_reuse(path, inputs, make, load)
+
+            def make_earlier(out):
+                table = make(out)
+                lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+                out.write_text("".join(",".join(line.split(",")[:1] + line.split(",")[3:])
+                                       for line in lines), encoding="utf-8")
+                return table
+
+            earlier = ["trial_id", "enroll_video", "test_video", "label"]
+            return real_reuse(path, {**inputs, "layout": earlier}, make_earlier, load)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_reuse_or_make", as_the_earlier_writer)
             assert main(["run", "--config", str(cfg)]) == EXIT_OK
-        trained, scored = [], []
+        run_dir = tmp_path / "runs" / "testrun"
+        assert all(p.read_text().startswith("trial_id,enroll_video,test_video,label,m\n")
+                   for p in (run_dir / "scores").glob("*.csv"))
+        trained, scored, reads = [], [], []
         real_train, real_score = cli.train, scoring.score_trials
         monkeypatch.setattr(cli, "train", lambda *a, **k: trained.append(1) or real_train(*a, **k))
         monkeypatch.setattr(scoring, "score_trials",
                             lambda *a, **k: scored.append(1) or real_score(*a, **k))
+        monkeypatch.setattr(scoring, "read_score_table", lambda path: reads.append(path))
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
-        assert (trained, scored) == ([], [1, 1])  # every job, and no checkpoint
+        # every job is scored again, and no checkpoint; no earlier table is read
+        assert (trained, scored, reads) == ([], [1, 1], [])
         # every artifact equals a first run's
         assert main(["run", "--config", str(cfg), "--run-id", "first"]) == EXIT_OK
         again = tree_bytes(tmp_path / "runs" / "testrun")

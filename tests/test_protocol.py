@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import random
 import sys
@@ -31,10 +32,12 @@ from avatarprint.protocol import (
     load_trials,
     make_split,
     named_codes,
+    read_trial_table,
     save_split,
     save_trials,
     trial_counts,
     trial_ids,
+    write_trial_table,
 )
 
 from helpers import (
@@ -318,10 +321,16 @@ class TestTrialIO:
         save_trials(trials, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_bad_header(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "x,y\n",
+        # a score table: the trial list and a column per model
+        "trial_id,dataset,generator,enroll_video,test_video,label,m\n"
+        "t00000001,CREMA-D,GAGA,a,b,1,0.5\n",
+    ], ids=["other", "score-table"])
+    def test_bad_header(self, tmp_path, text):
         p = tmp_path / "trials.csv"
-        p.write_text("x,y\n")
-        with pytest.raises(ProtocolError, match="bad header"):
+        p.write_text(text)
+        with pytest.raises(ProtocolError, match=f"^{p}: bad header "):
             load_trials(p)
 
     def test_loaded_trials_share_repeated_strings(self, tmp_path):
@@ -511,24 +520,38 @@ class TestTrialSet:
         ["t00000001", "CREMA-D", "GAGA", "a", "b", "2"],
         ["t00000001", "CREMA-D", "GAGA", "a", "b"],
     ], ids=["short", "sign", "letter", "wide-digit", "label", "fields"])
-    def test_malformed_row_names_the_file(self, tmp_path, row):
+    @pytest.mark.parametrize("models", [[], ["m"]], ids=["trial-list", "score-table"])
+    def test_malformed_row_names_the_file(self, tmp_path, row, models):
         path = tmp_path / "trials.csv"
+        scores = ["0.5"] * len(models)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(
-                [TRIAL_HEADER, ["t00000001", "CREMA-D", "GAGA", "a", "b", "1"], row])
+                [TRIAL_HEADER + models, ["t00000001", "CREMA-D", "GAGA", "a", "b", "1", *scores],
+                 row + scores])
         with pytest.raises(ProtocolError, match="row 2") as raised:
-            load_trials(path)
+            read_trial_table(path, scored=bool(models))
         assert str(path) in str(raised.value)
 
 
-def _csv_writer_bytes(rows):
+def _csv_writer_bytes(rows, models=(), scores=()):
     """What ``csv.writer`` (lines ending in a newline) writes for the trial
-    header and ``rows``."""
+    header and ``rows``, then a column per model of ``models`` holding
+    ``scores``, each its repr and NaN an empty field."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TRIAL_HEADER)
-    writer.writerows(rows)
+    writer.writerow([*TRIAL_HEADER, *models])
+    for row, values in itertools.zip_longest(rows, np.transpose(scores).tolist(), fillvalue=()):
+        writer.writerow([*row, *("" if v != v else repr(v) for v in values)])
     return buffer.getvalue().encode()
+
+
+def _random_scores(models, n, seed=0):
+    """(models, n) scores of every size, with an unscorable one now and then."""
+    rng = np.random.default_rng(seed)
+    shape = (len(models), n)
+    scores = rng.uniform(-1, 1, shape) * 10.0 ** rng.integers(-300, 300, shape)
+    scores[rng.random(scores.shape) < 0.1] = np.nan
+    return scores
 
 
 ODD_ROWS = [
@@ -548,13 +571,18 @@ class TestSaveTrials:
         [],
     ], ids=["random", "odd-ids", "long-id", "numbers", "empty"])
     @pytest.mark.parametrize("chunk_bytes", [None, 1000, 1])
-    def test_writes_what_the_csv_module_writes(self, tmp_path, monkeypatch, rows, chunk_bytes):
+    @pytest.mark.parametrize("models", [(), ("m1", "fusion")], ids=["trials", "scores"])
+    def test_writes_what_the_csv_module_writes(self, tmp_path, monkeypatch, rows, chunk_bytes,
+                                               models):
         if chunk_bytes:
             monkeypatch.setattr(protocol, "CHUNK_BYTES", chunk_bytes)
         trials = trials_from_rows(rows)
-        save_trials(trials, tmp_path / "trials.csv")
-        assert (tmp_path / "trials.csv").read_bytes() == _csv_writer_bytes(rows)
-        assert load_trials(tmp_path / "trials.csv") == trials
+        scores = _random_scores(models, len(rows))
+        path = tmp_path / "trials.csv"
+        write_trial_table(trials, path, models, scores)
+        assert path.read_bytes() == _csv_writer_bytes(rows, models, scores)
+        loaded, named, values = read_trial_table(path, scored=bool(models))
+        assert loaded == trials and named == models and values.tobytes() == scores.tobytes()
 
     def test_makes_no_python_object_per_trial(self, tmp_path, monkeypatch):
         rows = _random_trial_rows(300)

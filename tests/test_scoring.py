@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from avatarprint import files, scoring
+from avatarprint import files, protocol, scoring
 from avatarprint.embedder import (
     AdjacencyGraph,
     EmbedderConfig,
@@ -26,7 +26,7 @@ from avatarprint.feature_store import (
     FeatureStoreWriter,
     NormalizationParams,
 )
-from avatarprint.protocol import TrialSet
+from avatarprint.protocol import TRIAL_HEADER, TrialSet
 from avatarprint.scoring import (
     FUSION_MODEL,
     ScoreRow,
@@ -309,10 +309,11 @@ class TestScoreTrials:
         assert back.rows == table.rows  # repr round trip keeps full precision
 
     def test_unscorable_round_trips_as_empty_field(self, tmp_path):
-        table = ScoreTable(["a", "b"], ["m"], [1], [0], [1], [1], [[np.nan]])
+        table = ScoreTable(trial_set([("a", "b", 1)]), ["m"], [[np.nan]])
         write_score_table(table, tmp_path / "scores.csv")
         assert (tmp_path / "scores.csv").read_text().splitlines() == [
-            "trial_id,enroll_video,test_video,label,m", "t00000001,a,b,1,"]
+            "trial_id,dataset,generator,enroll_video,test_video,label,m",
+            "t00000001,CREMA-D,GAGA,a,b,1,"]
         back = read_score_table(tmp_path / "scores.csv")
         assert back.rows[0].score is None and np.isnan(back.scores[0, 0])
         assert back.unscorable_trials == ["t00000001"]
@@ -350,31 +351,34 @@ class TestScoreTrials:
         assert table.rows is table.rows
         write_score_table(table, tmp_path / "scores.csv")
         back = read_score_table(tmp_path / "scores.csv")
-        assert (back.videos, back.models) == (table.videos, table.models)
-        for name in ("number", "enroll", "test", "label", "scores"):
-            np.testing.assert_array_equal(getattr(back, name), getattr(table, name))
+        assert back.trials == table.trials == trials and back.models == table.models
+        assert back.scores.tobytes() == table.scores.tobytes()
 
-    def test_write_matches_a_csv_writer_of_the_rows(self, tmp_path):
-        # ids and a model that need quoting, and an unscorable trial
-        table = ScoreTable(['v,1', 'v"2', "v3"], ["a,b", FUSION_MODEL], [7, 8, 12],
-                           [0, 2, 1], [1, 0, 2], [1, 0, 0],
-                           [[0.1, np.nan, -1 / 3], [2.0, np.nan, 1e-300]])
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    def test_write_matches_a_csv_writer_of_the_rows(self, tmp_path, monkeypatch, chunk_bytes):
+        # ids, a condition and a model that need quoting, an unscorable trial
+        # and the longest repr of a float64
+        rows = [["t00000007", "CREMA-D", "GAGA", "v,1", 'v"2', "1"],
+                ["t00000008", "RAV,DESS", "GAGA", "v3", "v,1", "0"],
+                ["t00000012", "CREMA-D", "GAGA", 'v"2', "v3", "0"]]
+        scores = [[0.1, np.nan, -1 / 3], [2.0, np.nan, -2.2250738585072014e-308]]
+        table = ScoreTable(trials_from_rows(rows), ["a,b", FUSION_MODEL], scores)
+        if chunk_bytes:
+            monkeypatch.setattr(protocol, "CHUNK_BYTES", chunk_bytes)
         write_score_table(table, tmp_path / "scores.csv")
         reference = io.StringIO()
         writer = csv.writer(reference, lineterminator="\n")
-        writer.writerow(["trial_id", "enroll_video", "test_video", "label", *table.models])
-        m = len(table.models)
-        for trial in (table.rows[k:k + m] for k in range(0, len(table.rows), m)):
-            writer.writerow([trial[0].trial_id, trial[0].enroll_video, trial[0].test_video,
-                             trial[0].label, *("" if r.score is None else repr(r.score)
-                                               for r in trial)])
+        writer.writerow([*TRIAL_HEADER, *table.models])
+        for row, trial_scores in zip(rows, zip(*scores)):
+            writer.writerow([*row, *("" if s != s else repr(s) for s in trial_scores)])
         assert (tmp_path / "scores.csv").read_text(encoding="utf-8") == reference.getvalue()
-        assert read_score_table(tmp_path / "scores.csv").rows == table.rows
+        back = read_score_table(tmp_path / "scores.csv")
+        assert back.trials == table.trials and back.rows == table.rows
 
     @pytest.mark.parametrize("models", [("g", "k", FUSION_MODEL), ("a,b", 'say "hi"', "é")],
                              ids=["plain", "quoted"])
     def test_model_names_round_trip(self, tmp_path, monkeypatch, models):
-        table = ScoreTable(["a", "b"], models, [1, 2], [0, 1], [1, 0], [1, 0],
+        table = ScoreTable(trial_set([("a", "b", 1), ("b", "a", 0)]), models,
                            [[0.5, np.nan], [-0.25, 1.0], [0.125, 2.0]])
         write_score_table(table, tmp_path / "scores.csv")
         if models[0] == "g":
@@ -383,36 +387,33 @@ class TestScoreTrials:
         assert back.models == models and back.rows == table.rows
 
     def test_a_table_without_trials_keeps_its_models(self, tmp_path):
-        table = ScoreTable([], ["g", "k", FUSION_MODEL], [], [], [], [], np.empty((3, 0)))
+        table = ScoreTable(trial_set([]), ["g", "k", FUSION_MODEL], np.empty((3, 0)))
         write_score_table(table, tmp_path / "scores.csv")
         back = read_score_table(tmp_path / "scores.csv")
         assert back.models == ("g", "k", FUSION_MODEL) and back.scores.shape == (3, 0)
         assert back.rows == []
 
-    HEADER_LINE = "trial_id,enroll_video,test_video,label,m1,m2\n"
+    HEADER_LINE = "trial_id,dataset,generator,enroll_video,test_video,label,m1,m2\n"
 
-    GOOD_ROWS = ["t00000001,a,b,1,0.5,", "t00000002,a,c,0,0.25,-0.5",
-                 "t00000003,b,c,1,-1e-05,0.125"]
+    GOOD_ROWS = ["t00000001,CREMA-D,GAGA,a,b,1,0.5,", "t00000002,CREMA-D,GAGA,a,c,0,0.25,-0.5",
+                 "t00000003,CREMA-D,LIVE,b,c,1,-1e-05,0.125"]
 
+    # the trial columns' bad rows are test_protocol's, through the same reader
     BAD_ROWS = [
-        (1, "t1,a,b,1,0.5,", "trial-id"),
-        (2, "t0000000x,a,c,0,0.25,-0.5", "trial-id-digits"),
-        (2, "t00000002,a,c,2,0.25,-0.5", "label"),
-        (2, "t00000002,a,c,,0.25,-0.5", "label-empty"),
-        (2, "t00000002,a,c,0,0.25", "short"),
-        (3, "t00000003,b,c,1,-1e-05", "last-row-short"),
-        (2, "t00000002,a,c,0,0.25,-0.5,x", "long"),
-        (2, "t00000002,a,c,0,zero,-0.5", "score"),
-        (2, "t00000002,a,c,0,nan,-0.5", "score-nan"),
-        (2, "t00000002,a,c,0,inf,-0.5", "score-inf"),
-        (2, "t00000002,a,c,0,-inf,-0.5", "score-minus-inf"),
+        (2, "t00000002,CREMA-D,GAGA,a,c,0,0.25", "short"),
+        (3, "t00000003,CREMA-D,LIVE,b,c,1,-1e-05", "last-row-short"),
+        (2, "t00000002,CREMA-D,GAGA,a,c,0,0.25,-0.5,x", "long"),
+        (2, "t00000002,CREMA-D,GAGA,a,c,0,zero,-0.5", "score"),
+        (2, "t00000002,CREMA-D,GAGA,a,c,0,nan,-0.5", "score-nan"),
+        (2, "t00000002,CREMA-D,GAGA,a,c,0,inf,-0.5", "score-inf"),
+        (2, "t00000002,CREMA-D,GAGA,a,c,0,-inf,-0.5", "score-minus-inf"),
         # row 1 leaves m2 empty: the text nan is still no score
-        (2, "t00000002,a,c,0,0.25,nan", "score-nan-beside-empty"),
-        (2, "t00000002,a,c,0,2_5,-0.5", "score-underscore"),
-        (2, "t00000002,a,c,0,\u0663,-0.5", "score-non-ascii-digit"),
-        (2, "t00000002,a,c,0, 0.25,-0.5", "score-leading-space"),
-        (2, "t00000002,a,c,0,0.25\t,-0.5", "score-trailing-tab"),
-        (3, "t00000003,b,c,1,-1e-05,-1e999", "score-overflow"),
+        (2, "t00000002,CREMA-D,GAGA,a,c,0,0.25,nan", "score-nan-beside-empty"),
+        (2, "t00000002,CREMA-D,GAGA,a,c,0,2_5,-0.5", "score-underscore"),
+        (2, "t00000002,CREMA-D,GAGA,a,c,0,\u0663,-0.5", "score-non-ascii-digit"),
+        (2, "t00000002,CREMA-D,GAGA,a,c,0, 0.25,-0.5", "score-leading-space"),
+        (2, "t00000002,CREMA-D,GAGA,a,c,0,0.25\t,-0.5", "score-trailing-tab"),
+        (3, "t00000003,CREMA-D,LIVE,b,c,1,-1e-05,-1e999", "score-overflow"),
     ]
 
     @pytest.mark.parametrize("row,line,bad", BAD_ROWS)
@@ -435,29 +436,31 @@ class TestScoreTrials:
         empty.write_text(self.HEADER_LINE)
         assert read_score_table(empty).rows == []
 
-    @pytest.mark.parametrize("header", [
-        "nope\n",
-        "",
-        "trial_id,enroll_video,test_video,label\n",  # no model
-        "trial_id,enroll_video,test_video,label,m,k,m\n",  # a model twice
-        "trial_id,enroll_video,test_video,label,model,score\n",  # a row per trial and model
-        "trial_id,enroll_video,test_video,score,m\n",
-    ], ids=["other", "empty", "no-model", "repeated-model", "long-layout", "no-label"])
-    def test_bad_header_rejected(self, tmp_path, header):
+    @pytest.mark.parametrize("header, row", [
+        ("nope\n", "t00000001,CREMA-D,GAGA,a,b,1,0.5\n"),
+        ("", ""),
+        # a trial list: no model
+        ("trial_id,dataset,generator,enroll_video,test_video,label\n",
+         "t00000001,CREMA-D,GAGA,a,b,1\n"),
+        ("trial_id,dataset,generator,enroll_video,test_video,label,m,k,m\n",
+         "t00000001,CREMA-D,GAGA,a,b,1,0.5,0.25,0.5\n"),
+        # the earlier layouts: a row per trial and model, then a row per trial
+        ("trial_id,enroll_video,test_video,label,model,score\n", "t00000001,a,b,1,m,0.5\n"),
+        ("trial_id,enroll_video,test_video,label,k\n", "t00000001,a,b,1,0.5\n"),
+        ("trial_id,dataset,generator,enroll_video,test_video,score,m\n",
+         "t00000001,CREMA-D,GAGA,a,b,1,0.5\n"),
+    ], ids=["other", "empty", "trial-list", "repeated-model", "row-per-model-layout",
+            "no-condition-layout", "no-label"])
+    def test_bad_header_rejected(self, tmp_path, header, row):
         path = tmp_path / "scores.csv"
-        path.write_text(header + "t00000001,a,b,1,m,0.5\n" if header else "")
+        path.write_text(header + row)
         with pytest.raises(ScoringError, match=f"^{path}: bad header "):
             read_score_table(path)
 
-    def test_models_that_give_the_earlier_header_are_not_written(self, tmp_path):
-        table = ScoreTable(["a", "b"], ["model", "score"], [1], [0], [1], [1], [[0.5], [0.25]])
-        with pytest.raises(ScoringError, match="earlier score table layout"):
-            write_score_table(table, tmp_path / "scores.csv")
-        assert list(tmp_path.iterdir()) == []
-
     def test_header_not_utf8_names_its_line(self, tmp_path):
         path = tmp_path / "scores.csv"
-        path.write_bytes(b"trial_id,enroll_video,test_video,label,m\xff\nt00000001,a,b,1,0.5\n")
+        path.write_bytes(b"trial_id,dataset,generator,enroll_video,test_video,label,m\xff\n"
+                         b"t00000001,CREMA-D,GAGA,a,b,1,0.5\n")
         with pytest.raises(ScoringError) as raised:
             read_score_table(path)
         assert str(raised.value) == f"{path}: line 1 is not UTF-8: invalid start byte"
@@ -465,7 +468,7 @@ class TestScoreTrials:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_rows_leave_the_collector_as_found(self, monkeypatch, enabled):
         def table():
-            return ScoreTable(["a", "b"], ["m"], [1, 2], [0, 1], [1, 0], [1, 0], [[0.5, np.nan]])
+            return ScoreTable(trial_set([("a", "b", 1), ("b", "a", 0)]), ["m"], [[0.5, np.nan]])
 
         def broken(self, part):
             raise RuntimeError("no rows")
@@ -488,10 +491,11 @@ def _random_score_lines(trials, models, seed=0):
     unscorable trial now and then, repr'd scores of every size."""
     rng = random.Random(seed)
     videos = ["v1", "v2", "vidéo", "日本語", "w" * 70]
+    conditions = ["CREMA-D,GAGA", "CREMA-D,LIVE", "RAVDESS,GAGA"]
     lines = []
     for i in range(trials):
-        head = (f"t{rng.randrange(1, 10**8):08d},{rng.choice(videos)},{rng.choice(videos)},"
-                f"{rng.choice('01')}")
+        head = (f"t{rng.randrange(1, 10**8):08d},{conditions[i // 7 % 3]},{rng.choice(videos)},"
+                f"{rng.choice(videos)},{rng.choice('01')}")
         unscorable = rng.random() < 0.1
         scores = ["" if unscorable else repr(rng.uniform(-1, 1) * 10.0 ** rng.randrange(-300, 300))
                   for _ in models]
@@ -500,7 +504,7 @@ def _random_score_lines(trials, models, seed=0):
 
 
 def _write_scores(path, lines, models):
-    header = ",".join(["trial_id", "enroll_video", "test_video", "label", *models])
+    header = ",".join([*TRIAL_HEADER, *models])
     path.write_text(f"{header}\n" + "".join(lines), encoding="utf-8")
     return path
 
@@ -512,7 +516,7 @@ def _read_by_rows(path):
     copy = path.with_name(f"crlf-{path.name}")
     copy.write_bytes(path.read_bytes().replace(b"\r\n", b"\n").replace(b"\n", b"\r\n"))
     outcome = _read_outcome(copy)
-    if isinstance(outcome[0], tuple):
+    if isinstance(outcome[0], TrialSet):
         return outcome
     return outcome[0], outcome[1].replace(str(copy), str(path))
 
@@ -522,8 +526,7 @@ def _read_outcome(path):
         table = read_score_table(path)
     except Exception as exc:  # noqa: BLE001 - compared whole
         return type(exc), str(exc)
-    return (table.videos, table.models, table.number.tolist(), table.enroll.tolist(),
-            table.test.tolist(), table.label.tolist(), table.scores.tobytes())
+    return table.trials, table.models, table.scores.tobytes()
 
 
 class TestCanonicalTable:
@@ -535,7 +538,7 @@ class TestCanonicalTable:
         path = _write_scores(tmp_path / "scores.csv", _random_score_lines(trials, models, trials),
                              models)
         expected = _read_by_rows(path)
-        assert isinstance(expected[0], tuple) and expected[1] == models
+        assert isinstance(expected[0], TrialSet) and expected[1] == models
         monkeypatch.setattr(files, "CHUNK_CHARS", chunk)
         monkeypatch.setattr(files.csv, "reader", None)  # the csv module never reads it
         assert _read_outcome(path) == expected
@@ -558,7 +561,7 @@ class TestCanonicalTable:
     def test_other_files_fall_back_to_the_row_reader(self, tmp_path, change):
         lines = _random_score_lines(100, ("m1", "m2"))
         if change == "quoted":
-            lines[75] = 't00000009,"say ""hi""","a,b",1,0.5,\n'
+            lines[75] = 't00000009,CREMA-D,GAGA,"say ""hi""","a,b",1,0.5,\n'
         path = _write_scores(tmp_path / "scores.csv", lines, ("m1", "m2"))
         text = path.read_bytes()
         path.write_bytes({"quoted": text, "crlf": text.replace(b"\n", b"\r\n"),
@@ -568,12 +571,12 @@ class TestCanonicalTable:
         if change == "blank-last":
             assert expected[0] is ScoringError and "row 101 " in expected[1]
         else:
-            assert isinstance(expected[0], tuple)
+            assert isinstance(expected[0], TrialSet)
             if change == "quoted":
-                assert 'say "hi"' in expected[0]
+                assert 'say "hi"' in expected[0].videos
 
     def test_bytes_not_utf8_name_their_line(self, tmp_path):
-        lines = [f"t{i:08d},a{i},b,1,0.5\n" for i in range(1, 2001)]
+        lines = [f"t{i:08d},CREMA-D,GAGA,a{i},b,1,0.5\n" for i in range(1, 2001)]
         path = _write_scores(tmp_path / "scores.csv", lines, ("m",))
         path.write_bytes(path.read_bytes().replace(b",a1500,", b",a\xff,"))
         with pytest.raises(ScoringError) as raised:

@@ -50,6 +50,7 @@ from .embedder import (
     save_checkpoint,
 )
 from .feature_store import (
+    COMPUTE_DTYPE,
     FeatureKind,
     FeatureSequence,
     FeatureStore,
@@ -711,6 +712,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     "store": _store_header(models[name].store),
                     "train": [ds, gen],
                     "split": [sorted(split.development), sorted(split.evaluation)],
+                    # a checkpoint trained in another precision is trained again
+                    "precision": COMPUTE_DTYPE.name,
                 }
                 _reuse_or_make(
                     out_path,
@@ -750,6 +753,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     "fusion": [config.fusion_enabled, config.fusion_zscore],
                     # a table in another layout is not read back but made again
                     "layout": proto.TRIAL_HEADER,
+                    # and one scored in another precision is scored again
+                    "precision": COMPUTE_DTYPE.name,
                 }
                 table = _reuse_or_make(
                     score_paths[job.job_id],

@@ -33,6 +33,18 @@ bias), activations a = tanh(X·[W₀; b₀]) and readout R, the gradient of
 forms no (frames, nodes, hidden) gradient. Embedding that trains nothing
 (scoring and the training probe) keeps no state, and the graph encoder
 reuses one block of buffers for it.
+
+Precision follows the frames handed to ``encode_frames`` and
+``forward_batch``. Float32 frames, the store's precision and what training
+and scoring hand over, run the graph encoder, the attention logits, the
+softmax and the weighted frames w·X in float32, with the parameters cast
+once per call; the value map, the output map, the projection and the L2
+norm run in float64 on w·X widened. Any other frames run in float64
+throughout. Either way ``attend`` returns float64 embeddings and
+``backward_batch`` takes a float64 ∂z and returns a float64 gradient, so
+the parameters, the optimizer, the loss and every score stay float64 (the
+master-weights scheme of Micikevicius et al., "Mixed Precision Training",
+ICLR 2018).
 """
 
 from __future__ import annotations
@@ -326,6 +338,23 @@ def init_params(
     return EmbedderParams(config, flat, normalization, graph)
 
 
+# -- precision ---------------------------------------------------------------
+
+
+def _frames_in_compute_dtype(frames: np.ndarray) -> np.ndarray:
+    """``frames`` as the dtype it selects: float32 stays float32, anything
+    else becomes float64."""
+    frames = np.asarray(frames)
+    return frames if frames.dtype == np.float32 else frames.astype(np.float64, copy=False)
+
+
+def _cast(arr: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``arr`` in ``dtype``, itself when it is already. A value beyond
+    float32's range becomes inf, which the finiteness checks report."""
+    with np.errstate(over="ignore"):
+        return arr.astype(dtype, copy=False)
+
+
 # -- graph encoder -----------------------------------------------------------
 
 
@@ -341,7 +370,8 @@ class _GraphState:
 def graph_encode(
     params: EmbedderParams, frames_landmarks: np.ndarray, state: _GraphState | None = None
 ) -> np.ndarray:
-    """Encode frames of landmark points, (N, L, 2) -> (N, hidden_dim).
+    """Encode frames of landmark points, (N, L, 2) -> (N, hidden_dim), in
+    the precision the frames select.
 
     The one graph layer averages every node with its neighbors
     (degree-normalized), applies a learned linear map and tanh. The frame
@@ -358,7 +388,7 @@ def graph_encode(
     graph = params.graph
     if cfg is None or graph is None:
         raise EmbedderError("model has no graph encoder")
-    frames_landmarks = np.asarray(frames_landmarks, dtype=np.float64)
+    frames_landmarks = _frames_in_compute_dtype(frames_landmarks)
     if frames_landmarks.ndim != 3 or frames_landmarks.shape[1:] != (graph.num_nodes, 2):
         raise EmbedderError(
             f"expected (N, {graph.num_nodes}, 2) landmark frames, "
@@ -366,19 +396,20 @@ def graph_encode(
         )
     n, nodes = frames_landmarks.shape[:2]
     hid = cfg.hidden_dim
-    norm = graph.norm_matrix()
-    first = np.vstack([params["graph.l0.weight"], params["graph.l0.bias"]])
-    readout = params["graph.readout"]
+    dtype = frames_landmarks.dtype
+    norm = _cast(graph.norm_matrix(), dtype)
+    first = _cast(np.vstack([params["graph.l0.weight"], params["graph.l0.bias"]]), dtype)
+    readout = _cast(params["graph.readout"], dtype)
     rows = min(n, GRAPH_BLOCK)
-    aggregated = np.empty((rows, nodes, 3))
+    aggregated = np.empty((rows, nodes, 3), dtype)
     aggregated[:, :, 2] = 1.0
     # a backward pass needs every frame's activations; otherwise one block's are reused
-    activated = np.empty((n if state is not None else rows, nodes, hid))
-    desc = np.empty((n, hid))
+    activated = np.empty((n if state is not None else rows, nodes, hid), dtype)
+    desc = np.empty((n, hid), dtype)
     if state is not None:  # M per frame; a ⊙ a ⊙ R and its product with X per block
-        collapsed = np.empty((n, 3, hid))
-        squares = np.empty((rows, nodes, hid))
-        squares_below = np.empty((rows, 3, hid))
+        collapsed = np.empty((n, 3, hid), dtype)
+        squares = np.empty((rows, nodes, hid), dtype)
+        squares_below = np.empty((rows, 3, hid), dtype)
     for start in range(0, n, GRAPH_BLOCK):
         part = slice(start, start + GRAPH_BLOCK)
         block = min(GRAPH_BLOCK, n - start)
@@ -426,9 +457,9 @@ def _graph_backward(
 
 @dataclass
 class _ForwardState:
-    attn_input: np.ndarray  # (B, F, dim)
+    attn_input: np.ndarray  # (B, F, dim), in the compute dtype, as are weights
     weights: np.ndarray  # (B, H, F)
-    weighted: np.ndarray  # (B, H, dim) attention-weighted frames, w·X
+    weighted: np.ndarray  # (B, H, dim) attention-weighted frames, w·X, in float64
     pooled: np.ndarray  # (B, A) concatenated head outputs
     zhat: np.ndarray  # (B, dim)
     norms: np.ndarray  # (B,)
@@ -455,7 +486,7 @@ def encode_frames(
     depends on its own frame only, so frames may be encoded in any grouping
     and windows cut from the result afterwards."""
     cfg = params.config
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = _frames_in_compute_dtype(frames)
     if frames.ndim != 2 or frames.shape[1] != cfg.input_dim:
         raise EmbedderError(f"expected frames of shape (N, {cfg.input_dim}), got {frames.shape}")
     _check_finite(frames, "input")
@@ -472,14 +503,16 @@ def attend(
     """Attention pooling, the output map, the projection and the L2 norm over
     windows of encoded frames (B, F, dim) -> (B, d). Returns the embeddings
     together with the cached intermediates needed by backward_batch, which
-    also needs the graph encoder's ``state`` (None when nothing is trained)."""
+    also needs the graph encoder's ``state`` (None when nothing is trained).
+    The logits, the softmax and w·X run in the windows' dtype, the rest in
+    float64."""
     cfg = params.config
     attn_input = encoded_windows
     batch, frames, dim = attn_input.shape
 
     # logit[b,h,f] = x[b,f] · W_k[h] q[h] / √a; overflow is reported just below
     with np.errstate(over="ignore", invalid="ignore"):
-        kq = _key_queries(params) * (1.0 / np.sqrt(cfg.head_dim))
+        kq = _cast(_key_queries(params) * (1.0 / np.sqrt(cfg.head_dim)), attn_input.dtype)
         logits = (attn_input.reshape(batch * frames, dim) @ kq.T).reshape(
             batch, frames, cfg.heads
         ).transpose(0, 2, 1)
@@ -489,7 +522,7 @@ def attend(
     weights = expw / expw.sum(axis=2, keepdims=True)
 
     # pooled[b,h] = (Σ_f w[b,h,f] x[b,f]) · W_v[h]
-    weighted = np.matmul(weights, attn_input)
+    weighted = _cast(np.matmul(weights, attn_input), np.float64)
     pooled = np.matmul(weighted.transpose(1, 0, 2), params["attn.value"])
     pooled = pooled.transpose(1, 0, 2).reshape(batch, cfg.attention_dim)
     zhat = pooled @ params["attn.out"]
@@ -515,7 +548,7 @@ def forward_batch(params: EmbedderParams, windows: np.ndarray) -> tuple[np.ndarr
     backward_batch.
     """
     cfg = params.config
-    windows = np.asarray(windows, dtype=np.float64)
+    windows = _frames_in_compute_dtype(windows)
     if windows.ndim != 3 or windows.shape[1] != cfg.window_len or windows.shape[2] != cfg.input_dim:
         raise EmbedderError(
             f"expected windows of shape (B, {cfg.window_len}, {cfg.input_dim}), "
@@ -532,13 +565,15 @@ def backward_batch(
 ) -> np.ndarray:
     """Gradient of a scalar loss wrt all parameters, given d(loss)/d(z).
 
-    d_z has the shape of the embeddings (B, d). Returns a flat vector aligned
-    with params.flat.
+    d_z has the shape of the embeddings (B, d). Returns a flat float64
+    vector aligned with params.flat. The softmax and what lies below it run
+    in the dtype the forward pass ran them in.
     """
     cfg = params.config
     batch = d_z.shape[0]
     x = state.attn_input
     frames, dim = x.shape[1], x.shape[2]
+    dtype = x.dtype
     grads = {name: np.zeros(shape) for name, shape in params.shapes}
 
     # L2 normalization: z = u/|u|, dL/du = (dz - z (z . dz)) / |u|
@@ -556,23 +591,24 @@ def backward_batch(
     d_pooled_h = d_pooled.transpose(1, 0, 2)  # (H, B, a)
     grads["attn.value"] += np.matmul(state.weighted.transpose(1, 2, 0), d_pooled_h)
     d_weighted = np.matmul(d_pooled_h, params["attn.value"].transpose(0, 2, 1)).transpose(1, 0, 2)
+    d_weighted = _cast(d_weighted, dtype)
     d_weights = np.matmul(d_weighted, x.transpose(0, 2, 1))  # (B, H, F)
 
     # softmax: dlogits = w * (dw - sum_f w*dw)
     mix = np.einsum("bhf,bhf->bh", state.weights, d_weights)
     d_logits = state.weights * (d_weights - mix[:, :, None])
-    d_logits *= 1.0 / np.sqrt(cfg.head_dim)
+    d_logits *= dtype.type(1.0 / np.sqrt(cfg.head_dim))
 
     # keys: S[h] = Σ_bf ∂logit·x, ∂W_k[h] = S[h] ⊗ q[h], ∂q[h] = W_k[h]ᵀ S[h]
-    s = d_logits.transpose(1, 0, 2).reshape(cfg.heads, batch * frames) @ x.reshape(
+    s = _cast(d_logits.transpose(1, 0, 2).reshape(cfg.heads, batch * frames) @ x.reshape(
         batch * frames, dim
-    )
+    ), np.float64)
     grads["attn.key"] += s[:, :, None] * params["attn.query"][:, None, :]
     grads["attn.query"] += np.matmul(s[:, None, :], params["attn.key"])[:, 0, :]
 
     if cfg.graph is not None:
         d_input = np.matmul(state.weights.transpose(0, 2, 1), d_weighted)
-        d_input += np.matmul(d_logits.transpose(0, 2, 1), _key_queries(params))
+        d_input += np.matmul(d_logits.transpose(0, 2, 1), _cast(_key_queries(params), dtype))
         d_desc = d_input.reshape(batch * frames, dim)
         assert state.graph is not None
         _graph_backward(params, state.graph, d_desc, grads)

@@ -3,7 +3,10 @@
 Each avatar video contributes one T x D float matrix (facial landmark
 coordinates or backbone embeddings). Sequences are stored once as 32-bit
 floats in one self-describing file, then read back lock-free via positioned
-reads; all computation downstream happens in 64-bit precision.
+reads. ``get`` widens a sequence to float64, the precision the
+normalization is fitted and applied in; ``NormalizationParams.model_input``
+hands the standardized frames to the embedder as ``COMPUTE_DTYPE``, the
+store's float32, and the embedder returns float64 embeddings.
 
 On-disk format, version 3: header (magic, version, kind, D, index offset,
 digest) | float32 payloads | index trailer, the key-sorted JSON map
@@ -276,6 +279,7 @@ class FeatureStore:
 
 
 VARIANCE_FLOOR = 1e-8
+COMPUTE_DTYPE = np.dtype(np.float32)  # of the frames the embedder computes on
 
 
 @dataclass
@@ -290,6 +294,13 @@ class NormalizationParams:
     def apply(self, frames: np.ndarray) -> np.ndarray:
         frames = np.asarray(frames, dtype=np.float64)
         return (frames - self.mean) / self.std
+
+    def model_input(self, frames: np.ndarray) -> np.ndarray:
+        """``apply(frames)`` as ``COMPUTE_DTYPE``, the frames training and
+        scoring hand the embedder. A value beyond float32's range becomes
+        inf without a warning; the caller checks."""
+        with np.errstate(over="ignore"):
+            return self.apply(frames).astype(COMPUTE_DTYPE)
 
     def to_dict(self) -> dict:
         return {

@@ -27,6 +27,9 @@ alone, but the attention logits' product over a batch does not round the
 same in every batch size, and a pair scored alone must equal its row in a
 table.
 
+Frames reach the embedder as ``NormalizationParams.model_input`` gives
+them, in float32; the embeddings, means and scores are float64.
+
 The result is a ``ScoreTable``: the scored trials, as the ``TrialSet`` they
 are, and one (models, trials) score array, NaN where a trial is
 unscorable. Its CSV is the trial list's, with a column per model after the
@@ -105,7 +108,11 @@ def _windowed_frames(frames: np.ndarray, window_len: int) -> np.ndarray | None:
 
 
 def _normalized(params: EmbedderParams, frames: np.ndarray) -> np.ndarray:
-    return frames if params.normalization is None else params.normalization.apply(frames)
+    """``frames`` as the model embeds them: standardized in float32 by the
+    model's normalization, or as the store gives them (float64) when the
+    model has none. A value the cast overflows fails ``encode_frames``'
+    input check."""
+    return frames if params.normalization is None else params.normalization.model_input(frames)
 
 
 def _chunks(store: FeatureStore, video_ids: Sequence[str], window_len: int):

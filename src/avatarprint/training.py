@@ -1,8 +1,10 @@
 """Triplet training of the window embedder.
 
 Training reads each development video from the store once, into one
-float64 frame matrix; it fits the feature normalization on that matrix and
-normalizes it in place. It keeps a start index per half-stride window into
+float32 frame matrix (the store's precision, so no value changes); it fits
+the feature normalization on that matrix in float64 and replaces each
+video's frames by ``NormalizationParams.model_input`` of them, the float32
+frames scoring hands the embedder too. It keeps a start index per half-stride window into
 the matrix; each batch is cut from it with
 ``scoring.gather_windows``, the same gather that scoring uses, so no tensor
 of all windows is ever formed. Windows are labeled by the driver identity of
@@ -31,7 +33,7 @@ from .embedder import (
     forward_batch,
     init_params,
 )
-from .feature_store import FeatureStore, NormalizationParams, fit_normalization
+from .feature_store import COMPUTE_DTYPE, FeatureStore, NormalizationParams, fit_normalization
 from .scoring import gather_windows, window_starts
 
 
@@ -128,10 +130,12 @@ def _collect_windows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], NormalizationParams]:
     """Every development video, read once, and every training window in it.
 
-    Returns (the videos' frames (T, D) in id order, normalized in place by
-    the normalization fitted on them; the start of each window in them
-    (N,); label indices (N,); label names; that normalization). Videos
-    shorter than one window hold no window but count in the fit.
+    Returns (the videos' frames (T, D) in id order, as
+    ``NormalizationParams.model_input`` gives them for the normalization
+    fitted on them; the start of each window in them (N,); label indices
+    (N,); label names; that normalization). Videos shorter than one window
+    hold no window but count in the fit. A video whose normalized frames
+    overflow float32 is a ``TrainingError`` naming it.
     """
     videos = sorted((v for v in catalog.videos() if v.driver in dev_ids and v.target in dev_ids),
                     key=lambda v: v.video_id)
@@ -145,12 +149,16 @@ def _collect_windows(
         )
     bounds = np.cumsum([0] + [store.num_frames(v.video_id) for v in videos]).tolist()
     spans = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    frames = np.empty((bounds[-1], store.dimension))
+    frames = np.empty((bounds[-1], store.dimension), COMPUTE_DTYPE)
     for video, span in zip(videos, spans):
         frames[span] = store.get(video.video_id).frames
-    normalization = fit_normalization(store.dimension, lambda: (frames[s] for s in spans))
-    frames -= normalization.mean  # what normalization.apply does, in place
-    frames /= normalization.std
+    normalization = fit_normalization(
+        store.dimension, lambda: (frames[s].astype(np.float64) for s in spans))
+    for video, span in zip(videos, spans):
+        frames[span] = normalization.model_input(frames[span])
+        if not np.all(np.isfinite(frames[span])):
+            raise TrainingError(f"video {video.video_id!r}: normalized frames overflow "
+                                f"{COMPUTE_DTYPE.name}")
     starts: list[int] = []
     labels: list[str] = []
     for video, span in zip(videos, spans):

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from avatarprint import cli, evaluation, protocol, scoring
+from avatarprint import cli, evaluation, feature_store, protocol, scoring, training
 from avatarprint.catalog import save_manifest
 from avatarprint.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from avatarprint.feature_store import FeatureSequence, FeatureStore, FeatureStoreWriter
@@ -695,6 +695,45 @@ class TestRun:
         # every artifact equals a first run's
         assert main(["run", "--config", str(cfg), "--run-id", "first"]) == EXIT_OK
         again = tree_bytes(tmp_path / "runs" / "testrun")
+        first = tree_bytes(tmp_path / "runs" / "first")
+        assert again.keys() == first.keys()
+        for p in first.keys() - {Path("config", "effective.json")}:
+            assert again[p] == first[p], p
+
+    def test_artifacts_of_the_float64_engine_are_remade(self, corpus_small, tmp_path,
+                                                        monkeypatch):
+        cfg = write_config(tmp_path / "config.json", corpus_small,
+                           experiments=[INTRA_GAGA, CROSS_TO_LIVE])
+        real_reuse = cli._reuse_or_make
+
+        def as_the_float64_engine(path, inputs, make, load):
+            """Markers as the engine that computed in float64 wrote them: no
+            precision among the inputs."""
+            return real_reuse(path, {k: v for k, v in inputs.items() if k != "precision"},
+                              make, load)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_reuse_or_make", as_the_float64_engine)
+            for module in (feature_store, training):  # the frames the embedder is handed
+                patch.setattr(module, "COMPUTE_DTYPE", np.dtype(np.float64))
+            assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        run_dir = tmp_path / "runs" / "testrun"
+        checkpoint = run_dir / "models" / "m_CREMA-D_GAGA.avck"
+        float64_checkpoint = checkpoint.read_bytes()
+        trained, scored = [], []
+        real_train, real_score = cli.train, scoring.score_trials
+        monkeypatch.setattr(cli, "train", lambda *a, **k: trained.append(1) or real_train(*a, **k))
+        monkeypatch.setattr(scoring, "score_trials",
+                            lambda *a, **k: scored.append(1) or real_score(*a, **k))
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        # the checkpoint is trained again and every job scored again, once
+        assert (trained, scored) == ([1], [1, 1])
+        assert checkpoint.read_bytes() != float64_checkpoint
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert (trained, scored) == ([1], [1, 1])
+        # every artifact equals a first run's
+        assert main(["run", "--config", str(cfg), "--run-id", "first"]) == EXIT_OK
+        again = tree_bytes(run_dir)
         first = tree_bytes(tmp_path / "runs" / "first")
         assert again.keys() == first.keys()
         for p in first.keys() - {Path("config", "effective.json")}:

@@ -373,6 +373,33 @@ class TestCollapsedAttention:
         assert max_relative_error(grad, numeric) < 1e-5
 
 
+class TestPrecision:
+    """Float32 frames run the encoder and attention in float32; embeddings
+    and gradients stay float64, close to the float64 path's."""
+
+    @pytest.mark.parametrize("with_graph", [False, True], ids=["kinematic", "graph"])
+    def test_float32_frames_agree_with_float64(self, with_graph):
+        rng = np.random.default_rng(80)
+        if with_graph:
+            params = training_shaped_graph_model(rng)
+        else:
+            params = init_params(EmbedderConfig(input_dim=32, heads=4, attention_dim=32,
+                                                projection_dim=16, window_len=32, seed=5))
+        windows = rng.normal(size=(64, 32, 32))
+        z64, state64 = forward_batch(params, windows)
+        z32, state32 = forward_batch(params, windows.astype(np.float32))
+        assert state64.attn_input.dtype == np.float64
+        assert state32.attn_input.dtype == state32.weights.dtype == np.float32
+        assert z32.dtype == np.float64
+        np.testing.assert_allclose(z32, z64, rtol=0, atol=1e-5)
+
+        d_z = rng.normal(size=z64.shape)
+        grad64 = backward_batch(params, state64, d_z)
+        grad32 = backward_batch(params, state32, d_z)
+        assert grad32.dtype == np.float64
+        assert np.linalg.norm(grad32 - grad64) <= 1e-5 * np.linalg.norm(grad64)
+
+
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
         cfg, graph = graph_setup(seed=9)

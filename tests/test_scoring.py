@@ -6,6 +6,7 @@ import gc
 import io
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -589,7 +590,8 @@ class TestChunks:
     chunks of ``SCORE_FRAMES`` or a video more."""
 
     @pytest.mark.parametrize("make", [make_params, make_graph_params], ids=["kinematic", "graph"])
-    def test_chunked_videos_equal_each_video_alone(self, tmp_path, make):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_chunked_videos_equal_each_video_alone(self, tmp_path, make, dtype):
         rng = np.random.default_rng(21)
         ids = [f"v{i:02d}" for i in range(80)]
         writer = FeatureStoreWriter(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 6)
@@ -597,9 +599,12 @@ class TestChunks:
             frames = rng.normal(size=(7 if i % 7 == 3 else int(rng.integers(8, 150)), 6))
             writer.put(FeatureSequence(vid, FeatureKind.EMBEDDING, frames, 30.0))
         store = writer.seal()
+        # a model's normalization hands the embedder float32 frames; without
+        # one it embeds the store's frames as they are read, in float64
         norm = NormalizationParams(mean=np.full(6, 0.25), std=np.full(6, 1.5),
                                    floored_dims=(), n_frames=1)
-        params = make(normalization=norm)
+        params = make(normalization=norm if dtype == np.float32 else None)
+        assert scoring._normalized(params, store.get(ids[0]).frames).dtype == dtype
         windowed = [window_starts(store.get(v).num_frames, 8) for v in ids]
         assert sum(s[-1] + 8 for s in windowed if s) > 2 * scoring.SCORE_FRAMES
         assert not all(windowed)  # some videos have no window and stay NaN
@@ -631,6 +636,28 @@ class TestChunks:
         with pytest.raises(NonFiniteError,
                            match=r"^non-finite value in attention_logits: model 'm', video 'v1'$"):
             score_trials(models, trial_set([(ids[2], ids[1], 1)]))
+
+    def test_frames_beyond_float32_name_the_model_and_video(self, tmp_path):
+        # dimension 0 is floored (std 1e-4), so a stored 1e35 normalizes to
+        # 1e39: finite in float64, beyond float32
+        rng = np.random.default_rng(24)
+        writer = FeatureStoreWriter(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 6)
+        for vid in ("a", "b", "c", "d"):
+            frames = rng.normal(size=(20, 6))
+            if vid in ("c", "d"):
+                frames[5, 0] = 1e35
+            writer.put(FeatureSequence(vid, FeatureKind.EMBEDDING, frames, 30.0))
+        store = writer.seal()
+        std = np.ones(6)
+        std[0] = 1e-4
+        norm = NormalizationParams(mean=np.zeros(6), std=std, floored_dims=(0,), n_frames=1)
+        models = {"fine": (make_params(seed=2), store), "m": (make_params(normalization=norm), store)}
+        trials = trial_set([("a", "b", 1), ("a", "d", 0), ("c", "b", 0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the cast warns of nothing
+            with pytest.raises(NonFiniteError,
+                               match=r"^non-finite value in input: model 'm', video 'c'$"):
+                score_trials(models, trials)
 
     def test_non_finite_descriptors_name_the_first_video_at_fault(self, tmp_path):
         rng = np.random.default_rng(23)

@@ -1,12 +1,21 @@
 """Triplet training loop: convergence, determinism and failure modes."""
 
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from avatarprint import training
 from avatarprint.embedder import EmbedderConfig, forward_batch
-from avatarprint.feature_store import FeatureStore, normalize
+from avatarprint.feature_store import (
+    FeatureKind,
+    FeatureSequence,
+    FeatureStore,
+    FeatureStoreWriter,
+    NormalizationParams,
+    normalize,
+)
 from avatarprint.scoring import gather_windows, window_starts
 from avatarprint.training import (
     Adam,
@@ -135,7 +144,7 @@ def stacked_windows(store, catalog, dev_ids, window_len, normalization):
     windows, drivers = [], []
     videos = [v for v in catalog.videos() if v.driver in dev_ids and v.target in dev_ids]
     for video in sorted(videos, key=lambda v: v.video_id):
-        frames = normalization.apply(store.get(video.video_id).frames)
+        frames = normalization.model_input(store.get(video.video_id).frames)
         for start in window_starts(frames.shape[0], window_len):
             windows.append(frames[start : start + window_len])
             drivers.append(video.driver)
@@ -192,6 +201,32 @@ class TestCollectWindows:
         np.testing.assert_array_equal(fitted.mean, norm.mean)
         np.testing.assert_array_equal(fitted.std, norm.std)
         assert (fitted.floored_dims, fitted.n_frames) == (norm.floored_dims, norm.n_frames)
+
+    def test_frames_beyond_float32_name_the_first_video(self, tmp_path, monkeypatch):
+        # a fit over the frames it normalizes bounds each by √frames, so only
+        # a normalization from elsewhere can overflow float32: a stand-in with
+        # every dimension floored (std 1e-4) turns a stored 1e35 into 1e39
+        catalog = tiny_catalog(n_ids=4, clips=3, cross_per_driver=2)
+        vids = sorted(v.video_id for v in catalog.videos())
+        rng = np.random.default_rng(5)
+        writer = FeatureStoreWriter(tmp_path / "f.avfs", FeatureKind.EMBEDDING, 12)
+        for i, vid in enumerate(vids):
+            frames = rng.normal(size=(40, 12))
+            if i in (3, 7):
+                frames[9, 4] = 1e35
+            writer.put(FeatureSequence(vid, FeatureKind.EMBEDDING, frames, 30.0))
+        store = writer.seal()
+        floored = NormalizationParams(mean=np.zeros(12), std=np.full(12, 1e-4),
+                                      floored_dims=tuple(range(12)), n_frames=1)
+        monkeypatch.setattr(training, "fit_normalization", lambda dim, passes: floored)
+        dev = {"id00", "id01", "id02", "id03"}
+        want = rf"^video {vids[3]!r}: normalized frames overflow float32$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the cast warns of nothing
+            with pytest.raises(TrainingError, match=want):
+                _collect_windows(store, catalog, dev, 16)
+            with pytest.raises(TrainingError, match=want):  # not TrainingDiverged
+                train(store, catalog, dev, small_config(), small_hyper())
 
 
 class TestProbeLoss:
